@@ -417,6 +417,24 @@ def _dedup_last_wins(oids, xs, ys):
     )
 
 
+def _dedup_last_wins_arrays(oids, xs, ys):
+    """:func:`_dedup_last_wins` on array columns, without leaving NumPy.
+
+    One plain sort decides whether any oid repeats; only then does a
+    stable argsort find the first-occurrence positions and the
+    last-occurrence values.
+    """
+    ranked = _np.sort(oids)
+    repeats = ranked[1:] == ranked[:-1]
+    if not repeats.any():
+        return oids, xs, ys
+    order = _np.argsort(oids, kind="stable")
+    first = order[_np.concatenate(([True], ~repeats))]
+    last = order[_np.concatenate((~repeats, [True]))]
+    keep = last[_np.argsort(first)]
+    return oids[keep], _np.asarray(xs)[keep], _np.asarray(ys)[keep]
+
+
 class SnapshotBatch:
     """One complete snapshot as ``(oid, x, y)`` columns at a fixed time.
 
@@ -441,9 +459,12 @@ class SnapshotBatch:
                 f"{(len(oids), len(xs), len(ys))}"
             )
         if not _deduped:
-            oids, xs, ys = _dedup_last_wins(
-                list(oids), list(xs), list(ys)
-            )
+            if _np is not None and isinstance(oids, _np.ndarray):
+                oids, xs, ys = _dedup_last_wins_arrays(oids, xs, ys)
+            else:
+                oids, xs, ys = _dedup_last_wins(
+                    list(oids), list(xs), list(ys)
+                )
         self.time = int(time)
         if _np is not None and not isinstance(oids, _np.ndarray):
             oids = _np.asarray(oids, dtype=_np.int64)

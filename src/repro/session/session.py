@@ -373,7 +373,7 @@ class Session:
             return []
         self._check_open()
         events: list[PatternEvent] = []
-        for snapshot in self._sync.flush():
+        for snapshot in self._sync.flush(columnar=True):
             events.extend(self._process(snapshot))
         flush_patterns = self.pipeline.finish()
         flush_time = self._last_time()

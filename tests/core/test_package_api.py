@@ -38,7 +38,7 @@ class TestPublicSurface:
             assert getattr(repro, name) is not None, name
 
     def test_version(self):
-        assert repro.__version__ == "2.6.0"
+        assert repro.__version__ == "2.7.0"
 
     def test_core_reexports(self):
         from repro.core import ConvoyTracker, PatternStore

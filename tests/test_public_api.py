@@ -84,8 +84,8 @@ class TestSurfaceLock:
         for name in repro.__all__:
             assert getattr(repro, name) is not None, name
 
-    def test_version_is_2_6(self):
-        assert repro.__version__ == "2.6.0"
+    def test_version(self):
+        assert repro.__version__ == "2.7.0"
 
 
 class TestLazyMachinery:
