@@ -293,7 +293,7 @@ class ICPEPipeline:
         patterns = [p for p in outputs if isinstance(p, CoMovementPattern)]
         fresh_count = self.collector.offer(snapshot.time, patterns)
         self._record_timing(snapshot, works, fresh_count)
-        return self.collector.patterns()[-fresh_count:] if fresh_count else []
+        return self.collector.latest(fresh_count)
 
     def finish(self) -> list[CoMovementPattern]:
         """End of stream: flush windows and open bit strings."""
@@ -313,7 +313,7 @@ class ICPEPipeline:
         patterns = [p for p in outputs if isinstance(p, CoMovementPattern)]
         time = self._last_time if self._last_time is not None else 0
         fresh_count = self.collector.offer(time, patterns)
-        return self.collector.patterns()[-fresh_count:] if fresh_count else []
+        return self.collector.latest(fresh_count)
 
     def close(self) -> None:
         """Release backend resources (the parallel worker pool).

@@ -116,6 +116,12 @@ class PatternCollector:
                 fresh += 1
         return fresh
 
+    def latest(self, count: int) -> list[CoMovementPattern]:
+        """The ``count`` most recent detections (what :meth:`offer` just added)."""
+        if count <= 0:
+            return []
+        return [pattern for _, pattern in self.detections[-count:]]
+
     def object_sets(self) -> set[tuple[int, ...]]:
         """The distinct detected object sets (tuple form)."""
         return set(self._seen)

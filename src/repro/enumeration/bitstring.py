@@ -187,27 +187,3 @@ class ClosedBitString:
         """Absolute times whose bits are set, ascending."""
         return [self.start + offset for offset in ones_positions(self.bits)]
 
-
-def and_closed_strings(
-    strings: list[ClosedBitString],
-) -> tuple[int, int] | None:
-    """Bitwise AND of closed strings over their aligned overlap window.
-
-    Returns ``(bits, window_start)`` or ``None`` when the overlap window is
-    empty.  Bit ``j`` of the result corresponds to time ``window_start + j``
-    and is set iff every input string has a 1 there.
-    """
-    if not strings:
-        return None
-    window_start = max(s.start for s in strings)
-    window_end = min(s.end for s in strings)
-    if window_end < window_start:
-        return None
-    combined = ~0
-    width = window_end - window_start + 1
-    mask = (1 << width) - 1
-    for s in strings:
-        combined &= s.bits >> (window_start - s.start)
-        if not combined & mask:
-            return (0, window_start)
-    return (combined & mask, window_start)

@@ -8,7 +8,10 @@ Per eta-window starting at each time ``t`` with a non-empty partition:
    satisfies (K, L, G) — a superset filter justified by AND-monotonicity;
 3. patterns are enumerated apriori-style directly from cardinality M - 1
    (combinations of C), growing each valid pattern by candidates with a
-   larger id; bit strings are combined with bitwise AND.
+   larger id; bit strings are combined with bitwise AND.  The growth
+   loop is :func:`repro.enumeration.growth.grow_window` — the engine VBA
+   shares; a window's strings already sit in one frame, so FBA is its
+   special case without alignment.
 
 Storage per window is O(eta * |P|) instead of BA's O(2^|P|); enumeration
 touches only candidate combinations whose every prefix is valid.
@@ -16,90 +19,11 @@ touches only candidate combinations whose every prefix is valid.
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Callable
-
 from repro.enumeration.base import AnchorEnumerator
 from repro.enumeration.bitstring import valid_sequences_of_bits
+from repro.enumeration.growth import grow_window
 from repro.model.constraints import PatternConstraints
 from repro.model.pattern import CoMovementPattern
-from repro.model.timeseq import TimeSequence
-
-#: ``(bits, start) -> maximal valid sequences`` — the extraction hook the
-#: batched kernels use to memoize decompositions of repeated bit strings.
-SequencesFn = Callable[[int, int], "list[TimeSequence]"]
-
-
-def enumerate_window(
-    anchor: int,
-    start: int,
-    candidate_bits: dict[int, int],
-    constraints: PatternConstraints,
-    sequences_fn: SequencesFn | None = None,
-) -> tuple[list[CoMovementPattern], int]:
-    """Apriori growth over one window's candidate set (Alg. 4, lines 9-17).
-
-    ``candidate_bits`` maps each candidate oid to its (already validated)
-    Definition-13 bit string anchored at ``start``.  Patterns are seeded
-    at cardinality M - 1 and grown by candidates with a strictly larger
-    id; bit strings are combined with bitwise AND and every valid
-    combination is emitted with the anchor included.
-
-    Shared by the reference :class:`FBAEnumerator` and the batched
-    enumeration kernels (:mod:`repro.enumeration.kernels`), so both emit
-    bit-for-bit identical patterns in identical per-anchor order.
-    ``sequences_fn`` overrides the maximal-valid-sequence extraction
-    (same contract as :func:`valid_sequences_of_bits` bound to the
-    constraints); the kernels pass a memoized extractor, which is
-    output-invariant because the decomposition is a pure function of
-    ``(bits, start)``.
-
-    Returns:
-        ``(patterns, and_evaluations)`` — the emitted patterns in
-        enumeration order and the number of AND combinations evaluated.
-    """
-    c = constraints
-    if sequences_fn is None:
-        sequences_fn = lambda bits, s: valid_sequences_of_bits(
-            bits, s, c.k, c.l, c.g
-        )
-    candidates = sorted(candidate_bits)
-    emitted: list[CoMovementPattern] = []
-    and_evaluations = 0
-    min_size = c.m - 1
-    if len(candidates) < min_size:
-        return emitted, and_evaluations
-
-    frontier: list[tuple[tuple[int, ...], int]] = []
-    for seed in combinations(candidates, min_size):
-        bits = candidate_bits[seed[0]]
-        for oid in seed[1:]:
-            bits &= candidate_bits[oid]
-        and_evaluations += 1
-        sequences = sequences_fn(bits, start)
-        if sequences:
-            emitted.append(CoMovementPattern.of((anchor, *seed), sequences[0]))
-            frontier.append((seed, bits))
-    while frontier:
-        grown: list[tuple[tuple[int, ...], int]] = []
-        for subset, bits in frontier:
-            last = subset[-1]
-            for oid in candidates:
-                if oid <= last:
-                    continue
-                combined = bits & candidate_bits[oid]
-                and_evaluations += 1
-                sequences = sequences_fn(combined, start)
-                if sequences:
-                    extended = subset + (oid,)
-                    emitted.append(
-                        CoMovementPattern.of(
-                            (anchor, *extended), sequences[0]
-                        )
-                    )
-                    grown.append((extended, combined))
-        frontier = grown
-    return emitted, and_evaluations
 
 
 class FBAEnumerator(AnchorEnumerator):
@@ -107,6 +31,9 @@ class FBAEnumerator(AnchorEnumerator):
 
     def __init__(self, anchor: int, constraints: PatternConstraints):
         super().__init__(anchor, constraints)
+        self._sequences = lambda bits, start: valid_sequences_of_bits(
+            bits, start, constraints.k, constraints.l, constraints.g
+        )
         self._window: dict[int, frozenset[int]] = {}
         self._pending_starts: list[int] = []
         self._last_time: int | None = None
@@ -245,17 +172,16 @@ class FBAEnumerator(AnchorEnumerator):
         base = self._window.get(start)
         if not base:
             return []
-        c = self.constraints
         # Lines 2-8: bit strings, then the (K, L, G) candidate filter.
         candidate_bits: dict[int, int] = {}
         for oid in sorted(base):
             bits = self._build_bits(oid, start)
-            if valid_sequences_of_bits(bits, start, c.k, c.l, c.g):
+            if self._sequences(bits, start):
                 candidate_bits[oid] = bits
         # Lines 9-17: seed at |O| = M - 1, grow valid patterns by candidates
         # with a strictly larger id (the Apriori Enumerator ordering).
-        emitted, and_evaluations = enumerate_window(
-            self.anchor, start, candidate_bits, c
+        emitted, and_evaluations = grow_window(
+            self.anchor, start, candidate_bits, self.constraints, self._sequences
         )
         self.and_evaluations += and_evaluations
         return emitted

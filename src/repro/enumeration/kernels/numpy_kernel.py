@@ -31,11 +31,14 @@ anchors hosted by one enumerate subtask into contiguous arrays:
 The emitted pattern stream is bit-for-bit identical to the reference
 kernel: the vectorized layers only *build* bit strings and *screen*
 candidates with necessary conditions — the exact validity predicate
-(:func:`~repro.enumeration.bitstring.valid_sequences_of_bits`), FBA's
-apriori growth (:func:`~repro.enumeration.fba.enumerate_window`) and
-VBA's candidate rounds
-(:meth:`~repro.enumeration.vba.VBAEnumerator.enumerate_candidates`) are
-the same code the reference path runs, in the same per-anchor order.
+(:func:`~repro.enumeration.bitstring.valid_sequences_of_bits`) and the
+apriori growth engine (:mod:`repro.enumeration.growth` — called here as
+:func:`~repro.enumeration.growth.grow_window` per FBA window, and by the
+:class:`~repro.enumeration.vba.VBAEnumerator` shells' candidate rounds)
+are the same code the reference path runs, in the same per-anchor
+order.  Kernel equivalence therefore says nothing about the engine
+itself; ``tests/enumeration/test_growth_engine.py`` holds it to the
+retained pre-engine loops and to a brute-force oracle instead.
 
 NumPy is an *optional* dependency: this module imports without it, and
 constructing the kernel raises a clear error when it is missing.
@@ -44,7 +47,7 @@ constructing the kernel raises a clear error when it is missing.
 from __future__ import annotations
 
 from repro.enumeration.bitstring import ClosedBitString, valid_sequences_of_bits
-from repro.enumeration.fba import enumerate_window
+from repro.enumeration.growth import grow_window
 from repro.enumeration.kernels.base import EnumerationKernel, Partitions
 from repro.enumeration.vba import VBAEnumerator
 from repro.model.constraints import PatternConstraints
@@ -325,9 +328,8 @@ class _FBAWindows:
                 value = _words_to_int(bits[row])
                 if self.sequences_fn(value, start):
                     candidate_bits[int(oids[row])] = value
-            patterns, ands = enumerate_window(
-                anchor, start, candidate_bits, c,
-                sequences_fn=self.sequences_fn,
+            patterns, ands = grow_window(
+                anchor, start, candidate_bits, c, self.sequences_fn
             )
             self.and_evaluations += ands
             emitted.extend(patterns)

@@ -9,6 +9,11 @@ candidate list, pruning combinations whose aligned window cannot hold K
 times (Lemma 8).  Every snapshot is verified exactly once — the
 latency-for-throughput trade the paper describes.
 
+This module owns the per-anchor state (open strings, the candidate list,
+retention); the Lemma-8 pool and the combination growth of each new
+candidate are :func:`repro.enumeration.growth.grow_candidate`, the engine
+FBA shares.
+
 Two documented deviations from the paper's pseudocode (Algorithm 5):
 
 * line 18 prunes when ``min(et) - max(st) < K``; the window *length* is
@@ -24,17 +29,15 @@ Two documented deviations from the paper's pseudocode (Algorithm 5):
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from repro.enumeration.base import AnchorEnumerator
 from repro.enumeration.bitstring import (
     CLOSED_INVALID,
     CLOSED_VALID,
     ClosedBitString,
     VariableBitString,
-    and_closed_strings,
     valid_sequences_of_bits,
 )
+from repro.enumeration.growth import grow_candidate
 from repro.model.constraints import PatternConstraints
 from repro.model.pattern import CoMovementPattern
 
@@ -294,80 +297,14 @@ class VBAEnumerator(AnchorEnumerator):
         """
         emitted: list[CoMovementPattern] = []
         for candidate in sorted(fresh, key=lambda s: (s.oid, s.start)):
-            emitted.extend(self._enumerate_with(candidate))
-            self._candidates.append(candidate)
-        return emitted
-
-    def _enumerate_with(
-        self, new: ClosedBitString
-    ) -> list[CoMovementPattern]:
-        c = self.constraints
-        # Lemma 8 (length-corrected): the aligned window of a combination
-        # must be able to hold K times.
-        pool = sorted(
-            (
-                other
-                for other in self._candidates
-                if other.oid != new.oid
-                and min(other.end, new.end) - max(other.start, new.start) + 1
-                >= c.k
-            ),
-            key=lambda s: (s.oid, s.start),
-        )
-        emitted: list[CoMovementPattern] = []
-        min_extra = c.m - 2  # members besides the new candidate (and anchor)
-        if min_extra > len(pool):
-            return emitted
-
-        frontier: list[tuple[tuple[ClosedBitString, ...], int]] = []
-        if min_extra == 0:
-            sequences = self._sequences(new.bits, new.start)
-            # A closed candidate is valid by construction; emit the pair
-            # pattern {anchor, new} and use it as the growth seed.
-            emitted.append(
-                CoMovementPattern.of((self.anchor, new.oid), sequences[0])
+            patterns, and_evaluations = grow_candidate(
+                self.anchor,
+                candidate,
+                self._candidates,
+                self.constraints,
+                self._sequences,
             )
-            frontier.append(((), -1))
-        else:
-            for seed_indices in combinations(range(len(pool)), min_extra):
-                seed = tuple(pool[i] for i in seed_indices)
-                if len({s.oid for s in seed}) != len(seed):
-                    continue
-                result = and_closed_strings([new, *seed])
-                self.and_evaluations += 1
-                if result is None:
-                    continue
-                bits, window_start = result
-                sequences = self._sequences(bits, window_start)
-                if sequences:
-                    oids = (self.anchor, new.oid, *(s.oid for s in seed))
-                    emitted.append(CoMovementPattern.of(oids, sequences[0]))
-                    frontier.append((seed, seed_indices[-1]))
-
-        while frontier:
-            grown: list[tuple[tuple[ClosedBitString, ...], int]] = []
-            for seed, last_index in frontier:
-                used_oids = {s.oid for s in seed} | {new.oid}
-                for index in range(last_index + 1, len(pool)):
-                    extra = pool[index]
-                    if extra.oid in used_oids:
-                        continue
-                    result = and_closed_strings([new, *seed, extra])
-                    self.and_evaluations += 1
-                    if result is None:
-                        continue
-                    bits, window_start = result
-                    sequences = self._sequences(bits, window_start)
-                    if sequences:
-                        extended = seed + (extra,)
-                        oids = (
-                            self.anchor,
-                            new.oid,
-                            *(s.oid for s in extended),
-                        )
-                        emitted.append(
-                            CoMovementPattern.of(oids, sequences[0])
-                        )
-                        grown.append((extended, index))
-            frontier = grown
+            self.and_evaluations += and_evaluations
+            emitted.extend(patterns)
+            self._candidates.append(candidate)
         return emitted

@@ -35,7 +35,19 @@ class CoMovementPattern:
         """Build from any iterables (ids and times)."""
         if not isinstance(times, TimeSequence):
             times = TimeSequence(times)
-        return cls(tuple(sorted(set(objects))), times)
+        return cls._from_sorted(tuple(sorted(set(objects))), times)
+
+    @classmethod
+    def _from_sorted(
+        cls, objects: tuple[int, ...], times: TimeSequence
+    ) -> "CoMovementPattern":
+        """Trusted construction: ``objects`` is already a strictly
+        ascending tuple, so the normalisation of the public constructor
+        is skipped (the growth engine builds its tuples sorted)."""
+        pattern = object.__new__(cls)
+        object.__setattr__(pattern, "objects", objects)
+        object.__setattr__(pattern, "times", times)
+        return pattern
 
     @property
     def size(self) -> int:

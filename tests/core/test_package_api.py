@@ -37,9 +37,6 @@ class TestPublicSurface:
         for name in repro.__all__:
             assert getattr(repro, name) is not None, name
 
-    def test_version(self):
-        assert repro.__version__ == "2.7.0"
-
     def test_core_reexports(self):
         from repro.core import ConvoyTracker, PatternStore
 

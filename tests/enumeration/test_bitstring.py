@@ -8,10 +8,8 @@ from repro.enumeration.bitstring import (
     CLOSED_INVALID,
     CLOSED_VALID,
     OPEN,
-    ClosedBitString,
     FixedBitString,
     VariableBitString,
-    and_closed_strings,
     ones_positions,
     valid_sequences_of_bits,
 )
@@ -221,53 +219,6 @@ class TestVariableBitString:
             closed = vbs.trimmed().with_oid(oid)
             assert closed.start == start and closed.end == 8
             assert closed.times() == times
-
-
-class TestAndClosedStrings:
-    def _closed(self, oid, start, text):
-        bits = 0
-        for offset, bit in enumerate(text):
-            if bit == "1":
-                bits |= 1 << offset
-        return ClosedBitString(
-            oid=oid, start=start, end=start + len(text) - 1, bits=bits
-        )
-
-    def test_aligned_and(self):
-        a = self._closed(1, 2, "1111111")   # times 2-8
-        b = self._closed(2, 3, "110111")    # times 3-8
-        bits, window_start = and_closed_strings([a, b])
-        assert window_start == 3
-        assert valid_sequences_of_bits(bits, window_start, 4, 2, 2)
-
-    def test_disjoint_windows(self):
-        a = self._closed(1, 1, "11")
-        b = self._closed(2, 10, "11")
-        assert and_closed_strings([a, b]) is None
-
-    def test_empty_input(self):
-        assert and_closed_strings([]) is None
-
-    @given(
-        st.integers(1, 5), st.integers(0, 2**12), st.integers(1, 5),
-        st.integers(0, 2**12),
-    )
-    def test_and_equals_set_intersection(self, s1, b1, s2, b2):
-        """Bitwise AND over aligned windows == intersecting the time sets."""
-        a = ClosedBitString(oid=1, start=s1, end=s1 + 12, bits=b1 | 1)
-        b = ClosedBitString(oid=2, start=s2, end=s2 + 12, bits=b2 | 1)
-        result = and_closed_strings([a, b])
-        expected = set(a.times()) & set(b.times())
-        expected = {
-            t for t in expected
-            if max(a.start, b.start) <= t <= min(a.end, b.end)
-        }
-        if result is None:
-            assert not expected
-        else:
-            bits, window_start = result
-            got = {window_start + o for o in ones_positions(bits)}
-            assert got == expected
 
 
 class TestValidSequencesOfBits:

@@ -85,7 +85,7 @@ class TestSurfaceLock:
             assert getattr(repro, name) is not None, name
 
     def test_version(self):
-        assert repro.__version__ == "2.7.0"
+        assert repro.__version__ == "2.8.0"
 
 
 class TestLazyMachinery:
