@@ -11,7 +11,13 @@ Per eta-window starting at each time ``t`` with a non-empty partition:
    larger id; bit strings are combined with bitwise AND.  The growth
    loop is :func:`repro.enumeration.growth.grow_window` — the engine VBA
    shares; a window's strings already sit in one frame, so FBA is its
-   special case without alignment.
+   special case without alignment.  In front of it sits the anchor's
+   :class:`~repro.enumeration.growth.WindowCover`: consecutive windows
+   overlap in eta - 1 snapshots, so a window whose candidate set lies
+   inside one this anchor already enumerated completely (its window
+   emitted the anchor plus every candidate) is skipped — every pattern
+   it could emit was emitted there first.  This step is beyond the
+   paper and leaves the collected result and its order unchanged.
 
 Storage per window is O(eta * |P|) instead of BA's O(2^|P|); enumeration
 touches only candidate combinations whose every prefix is valid.
@@ -21,7 +27,7 @@ from __future__ import annotations
 
 from repro.enumeration.base import AnchorEnumerator
 from repro.enumeration.bitstring import valid_sequences_of_bits
-from repro.enumeration.growth import grow_window
+from repro.enumeration.growth import WindowCover, grow_window
 from repro.model.constraints import PatternConstraints
 from repro.model.pattern import CoMovementPattern
 
@@ -37,6 +43,7 @@ class FBAEnumerator(AnchorEnumerator):
         self._window: dict[int, frozenset[int]] = {}
         self._pending_starts: list[int] = []
         self._last_time: int | None = None
+        self._cover = WindowCover()
         # Work counters for the benchmark harness and the bit-compression
         # ablation: candidate bit strings built, AND evaluations performed.
         self.bitstrings_built = 0
@@ -60,6 +67,8 @@ class FBAEnumerator(AnchorEnumerator):
             start = self._pending_starts.pop(0)
             emitted.extend(self._run_window(start))
         self._evict(time)
+        if not self._pending_starts:
+            self._cover.discard(self.anchor)
         return emitted
 
     def finish(self) -> list[CoMovementPattern]:
@@ -68,6 +77,7 @@ class FBAEnumerator(AnchorEnumerator):
         while self._pending_starts:
             emitted.extend(self._run_window(self._pending_starts.pop(0)))
         self._window.clear()
+        self._cover.discard(self.anchor)
         return emitted
 
     def is_idle(self) -> bool:
@@ -122,32 +132,39 @@ class FBAEnumerator(AnchorEnumerator):
         return tuple(out)
 
     def snapshot_state(self) -> dict:
-        """Window contents, pending starts and work counters as plain data."""
+        """Window contents, pending starts, cover and work counters."""
         return {
             "window": {
                 t: tuple(sorted(self._window[t])) for t in sorted(self._window)
             },
             "pending_starts": list(self._pending_starts),
             "last_time": self._last_time,
+            "cover": self._cover.snapshot_state(),
             "bitstrings_built": self.bitstrings_built,
             "and_evaluations": self.and_evaluations,
         }
 
     def restore_state(self, payload: dict) -> None:
-        """Adopt a payload produced by :meth:`snapshot_state`."""
+        """Adopt a payload produced by :meth:`snapshot_state`.
+
+        Payloads written before the window cover existed restore with an
+        empty one: the next windows are grown in full and re-record it.
+        """
         self._window = {
             t: frozenset(members) for t, members in payload["window"].items()
         }
         self._pending_starts = list(payload["pending_starts"])
         self._last_time = payload["last_time"]
+        self._cover.restore_state(payload.get("cover", {}))
         self.bitstrings_built = payload["bitstrings_built"]
         self.and_evaluations = payload["and_evaluations"]
 
     def state_metrics(self) -> dict[str, int]:
-        """Memory accounting: retained window entries and pending starts."""
+        """Memory accounting: window entries, pending starts, cover sets."""
         return {
             "window_entries": len(self._window),
             "pending_windows": len(self._pending_starts),
+            "cover_sets": len(self._cover),
         }
 
     def _evict(self, now: int) -> None:
@@ -170,7 +187,7 @@ class FBAEnumerator(AnchorEnumerator):
 
     def _run_window(self, start: int) -> list[CoMovementPattern]:
         base = self._window.get(start)
-        if not base:
+        if not base or self._cover.covers(self.anchor, base):
             return []
         # Lines 2-8: bit strings, then the (K, L, G) candidate filter.
         candidate_bits: dict[int, int] = {}
@@ -178,10 +195,13 @@ class FBAEnumerator(AnchorEnumerator):
             bits = self._build_bits(oid, start)
             if self._sequences(bits, start):
                 candidate_bits[oid] = bits
+        if self._cover.covers(self.anchor, candidate_bits):
+            return []
         # Lines 9-17: seed at |O| = M - 1, grow valid patterns by candidates
         # with a strictly larger id (the Apriori Enumerator ordering).
         emitted, and_evaluations = grow_window(
             self.anchor, start, candidate_bits, self.constraints, self._sequences
         )
+        self._cover.record(self.anchor, candidate_bits, emitted)
         self.and_evaluations += and_evaluations
         return emitted

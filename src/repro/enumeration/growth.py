@@ -37,13 +37,20 @@ the result.  The order is: seeds in :func:`itertools.combinations` order,
 then frontier order x ascending pool index, level by level.
 ``and_evaluations`` counts every combination whose AND is evaluated
 (same-oid combinations are skipped uncounted).
+
+*Window cover.*  Consecutive FBA windows of one anchor overlap in
+``eta - 1`` snapshots, so a lasting convoy presents the same candidate
+set window after window.  :class:`WindowCover` sits in front of
+:func:`grow_window` in both FBA paths and skips a window whose candidate
+set lies inside one the anchor already enumerated completely — growth
+there could only repeat emissions the collector has already kept.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from repro.enumeration.bitstring import ClosedBitString
 from repro.model.constraints import PatternConstraints
@@ -176,6 +183,86 @@ def grow_window(
         start,
         sequences_fn,
     )
+
+
+class WindowCover:
+    """Per-anchor candidate sets whose FBA window emitted every pattern.
+
+    The rule: before growing anchor ``a``'s window over candidate set
+    ``C``, skip it if ``C <= E`` for a set ``E`` recorded here.  ``E`` is
+    recorded when a window over exactly ``E`` emitted ``{a} | E`` itself.
+    That emission means ``AND(E)`` held a valid sequence, so every subset
+    of ``{a} | E`` that contains ``a`` and has at least M objects did too
+    (AND-monotonicity, the property apriori pruning rests on); every
+    member was a candidate there, and growth is complete over the
+    candidates, so that earlier window emitted all of them.  A window
+    over ``C <= E`` can only emit such subsets again, and
+    :class:`~repro.enumeration.base.PatternCollector` keeps the first
+    emission per object set, so skipping it changes neither the result
+    nor the order of fresh patterns.
+
+    Recorded sets per anchor form an antichain (a new set replaces those
+    it contains).  The owner drops an anchor's sets via :meth:`discard`
+    once the anchor has no pending window, which bounds the cover by the
+    live anchors; both FBA paths apply that same eviction point, so their
+    raw per-anchor emissions stay identical.
+    """
+
+    __slots__ = ("_sets",)
+
+    def __init__(self) -> None:
+        self._sets: dict[int, list[frozenset[int]]] = {}
+
+    def covers(self, anchor: int, oids: Iterable[int]) -> bool:
+        """Whether ``oids`` (the anchor excluded) lie inside a recorded set.
+
+        Asked of a window's candidates this is the rule.  Asked first of
+        the window's base partition — a superset of its candidates — a
+        yes settles the rule before any bit string is built.
+        """
+        for covered in self._sets.get(anchor, ()):
+            if covered.issuperset(oids):
+                return True
+        return False
+
+    def record(
+        self,
+        anchor: int,
+        candidates: Collection[int],
+        emitted: Sequence[CoMovementPattern],
+    ) -> None:
+        """Remember ``candidates`` if their window emitted ``{anchor} | candidates``.
+
+        Growth is level by level, so that set — the only one of its size —
+        is emitted last when it is emitted at all.
+        """
+        if not emitted or len(emitted[-1].objects) != len(candidates) + 1:
+            return
+        new = frozenset(candidates)
+        kept = [s for s in self._sets.get(anchor, ()) if not s <= new]
+        kept.append(new)
+        self._sets[anchor] = kept
+
+    def discard(self, anchor: int) -> None:
+        """Forget ``anchor``'s sets (it has no pending window left)."""
+        self._sets.pop(anchor, None)
+
+    def __len__(self) -> int:
+        return sum(len(sets) for sets in self._sets.values())
+
+    def snapshot_state(self) -> dict[int, list[tuple[int, ...]]]:
+        """Recorded sets as sorted tuples, anchors ascending."""
+        return {
+            anchor: [tuple(sorted(s)) for s in self._sets[anchor]]
+            for anchor in sorted(self._sets)
+        }
+
+    def restore_state(self, payload: dict[int, list[tuple[int, ...]]]) -> None:
+        """Adopt a payload produced by :meth:`snapshot_state`."""
+        self._sets = {
+            anchor: [frozenset(s) for s in sets]
+            for anchor, sets in payload.items()
+        }
 
 
 def grow_candidate(

@@ -17,7 +17,9 @@ anchors hosted by one enumerate subtask into contiguous arrays:
 3. **FBA** — when windows complete, every due (anchor, member) row is
    built in one pass per window column, and a vectorized popcount
    screen (``popcount >= K`` is necessary for any valid sequence)
-   discards non-candidates before the exact predicate runs.
+   discards non-candidates before the exact predicate runs.  Anchors
+   the shared :class:`~repro.enumeration.growth.WindowCover` already
+   covers are settled before their rows are built.
 4. **VBA** — appends are one vectorized scatter per snapshot; the
    Lemma-7 closing condition (``G + 1`` trailing zeros) is one array
    compare; only rows that actually close are screened and exact-checked.
@@ -47,7 +49,7 @@ constructing the kernel raises a clear error when it is missing.
 from __future__ import annotations
 
 from repro.enumeration.bitstring import ClosedBitString, valid_sequences_of_bits
-from repro.enumeration.growth import grow_window
+from repro.enumeration.growth import WindowCover, grow_window
 from repro.enumeration.kernels.base import EnumerationKernel, Partitions
 from repro.enumeration.vba import VBAEnumerator
 from repro.model.constraints import PatternConstraints
@@ -168,6 +170,10 @@ class _FBAWindows:
         self._time_keys: dict[int, "np.ndarray"] = {}
         #: window start -> [(anchor, sorted member oids)], insertion order.
         self._pending: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+        #: anchor -> its pending windows; an anchor leaves the cover when
+        #: its count reaches zero, as an FBAEnumerator drops its own.
+        self._open: dict[int, int] = {}
+        self._cover = WindowCover()
         self.rows_built = 0
         self.and_evaluations = 0
 
@@ -184,6 +190,8 @@ class _FBAWindows:
         ]
         if entries:
             self._pending[time] = entries
+            for anchor, _members in entries:
+                self._open[anchor] = self._open.get(anchor, 0) + 1
         emitted: list[CoMovementPattern] = []
         for start in sorted(self._pending):
             if start + self.eta - 1 > time:
@@ -258,7 +266,7 @@ class _FBAWindows:
         return tuple(sorted(out))
 
     def snapshot_state(self) -> dict:
-        """Key arrays as raw bytes plus pending windows and counters."""
+        """Key arrays as raw bytes plus pending windows, cover and counters."""
         return {
             "time_keys": {
                 t: self._time_keys[t].tobytes()
@@ -267,12 +275,14 @@ class _FBAWindows:
             "pending": {
                 t: list(self._pending[t]) for t in sorted(self._pending)
             },
+            "cover": self._cover.snapshot_state(),
             "rows_built": self.rows_built,
             "and_evaluations": self.and_evaluations,
         }
 
     def restore_state(self, payload: dict) -> None:
-        """Adopt a payload produced by :meth:`snapshot_state`."""
+        """Adopt a payload produced by :meth:`snapshot_state` (one written
+        before the window cover existed restores with an empty cover)."""
         self._time_keys = {
             t: np.frombuffer(data, dtype=np.int64).copy()
             for t, data in payload["time_keys"].items()
@@ -284,19 +294,37 @@ class _FBAWindows:
             ]
             for t, entries in payload["pending"].items()
         }
+        self._open = {}
+        for entries in self._pending.values():
+            for anchor, _members in entries:
+                self._open[anchor] = self._open.get(anchor, 0) + 1
+        self._cover.restore_state(payload.get("cover", {}))
         self.rows_built = payload["rows_built"]
         self.and_evaluations = payload["and_evaluations"]
 
     def state_metrics(self) -> dict[str, int]:
-        """Memory accounting: retained key snapshots and pending windows."""
+        """Memory accounting: key snapshots, pending windows, cover sets."""
         return {
             "window_entries": len(self._time_keys),
             "pending_windows": len(self._pending),
+            "cover_sets": len(self._cover),
         }
 
     def _run_start(self, start: int) -> list[CoMovementPattern]:
-        """Build all bitmaps of one window start; screen; enumerate."""
-        entries = self._pending.pop(start)
+        """Build all bitmaps of one window start; screen; enumerate.
+
+        An anchor whose base partition the cover already holds is settled
+        before its rows are built: its candidates are a subset of it.
+        """
+        cover = self._cover
+        entries = []
+        for anchor, members in self._pending.pop(start):
+            if cover.covers(anchor, members):
+                self._window_done(anchor)
+            else:
+                entries.append((anchor, members))
+        if not entries:
+            return []
         sizes = [len(members) for _, members in entries]
         anchors = np.repeat(
             np.array([anchor for anchor, _ in entries], dtype=np.int64), sizes
@@ -328,12 +356,25 @@ class _FBAWindows:
                 value = _words_to_int(bits[row])
                 if self.sequences_fn(value, start):
                     candidate_bits[int(oids[row])] = value
-            patterns, ands = grow_window(
-                anchor, start, candidate_bits, c, self.sequences_fn
-            )
-            self.and_evaluations += ands
-            emitted.extend(patterns)
+            if not cover.covers(anchor, candidate_bits):
+                patterns, ands = grow_window(
+                    anchor, start, candidate_bits, c, self.sequences_fn
+                )
+                cover.record(anchor, candidate_bits, patterns)
+                self.and_evaluations += ands
+                emitted.extend(patterns)
+            self._window_done(anchor)
         return emitted
+
+    def _window_done(self, anchor: int) -> None:
+        """Count one of ``anchor``'s windows run; with none left pending,
+        drop its cover — the point where an FBAEnumerator drops its own."""
+        left = self._open[anchor] - 1
+        if left:
+            self._open[anchor] = left
+        else:
+            del self._open[anchor]
+            self._cover.discard(anchor)
 
 
 # ------------------------------------------------------------------ VBA batch

@@ -49,6 +49,16 @@ class CoMovementPattern:
         object.__setattr__(pattern, "times", times)
         return pattern
 
+    def __reduce__(self):
+        """Pickle as a call to :func:`_rebuild` (the trusted constructor).
+
+        The frozen slots dataclass's own ``__setstate__`` walks
+        ``fields()`` once per object, which dominated unpickling pattern
+        lists on the ``process`` backend's reply pipe.  Pickles written
+        through that path still load: the dataclass keeps it.
+        """
+        return (_rebuild, (self.objects, self.times))
+
     @property
     def size(self) -> int:
         """Number of objects in the pattern."""
@@ -72,3 +82,8 @@ class CoMovementPattern:
     def __str__(self) -> str:
         ids = ", ".join(f"o{oid}" for oid in self.objects)
         return f"{{{ids}}} @ T={list(self.times)}"
+
+
+def _rebuild(objects: tuple[int, ...], times: TimeSequence) -> CoMovementPattern:
+    """Unpickling hook: ``objects`` were sorted when the pattern was pickled."""
+    return CoMovementPattern._from_sorted(objects, times)
