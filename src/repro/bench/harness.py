@@ -290,7 +290,9 @@ def detection_config(
     that subtasks contend on few nodes and spread with many — the regime
     the paper's (much heavier per-subtask) workloads are in.
     ``backend`` selects the execution backend actually running the job
-    graph (measured, not simulated, parallelism).
+    graph (measured, not simulated, parallelism).  The stage fan-out is
+    the paper's 8/16/16 whatever the backend: the cost model places
+    subtasks on N simulated nodes, which needs subtasks to spread.
     """
     return ICPEConfig(
         epsilon=dataset.resolve_percentage(epsilon_pct),
@@ -298,6 +300,9 @@ def detection_config(
         min_pts=min_pts,
         constraints=constraints,
         enumerator=_ENUM_NAME[enumerator],
+        allocate_parallelism=8,
+        query_parallelism=16,
+        enumerate_parallelism=16,
         cluster=ClusterModel(n_nodes=n_nodes, cores_per_node=slots_per_node),
         backend=backend,
         parallel_workers=parallel_workers,

@@ -31,7 +31,14 @@ class ICPEConfig:
         query_parallelism: subtasks of the GridQuery stage (cells are
             hashed onto these, Flink key-group style).
         enumerate_parallelism: subtasks of the enumeration stage (anchor
-            trajectories hashed onto these).
+            trajectories hashed onto these).  For all three, ``None``
+            (the default) follows the backend: one subtask on
+            ``serial``, one per worker on ``parallel`` and ``process``
+            — physical fan-out matches the hardware that runs it.
+            Explicit ints fix the topology, for sweeps and ablations
+            (the Fig. 14 node sweep passes the paper's 8/16/16).  The
+            results are identical at every fan-out, and a checkpoint
+            restores into any other.
         rtree_fanout: local R-tree node capacity.
         lemma1 / lemma2 / local_index: ablation switches (paper: on/rtree).
         max_delay: bounded-delay guarantee for time synchronisation.
@@ -123,9 +130,9 @@ class ICPEConfig:
     constraints: PatternConstraints
     enumerator: str = "fba"
     metric_name: str = "l1"
-    allocate_parallelism: int = 8
-    query_parallelism: int = 16
-    enumerate_parallelism: int = 16
+    allocate_parallelism: int | None = None
+    query_parallelism: int | None = None
+    enumerate_parallelism: int | None = None
     rtree_fanout: int = 16
     lemma1: bool = True
     lemma2: bool = True
@@ -161,7 +168,8 @@ class ICPEConfig:
             "query_parallelism",
             "enumerate_parallelism",
         ):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.parallel_workers is not None and self.parallel_workers < 1:
             raise ValueError(

@@ -11,7 +11,8 @@ the cluster cost model) and the deduplicated pattern results.
 
 from __future__ import annotations
 
-from typing import Iterable
+from dataclasses import replace
+from typing import Any, Iterable
 
 from repro.core.config import ICPEConfig
 from repro.core.operators import (
@@ -31,11 +32,19 @@ from repro.model.batch import SnapshotBatch
 from repro.model.pattern import CoMovementPattern
 from repro.model.snapshot import ClusterSnapshot, Snapshot
 from repro.streaming.cluster import ClusterModel
-from repro.streaming.dataflow import SpanRecord, StageWork
-from repro.state.codec import decode_payload, digest_of
+from repro.streaming.dataflow import SpanRecord, StageRuntime, StageWork
+from repro.state.codec import decode_payload, encode_payload
 from repro.streaming.environment import DataStream, Job, StreamEnvironment
+from repro.streaming.hashing import stable_hash
 from repro.streaming.metrics import LatencyThroughputMeter, SnapshotTiming
 from repro.streaming.runtime import GraphSpec, resolve_backend
+
+#: Stage-parallelism fields whose ``None`` means "follow the backend".
+FAN_OUT_FIELDS = (
+    "allocate_parallelism",
+    "query_parallelism",
+    "enumerate_parallelism",
+)
 
 #: Cluster-state view when no cluster aggregates are available (yet).
 _EMPTY_CLUSTER_STATE = {
@@ -164,6 +173,22 @@ def describe_enumeration_stage(
     )
 
 
+def resolve_fan_out(config: ICPEConfig, workers: int) -> ICPEConfig:
+    """``config`` with every ``None`` stage parallelism set to ``workers``.
+
+    The one place a "follow the backend" fan-out becomes a number: the
+    pipeline passes its backend's worker count, so the serial backend
+    runs one subtask per stage and a pool of N workers runs N.
+    Explicit ints pass through untouched.
+    """
+    unresolved = {
+        name: workers
+        for name in FAN_OUT_FIELDS
+        if getattr(config, name) is None
+    }
+    return replace(config, **unresolved) if unresolved else config
+
+
 def build_icpe_graph(config: ICPEConfig):
     """The ICPE job graph for a config (module-level, hence picklable).
 
@@ -177,6 +202,55 @@ def build_icpe_graph(config: ICPEConfig):
     return ICPEPipeline.build_environment(config).graph()
 
 
+def _patterns_by_anchor(outputs: list[Any]) -> list[CoMovementPattern]:
+    """The patterns among ``outputs``, stably sorted by anchor.
+
+    The enumerate stage emits each anchor's patterns in one order that
+    does not depend on the fan-out; only how anchors interleave depends
+    on which subtasks host them.  Sorting stably on the anchor (a
+    pattern's smallest object id) therefore yields the same sequence at
+    every fan-out, on every backend.  Duplicates of an object set share
+    its anchor and keep their relative order, so first-emission-wins
+    deduplication picks the same emission.
+    """
+    patterns = [p for p in outputs if isinstance(p, CoMovementPattern)]
+    patterns.sort(key=_anchor_of)
+    return patterns
+
+
+def _anchor_of(pattern: CoMovementPattern) -> int:
+    return pattern.objects[0]
+
+
+def _repartition_by_anchor(
+    runtime: StageRuntime, payloads: list[tuple[int, bytes]]
+) -> list[tuple[int, bytes]]:
+    """Re-key enumerate-stage payloads onto the live subtasks by anchor.
+
+    A checkpoint holds one payload per subtask of the pipeline that
+    wrote it, whose fan-out may differ from this one's.  Each payload is
+    split into per-anchor pieces plus an anchor-free rest (work
+    counters, kernel clock); every anchor goes to the subtask the live
+    keyed exchange routes it to (``stable_hash(anchor) % parallelism``);
+    each subtask's pieces are joined back into one payload, the rests'
+    counters summed into subtask 0 so stage totals are unchanged.  A
+    restore into the same fan-out takes this path too.
+    """
+    operator = runtime.subtasks[0]
+    parallelism = len(runtime.subtasks)
+    rests: list[Any] = []
+    routed: list[dict[int, Any]] = [{} for _ in range(parallelism)]
+    for _index, data in payloads:
+        rest, pieces = operator.split_state(decode_payload(data))
+        rests.append(rest)
+        for anchor, piece in pieces.items():
+            routed[stable_hash(anchor) % parallelism][anchor] = piece
+    return [
+        (index, encode_payload(operator.join_state(rests, pieces, index == 0))[1])
+        for index, pieces in enumerate(routed)
+    ]
+
+
 class ICPEPipeline:
     """Snapshot-in, patterns-out execution of the ICPE job graph."""
 
@@ -184,7 +258,6 @@ class ICPEPipeline:
         """``keep_works``: retain every snapshot's per-stage busy times so
         the run can be re-scored under different cluster models (the Fig. 14
         node sweep re-uses one execution for all N)."""
-        self.config = config
         self.collector = PatternCollector()
         self.meter = LatencyThroughputMeter()
         self.keep_works = keep_works
@@ -193,6 +266,10 @@ class ICPEPipeline:
         self._backend = resolve_backend(
             config.backend, max_workers=config.parallel_workers
         )
+        #: The config the job graph is built from — the caller's, with
+        #: ``None`` stage parallelisms resolved once against the backend
+        #: so the local runtimes and every process worker agree.
+        self.config = config = resolve_fan_out(config, self._backend.workers)
         self._job: Job = self.build_environment(config).compile(
             backend=self._backend,
             graph_spec=GraphSpec(build_icpe_graph, (config,)),
@@ -235,8 +312,9 @@ class ICPEPipeline:
         and enumeration keyed by anchor id — are built through the same
         fluent API any user topology uses, so the pipeline and ad-hoc
         environments share one :class:`JobGraph` construction path.
+        Stage parallelisms still ``None`` here get one subtask.
         """
-        cfg = config
+        cfg = resolve_fan_out(config, 1)
         env = StreamEnvironment()
         describe_enumeration_stage(
             describe_clustering_stages(
@@ -290,8 +368,9 @@ class ICPEPipeline:
             elements = snapshot.points()
         outputs, works = self._job.run(elements, ctx=snapshot.time)
         self.last_spans = self._drain_spans()
-        patterns = [p for p in outputs if isinstance(p, CoMovementPattern)]
-        fresh_count = self.collector.offer(snapshot.time, patterns)
+        fresh_count = self.collector.offer(
+            snapshot.time, _patterns_by_anchor(outputs)
+        )
         self._record_timing(snapshot, works, fresh_count)
         return self.collector.latest(fresh_count)
 
@@ -310,9 +389,8 @@ class ICPEPipeline:
             except RuntimeError:  # pragma: no cover - dead worker
                 pass
         self.close()
-        patterns = [p for p in outputs if isinstance(p, CoMovementPattern)]
         time = self._last_time if self._last_time is not None else 0
-        fresh_count = self.collector.offer(time, patterns)
+        fresh_count = self.collector.offer(time, _patterns_by_anchor(outputs))
         return self.collector.latest(fresh_count)
 
     def close(self) -> None:
@@ -605,8 +683,12 @@ class ICPEPipeline:
     ) -> None:
         """Restore a checkpoint's operator payloads into the job graph.
 
-        Also seeds the incremental-capture cache, so the first checkpoint
-        taken after a restore reuses every still-unchanged payload.
+        The checkpoint may come from a pipeline with another fan-out:
+        enumerate-stage payloads are always re-partitioned by anchor
+        onto this pipeline's subtasks (:func:`_repartition_by_anchor`).
+        Also seeds the incremental-capture cache from the restored
+        operators, so the first checkpoint taken after a restore reuses
+        every still-unchanged payload.
         """
         if not self.supports_checkpoint:
             raise RuntimeError(
@@ -626,14 +708,17 @@ class ICPEPipeline:
             )
         for runtime in self._runtimes:
             payloads = by_stage.get(runtime.stage.name)
-            if payloads:
-                self._backend.restore_states(runtime, sorted(payloads))
-        for key, data in states.items():
-            self._state_digests[key] = digest_of(data)
-            self._state_payloads[key] = data
+            if not payloads:
+                continue
+            if runtime.stage.name == "enumerate":
+                payloads = _repartition_by_anchor(runtime, payloads)
+            self._backend.restore_states(runtime, sorted(payloads))
         self._cluster_state_cache = None
         self._protected_cache = None
         self._forming_cache = None
+        self._state_digests.clear()
+        self._state_payloads.clear()
+        self.collect_operator_states()
 
     def state_metrics(self) -> dict[str, dict[str, int]]:
         """Per-component memory accounting across the whole pipeline.

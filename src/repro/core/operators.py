@@ -24,7 +24,11 @@ from typing import Any, Callable, Iterable
 
 from repro.enumeration.base import AnchorEnumerator
 from repro.enumeration.kernels.base import EnumerationKernel
-from repro.enumeration.kernels.python_ref import anchor_enumerator_factory
+from repro.enumeration.kernels.python_ref import (
+    anchor_enumerator_factory,
+    join_anchor_state,
+    split_anchor_state,
+)
 from repro.enumeration.partition import id_partitions
 from repro.cluster.dbscan import dbscan_from_pairs
 from repro.index.grid import GridKey
@@ -364,6 +368,10 @@ class EnumerateOperator(Operator):
             self._enumerators[anchor] = enumerator
         self._received = set()
 
+    #: Per-anchor enumerator payloads, for a re-partitioning restore.
+    split_state = staticmethod(split_anchor_state)
+    join_state = staticmethod(join_anchor_state)
+
     def state_metrics(self) -> dict[str, int]:
         """Memory accounting: hosted anchors plus summed enumerator metrics."""
         metrics = {"anchors": len(self._enumerators)}
@@ -383,9 +391,7 @@ class BatchedEnumerateOperator(Operator):
     and Lemma-7 closing all happen inside the kernel across every hosted
     anchor at once.  Per anchor, the emitted pattern stream is identical
     to the reference operator's (shared exact predicates and combination
-    growth); only the interleaving across anchors within one snapshot may
-    differ, which is output-invariant because a pattern's smallest object
-    id is its anchor.
+    growth).
     """
 
     def __init__(self, kernel: EnumerationKernel):
@@ -435,6 +441,41 @@ class BatchedEnumerateOperator(Operator):
         """Adopt a payload produced by :meth:`snapshot_state`."""
         self.kernel.restore_state(payload["kernel"])
         self._records = list(payload["records"])
+
+    def split_state(self, payload: dict) -> tuple[Any, dict[int, dict]]:
+        """Per-anchor pieces: the kernel's share plus buffered records."""
+        rest, kernel_pieces = self.kernel.split_state(payload["kernel"])
+        pieces = {
+            anchor: {"kernel": piece, "records": []}
+            for anchor, piece in kernel_pieces.items()
+        }
+        for record in payload["records"]:
+            pieces.setdefault(record[1], {"kernel": None, "records": []})[
+                "records"
+            ].append(record)
+        return rest, pieces
+
+    def join_state(
+        self, rests: list[Any], pieces: dict[int, dict], primary: bool
+    ) -> dict:
+        """One subtask's payload from the per-anchor pieces routed to it.
+
+        Buffered records are ordered by ``(time, anchor)``, the order
+        the cluster stage emits them in.
+        """
+        kernel_pieces = {
+            anchor: piece["kernel"]
+            for anchor, piece in pieces.items()
+            if piece["kernel"] is not None
+        }
+        records = sorted(
+            (record for piece in pieces.values() for record in piece["records"]),
+            key=lambda record: record[:2],
+        )
+        return {
+            "kernel": self.kernel.join_state(rests, kernel_pieces, primary),
+            "records": records,
+        }
 
     def state_metrics(self) -> dict[str, int]:
         """Memory accounting: kernel metrics plus the pre-trigger buffer."""

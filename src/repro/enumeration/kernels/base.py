@@ -40,7 +40,7 @@ subtasks (every pattern's smallest object id *is* its anchor).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro.model.pattern import CoMovementPattern
 
@@ -113,6 +113,31 @@ class EnumerationKernel(ABC):
         """Adopt a payload produced by :meth:`snapshot_state`."""
         raise NotImplementedError(
             f"{type(self).__name__} does not support state snapshots"
+        )
+
+    def split_state(self, payload: dict) -> tuple[Any, dict[int, Any]]:
+        """Split a :meth:`snapshot_state` payload by anchor for a restore.
+
+        Returns ``(rest, pieces)``: ``pieces`` maps each anchor to its
+        share of the state, ``rest`` holds what belongs to no anchor
+        (work counters, the kernel clock).  A restore re-partitions a
+        checkpoint across any fan-out through this pair.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} does not support state re-partitioning"
+        )
+
+    def join_state(
+        self, rests: list[Any], pieces: dict[int, Any], primary: bool
+    ) -> dict:
+        """One subtask's payload from the anchor ``pieces`` routed to it.
+
+        ``rests`` are the rests of every split payload: clocks take
+        their maximum, and work counters are summed only when
+        ``primary`` (subtask 0), so stage totals are unchanged.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} does not support state re-partitioning"
         )
 
     def state_metrics(self) -> dict[str, int]:

@@ -146,6 +146,11 @@ class _SequenceCache:
         return hit
 
 
+def _summed(rests: list[dict], counter: str, primary: bool) -> int:
+    """A work counter for a re-joined payload: the total on subtask 0."""
+    return sum(rest[counter] for rest in rests) if primary else 0
+
+
 # ------------------------------------------------------------------ FBA batch
 
 
@@ -197,7 +202,10 @@ class _FBAWindows:
             if start + self.eta - 1 > time:
                 break
             emitted.extend(self._run_start(start))
-        horizon = min(self._pending) if self._pending else time - self.eta + 1
+        # Every window starting at or before time - eta + 1 has run, so
+        # no window reads keys that old: what remains is exactly the
+        # keys of pending windows, however anchors share subtasks.
+        horizon = min(self._pending) if self._pending else time - self.eta + 2
         for stale in [t for t in self._time_keys if t < horizon]:
             del self._time_keys[stale]
         return emitted
@@ -301,6 +309,70 @@ class _FBAWindows:
         self._cover.restore_state(payload.get("cover", {}))
         self.rows_built = payload["rows_built"]
         self.and_evaluations = payload["and_evaluations"]
+
+    @staticmethod
+    def split_state(payload: dict) -> tuple[dict, dict[int, dict]]:
+        """Per-anchor pieces of a :meth:`snapshot_state` payload.
+
+        A piece holds the anchor's packed keys per time (a contiguous
+        run of each sorted key array), its pending windows and its
+        cover sets; the rest holds the work counters.
+        """
+        pieces: dict[int, dict] = {}
+
+        def piece(anchor: int) -> dict:
+            return pieces.setdefault(
+                anchor, {"time_keys": {}, "pending": {}, "cover": []}
+            )
+
+        for t, data in payload["time_keys"].items():
+            keys = np.frombuffer(data, dtype=np.int64)
+            anchors = keys >> np.int64(32)
+            cuts = np.flatnonzero(anchors[1:] != anchors[:-1]) + 1
+            for run in np.split(keys, cuts):
+                piece(int(run[0]) >> 32)["time_keys"][t] = run
+        for t, entries in payload["pending"].items():
+            for anchor, members in entries:
+                piece(anchor)["pending"][t] = members
+        for anchor, sets in payload.get("cover", {}).items():
+            piece(anchor)["cover"] = sets
+        rest = {
+            "rows_built": payload["rows_built"],
+            "and_evaluations": payload["and_evaluations"],
+        }
+        return rest, pieces
+
+    @staticmethod
+    def join_state(
+        rests: list[dict], pieces: dict[int, dict], primary: bool
+    ) -> dict:
+        """One subtask's payload from the anchor pieces routed to it.
+
+        Anchors join in ascending order, so each time's concatenated
+        keys stay sorted and each start's pending entries keep the
+        cluster stage's anchor order.
+        """
+        time_keys: dict[int, list] = {}
+        pending: dict[int, list] = {}
+        cover: dict[int, list] = {}
+        for anchor in sorted(pieces):
+            share = pieces[anchor]
+            for t, keys in share["time_keys"].items():
+                time_keys.setdefault(t, []).append(keys)
+            for t, members in share["pending"].items():
+                pending.setdefault(t, []).append((anchor, tuple(members)))
+            if share["cover"]:
+                cover[anchor] = share["cover"]
+        return {
+            "time_keys": {
+                t: np.concatenate(time_keys[t]).tobytes()
+                for t in sorted(time_keys)
+            },
+            "pending": {t: pending[t] for t in sorted(pending)},
+            "cover": cover,
+            "rows_built": _summed(rests, "rows_built", primary),
+            "and_evaluations": _summed(rests, "and_evaluations", primary),
+        }
 
     def state_metrics(self) -> dict[str, int]:
         """Memory accounting: key snapshots, pending windows, cover sets."""
@@ -614,6 +686,93 @@ class _VBAStrings:
         self._last_time = payload["last_time"]
         self.candidates_created = payload["candidates_created"]
 
+    @staticmethod
+    def split_state(payload: dict) -> tuple[dict, dict[int, dict]]:
+        """Per-anchor pieces of a :meth:`snapshot_state` payload.
+
+        A piece holds the anchor's open-string rows (keys, start,
+        length, trailing zeros, bitmap, in row order) and its shell;
+        the rest holds the clock and the work counter.
+        """
+        keys = np.frombuffer(payload["keys"], dtype=np.int64)
+        columns = [keys] + [
+            np.frombuffer(payload[name], dtype=np.int64)
+            for name in ("start", "length", "tz")
+        ]
+        bits_data, words = payload["bits"]
+        columns.append(
+            np.frombuffer(bits_data, dtype=np.uint64).reshape(keys.size, words)
+        )
+        pieces: dict[int, dict] = {}
+        anchors = keys >> np.int64(32)
+        order = np.argsort(anchors, kind="stable")
+        ordered = anchors[order]
+        cuts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+        for rows in np.split(order, cuts) if keys.size else ():
+            pieces[int(anchors[rows[0]])] = {
+                "rows": [column[rows] for column in columns],
+                "shell": None,
+            }
+        for anchor, shell in payload["shells"].items():
+            pieces.setdefault(anchor, {"rows": None, "shell": None})[
+                "shell"
+            ] = shell
+        rest = {
+            "last_time": payload["last_time"],
+            "candidates_created": payload["candidates_created"],
+        }
+        return rest, pieces
+
+    @staticmethod
+    def join_state(
+        rests: list[dict], pieces: dict[int, dict], primary: bool
+    ) -> dict:
+        """One subtask's payload from the anchor pieces routed to it.
+
+        Rows are ordered by ``(start, key)`` — the order the vectorized
+        appends keep them in at any fan-out — and the bitmap takes the
+        widest piece's word count (narrower rows pad with zero words).
+        """
+        shares = [
+            pieces[anchor]["rows"]
+            for anchor in sorted(pieces)
+            if pieces[anchor]["rows"] is not None
+        ]
+        words = max((share[4].shape[1] for share in shares), default=1)
+        if shares:
+            keys, start, length, tz = (
+                np.concatenate([share[i] for share in shares])
+                for i in range(4)
+            )
+            bits = np.concatenate(
+                [
+                    np.pad(share[4], ((0, 0), (0, words - share[4].shape[1])))
+                    for share in shares
+                ]
+            )
+            order = np.lexsort((keys, start))
+            keys, start, length, tz, bits = (
+                column[order] for column in (keys, start, length, tz, bits)
+            )
+        else:
+            keys = start = length = tz = np.empty(0, dtype=np.int64)
+            bits = np.empty((0, words), dtype=np.uint64)
+        clocks = [r["last_time"] for r in rests if r["last_time"] is not None]
+        return {
+            "keys": keys.tobytes(),
+            "start": start.tobytes(),
+            "length": length.tobytes(),
+            "tz": tz.tobytes(),
+            "bits": (bits.tobytes(), words),
+            "shells": {
+                anchor: pieces[anchor]["shell"]
+                for anchor in sorted(pieces)
+                if pieces[anchor]["shell"] is not None
+            },
+            "last_time": max(clocks, default=None),
+            "candidates_created": _summed(rests, "candidates_created", primary),
+        }
+
     def state_metrics(self) -> dict[str, int]:
         """Memory accounting: open rows, bitmap words, shell candidates."""
         metrics = {
@@ -812,13 +971,35 @@ class NumpyEnumerationKernel(EnumerationKernel):
 
     def restore_state(self, payload: dict) -> None:
         """Adopt a payload produced by :meth:`snapshot_state`."""
+        self._check_enumerator(payload)
+        self._last_time = payload["last_time"]
+        self._state.restore_state(payload["state"])
+
+    def split_state(self, payload: dict) -> tuple[dict, dict[int, dict]]:
+        """Per-anchor pieces of the batch state; the clock stays in the rest."""
+        self._check_enumerator(payload)
+        rest, pieces = self._state.split_state(payload["state"])
+        return {"last_time": payload["last_time"], "state": rest}, pieces
+
+    def join_state(
+        self, rests: list[dict], pieces: dict[int, dict], primary: bool
+    ) -> dict:
+        """One subtask's payload; its clock is the latest of the inputs'."""
+        clocks = [r["last_time"] for r in rests if r["last_time"] is not None]
+        return {
+            "enumerator": self.enumerator,
+            "last_time": max(clocks, default=None),
+            "state": self._state.join_state(
+                [r["state"] for r in rests], pieces, primary
+            ),
+        }
+
+    def _check_enumerator(self, payload: dict) -> None:
         if payload["enumerator"] != self.enumerator:
             raise ValueError(
                 f"cannot restore {payload['enumerator']!r} kernel state "
                 f"into a {self.enumerator!r} kernel"
             )
-        self._last_time = payload["last_time"]
-        self._state.restore_state(payload["state"])
 
     def state_metrics(self) -> dict[str, int]:
         """Memory accounting delegated to the batch state."""

@@ -11,7 +11,7 @@ changes nothing about what is emitted or when.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable
 
 from repro.enumeration.base import AnchorEnumerator
 from repro.enumeration.kernels.base import EnumerationKernel, Partitions
@@ -45,6 +45,22 @@ def anchor_enumerator_factory(
         ba_max_partition_size=ba_max_partition_size,
         vba_candidate_retention=vba_candidate_retention,
     )
+
+
+def split_anchor_state(payload: dict) -> tuple[dict, dict[int, Any]]:
+    """Split a ``{"anchors": {anchor: payload}}`` state by anchor.
+
+    The per-anchor state machines carry their own clocks and counters,
+    so nothing is left over: the rest is empty.
+    """
+    return {}, dict(payload["anchors"])
+
+
+def join_anchor_state(
+    rests: list[dict], pieces: dict[int, Any], primary: bool
+) -> dict:
+    """Inverse of :func:`split_anchor_state` for one subtask's anchors."""
+    return {"anchors": {anchor: pieces[anchor] for anchor in sorted(pieces)}}
 
 
 class PythonEnumerationKernel(EnumerationKernel):
@@ -112,6 +128,9 @@ class PythonEnumerationKernel(EnumerationKernel):
             enumerator = self._factory(anchor)
             enumerator.restore_state(sub_payload)
             self._enumerators[anchor] = enumerator
+
+    split_state = staticmethod(split_anchor_state)
+    join_state = staticmethod(join_anchor_state)
 
     def state_metrics(self) -> dict[str, int]:
         """Memory accounting: hosted anchors plus summed enumerator metrics."""

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from repro.core.config import ICPEConfig
-from repro.core.icpe import ICPEPipeline
+from repro.core.icpe import FAN_OUT_FIELDS, ICPEPipeline
 from repro.core.live import ConvoyTracker
 from repro.model.batch import RecordBatch, SnapshotBatch
 from repro.model.pattern import CoMovementPattern
@@ -149,7 +149,8 @@ class Session:
         (``None`` means :data:`DEFAULT_BATCH_SIZE`); ``restore`` resumes
         from a :class:`~repro.state.Checkpoint` taken by
         :meth:`checkpoint` (the configs must match on every field except
-        the execution surface — backend, pool size, cluster model);
+        the execution surface — backend, pool size, stage parallelisms,
+        cluster model);
         ``observability`` enables the telemetry hub (``True`` for the
         in-memory registry, an
         :class:`~repro.observability.ObservabilityOptions` or kwargs
@@ -511,12 +512,14 @@ class Session:
             cluster=self.config.cluster,
             checkpoint_every_records=self.config.checkpoint_every_records,
             checkpoint_every_seconds=self.config.checkpoint_every_seconds,
+            **{name: getattr(self.config, name) for name in FAN_OUT_FIELDS},
         )
         if compatible != self.config:
             raise CheckpointError(
                 "checkpoint was taken under an incompatible configuration; "
                 "only the execution surface (backend, parallel_workers, "
-                "cluster model, checkpoint cadence) may differ on restore"
+                "stage parallelisms, cluster model, checkpoint cadence) "
+                "may differ on restore"
             )
         self.pipeline.restore_operator_states(checkpoint.operator_states)
         master = checkpoint.master_states

@@ -114,6 +114,16 @@ class ExecutionBackend(ABC):
     #: backend opts in.
     supports_checkpoint: bool = False
 
+    @property
+    def workers(self) -> int:
+        """Subtasks this backend can run at once (1 unless overridden).
+
+        The ICPE pipeline sizes every stage whose parallelism the config
+        leaves as ``None`` to this count, so physical fan-out follows
+        the hardware the backend drives.
+        """
+        return 1
+
     def bind_graph(self, spec: GraphSpec) -> None:
         """Offer the backend a picklable description of the job graph.
 

@@ -31,14 +31,16 @@ def stream_snapshots():
     return snapshots_from(implanted_stream(seed=17, horizon=10))
 
 
-def run_with(snapshots, **overrides):
+def run_pipeline(snapshots, **overrides):
     defaults = dict(
         epsilon=2.0, cell_width=6.0, min_pts=3, constraints=CONSTRAINTS
     )
     defaults.update(overrides)
-    pipeline = ICPEPipeline(ICPEConfig(**defaults))
-    collector = pipeline.run(snapshots)
-    return collector.object_sets()
+    return ICPEPipeline(ICPEConfig(**defaults)).run(snapshots)
+
+
+def run_with(snapshots, **overrides):
+    return run_pipeline(snapshots, **overrides).object_sets()
 
 
 def test_lemma_and_index_switches_invariant(stream_snapshots):
@@ -55,15 +57,24 @@ def test_lemma_and_index_switches_invariant(stream_snapshots):
         assert got == reference, (lemma1, lemma2, local_index)
 
 
-def test_parallelism_invariant(stream_snapshots):
-    reference = run_with(stream_snapshots)
+@pytest.mark.parametrize("enumeration_kernel", ["python", "numpy"])
+@pytest.mark.parametrize("enumerator", ["fba", "vba"])
+def test_parallelism_invariant(stream_snapshots, enumerator, enumeration_kernel):
+    """Fan-out changes nothing, not even the order: the ordered
+    ``(time, pattern)`` detections match the default (one subtask)."""
+    if enumeration_kernel == "numpy":
+        pytest.importorskip("numpy")
+    kernels = dict(enumerator=enumerator, enumeration_kernel=enumeration_kernel)
+    reference = run_pipeline(stream_snapshots, **kernels).detections
+    assert reference
     for allocate, query, enumerate_ in ((1, 1, 1), (3, 5, 7), (16, 32, 64)):
-        got = run_with(
+        got = run_pipeline(
             stream_snapshots,
             allocate_parallelism=allocate,
             query_parallelism=query,
             enumerate_parallelism=enumerate_,
-        )
+            **kernels,
+        ).detections
         assert got == reference, (allocate, query, enumerate_)
 
 

@@ -25,6 +25,11 @@ from repro.streaming.shuffle import bounded_shuffle
 
 CONSTRAINTS = PatternConstraints(m=3, k=5, l=2, g=2)
 
+#: An explicit fan-out both backends share, for per-subtask comparisons.
+SHARED_FAN_OUT = dict(
+    allocate_parallelism=4, query_parallelism=4, enumerate_parallelism=4
+)
+
 
 @pytest.fixture(scope="module")
 def dataset():
@@ -90,11 +95,18 @@ class TestBackendEquivalence:
         assert serial_patterns == parallel_patterns
 
     def test_identical_routing_across_backends(self, dataset):
+        """One explicit fan-out on both sides, so routing compares
+        subtask by subtask (the defaults follow each backend)."""
         from repro.core.icpe import ICPEPipeline
 
-        serial = ICPEPipeline(make_config(dataset))
+        serial = ICPEPipeline(make_config(dataset, **SHARED_FAN_OUT))
         parallel = ICPEPipeline(
-            make_config(dataset, backend="parallel", parallel_workers=4)
+            make_config(
+                dataset,
+                backend="parallel",
+                parallel_workers=4,
+                **SHARED_FAN_OUT,
+            )
         )
         points = next(iter(dataset.snapshots())).points()
         for runtime_s, runtime_p in zip(serial.job.runtimes, parallel.job.runtimes):

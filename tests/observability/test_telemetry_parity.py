@@ -6,6 +6,11 @@ recorded at the operator invocation site — inside spawned workers under
 the process backend, shipped home on the reply protocol — so the span
 stream, the per-stage counters and the rendered Prometheus snapshot
 must be identical to the serial run (busy-time wall-clock aside).
+
+Spans are per physical subtask, and by default each backend picks its
+own fan-out (one subtask on serial, one per worker on process), so the
+parity sessions pin one explicit fan-out on every backend;
+:class:`TestDefaultFanOut` checks what the defaults record.
 """
 
 from __future__ import annotations
@@ -19,6 +24,12 @@ from tests.observability.conftest import cluster_stream, run_session
 pytestmark = pytest.mark.observability
 
 STAGES = ("allocate", "query", "cluster", "enumerate")
+
+#: One explicit fan-out every backend shares, so spans compare subtask
+#: by subtask.
+SHARED_FAN_OUT = dict(
+    allocate_parallelism=4, query_parallelism=4, enumerate_parallelism=4
+)
 
 #: Families whose values must be backend-independent (everything except
 #: wall-clock quantities: busy seconds and latency histograms).
@@ -59,12 +70,15 @@ class TestSerialProcessParity:
     @pytest.fixture(scope="class")
     def sessions(self):
         records = cluster_stream(17)
-        serial = run_session(records, observability=True, backend="serial")
+        serial = run_session(
+            records, observability=True, backend="serial", **SHARED_FAN_OUT
+        )
         process = run_session(
             records,
             observability=True,
             backend="process",
             parallel_workers=2,
+            **SHARED_FAN_OUT,
         )
         return serial, process
 
@@ -101,12 +115,15 @@ class TestSerialProcessParity:
 class TestSerialParallelParity:
     def test_counter_totals_match(self):
         records = cluster_stream(23, n_times=6)
-        serial = run_session(records, observability=True, backend="serial")
+        serial = run_session(
+            records, observability=True, backend="serial", **SHARED_FAN_OUT
+        )
         parallel = run_session(
             records,
             observability=True,
             backend="parallel",
             parallel_workers=4,
+            **SHARED_FAN_OUT,
         )
         assert deterministic_view(
             parallel.telemetry.registry
@@ -126,6 +143,7 @@ class TestTraceParity:
                 observability={"trace_out": path},
                 backend=backend,
                 parallel_workers=2,
+                **SHARED_FAN_OUT,
             )
             rows = [
                 json.loads(line) for line in path.read_text().splitlines()
@@ -134,3 +152,33 @@ class TestTraceParity:
                 row.pop("busy_ms")
             traces[backend] = rows
         assert traces["process"] == traces["serial"]
+
+
+class TestDefaultFanOut:
+    def test_one_span_per_physical_subtask(self, tmp_path):
+        """Default fan-out: every stage and unit records one span per
+        subtask the backend runs — 1 on serial, one per process worker
+        (the cluster stage always runs one)."""
+        import json
+
+        records = cluster_stream(29, n_times=5)
+        for backend, workers, fan_out in (
+            ("serial", None, 1),
+            ("process", 2, 2),
+        ):
+            path = tmp_path / f"{backend}.jsonl"
+            run_session(
+                records,
+                observability={"trace_out": path},
+                backend=backend,
+                parallel_workers=workers,
+            )
+            subtasks: dict[tuple, set[int]] = {}
+            for line in path.read_text().splitlines():
+                row = json.loads(line)
+                unit = (row["stage"], row["time"], row["kind"])
+                subtasks.setdefault(unit, set()).add(row["subtask"])
+            assert {stage for stage, _, _ in subtasks} == set(STAGES)
+            for (stage, time, kind), seen in subtasks.items():
+                expected = 1 if stage == "cluster" else fan_out
+                assert seen == set(range(expected)), (backend, stage, time)

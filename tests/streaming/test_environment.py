@@ -162,6 +162,9 @@ class TestPipelineEnvironmentEquivalence:
             cell_width=6.0,
             min_pts=2,
             constraints=PatternConstraints(m=2, k=3, l=2, g=2),
+            allocate_parallelism=4,
+            query_parallelism=4,
+            enumerate_parallelism=4,
         )
 
     def test_pipeline_graph_matches_environment_graph(self):
@@ -180,6 +183,33 @@ class TestPipelineEnvironmentEquivalence:
             config.enumerate_parallelism,
         ]
         pipeline.close()
+
+    def test_default_fan_out_follows_the_backend(self):
+        from dataclasses import replace
+
+        from repro.core.icpe import ICPEPipeline
+
+        config = replace(
+            self._config(),
+            allocate_parallelism=None,
+            query_parallelism=None,
+            enumerate_parallelism=None,
+        )
+        for backend, workers, fan_out in (
+            ("serial", None, 1),
+            ("parallel", 3, 3),
+        ):
+            pipeline = ICPEPipeline(
+                replace(config, backend=backend, parallel_workers=workers)
+            )
+            assert pipeline.job.graph.parallelisms == [
+                fan_out, fan_out, 1, fan_out
+            ]
+            assert pipeline.config.enumerate_parallelism == fan_out
+            pipeline.close()
+        assert ICPEPipeline.build_environment(config).graph().parallelisms == [
+            1, 1, 1, 1
+        ]
 
     def test_independent_compiles_route_identically(self):
         from repro.core.icpe import ICPEPipeline
