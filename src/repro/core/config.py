@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.cluster.rjc import ClusteringConfig
+from repro.index.rtree import MIN_MAX_ENTRIES
 from repro.model.constraints import PatternConstraints
 from repro.registry import default_registry
 from repro.streaming.cluster import ClusterModel
@@ -171,6 +172,10 @@ class ICPEConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.rtree_fanout < MIN_MAX_ENTRIES:
+            raise ValueError(
+                f"rtree_fanout must be >= {MIN_MAX_ENTRIES}: {self.rtree_fanout}"
+            )
         if self.parallel_workers is not None and self.parallel_workers < 1:
             raise ValueError(
                 f"parallel_workers must be >= 1: {self.parallel_workers}"

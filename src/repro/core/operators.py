@@ -50,12 +50,20 @@ class AllocateOperator(Operator):
         self.epsilon = epsilon
         self.lemma1 = lemma1
 
-    def process(self, element: tuple[int, float, float]) -> Iterable[GridObject]:
+    def process(self, element: tuple[int, float, float]) -> list[GridObject]:
         """Replicate one location into its grid objects (Algorithm 1)."""
         oid, x, y = element
-        yield from allocate_location(
+        return allocate_location(
             oid, x, y, self.cell_width, self.epsilon, lemma1=self.lemma1
         )
+
+    def process_batch(self, batch: SnapshotBatch) -> list[GridObject]:
+        """Replicate every row of a columnar envelope, in row order."""
+        cell_width, epsilon, lemma1 = self.cell_width, self.epsilon, self.lemma1
+        out: list[GridObject] = []
+        for oid, x, y in batch.rows():
+            out.extend(allocate_location(oid, x, y, cell_width, epsilon, lemma1))
+        return out
 
 
 class QueryOperator(Operator):

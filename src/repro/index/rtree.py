@@ -22,6 +22,8 @@ from typing import Any, Iterator
 from repro.geometry.rect import Rect
 
 DEFAULT_MAX_ENTRIES = 16
+#: Smallest node capacity the R* split can work with.
+MIN_MAX_ENTRIES = 4
 REINSERT_FRACTION = 0.3
 
 
@@ -70,8 +72,10 @@ class RTree:
         min_entries: int | None = None,
         forced_reinsert: bool = True,
     ):
-        if max_entries < 4:
-            raise ValueError(f"max_entries must be >= 4, got {max_entries}")
+        if max_entries < MIN_MAX_ENTRIES:
+            raise ValueError(
+                f"max_entries must be >= {MIN_MAX_ENTRIES}, got {max_entries}"
+            )
         self.max_entries = max_entries
         self.min_entries = min_entries or max(2, max_entries * 2 // 5)
         if self.min_entries > max_entries // 2:
@@ -101,17 +105,28 @@ class RTree:
     def insert(self, x: float, y: float, payload: Any) -> None:
         """Insert a point entry."""
         entry = _Entry(x, y, payload)
-        # Levels that already reinserted during this insertion (R* does one
-        # forced reinsert per level per insertion).
-        self._insert_at_level(entry, level=0, reinserted_levels=set())
+        root = self._root
+        if root.leaf and len(root.children) < self.max_entries:
+            # A root leaf with room has no subtree to choose and cannot
+            # overflow, so the entry is appended and the MBR extended —
+            # only when the point lies outside it.
+            root.children.append(entry)
+            if root.mbr is None:
+                root.mbr = Rect.point(x, y)
+            elif not root.mbr.contains_point(x, y):
+                root.mbr = root.mbr.extend_point(x, y)
+        else:
+            # Levels that already reinserted during this insertion (R* does
+            # one forced reinsert per level per insertion).
+            self._insert_at_level(entry, level=0, reinserted_levels=set())
         self._size += 1
 
     def _insert_at_level(self, item, level: int, reinserted_levels: set[int]) -> None:
-        path = self._choose_path(item.mbr, level)
+        mbr = item.mbr
+        path = self._choose_path(mbr, level)
         node = path[-1]
         node.children.append(item)
-        node.mbr = item.mbr if node.mbr is None else node.mbr.union(item.mbr)
-        self._propagate_mbr(path, item.mbr)
+        self._propagate_mbr(path, mbr)
         if len(node.children) > self.max_entries:
             self._handle_overflow(path, level, reinserted_levels)
 
@@ -165,8 +180,12 @@ class RTree:
         return best
 
     def _propagate_mbr(self, path: list[_Node], mbr: Rect) -> None:
+        # A union with a box already covered would rebuild the same floats.
         for node in path:
-            node.mbr = mbr if node.mbr is None else node.mbr.union(mbr)
+            if node.mbr is None:
+                node.mbr = mbr
+            elif not node.mbr.contains(mbr):
+                node.mbr = node.mbr.union(mbr)
 
     def _handle_overflow(
         self, path: list[_Node], level: int, reinserted_levels: set[int]
@@ -296,6 +315,15 @@ class RTree:
 
     def search(self, region: Rect) -> list[Any]:
         """Payloads of all points inside ``region`` (closed boundaries)."""
+        root = self._root
+        if root.leaf:
+            # A root leaf is scanned directly, in the order iter_search
+            # yields; its MBR test could only prune what the scan rejects.
+            return [
+                entry.payload
+                for entry in root.children
+                if region.contains_point(entry.x, entry.y)
+            ]
         return list(self.iter_search(region))
 
     def iter_search(self, region: Rect) -> Iterator[Any]:

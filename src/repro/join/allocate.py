@@ -9,10 +9,10 @@ the ablation benchmark use this).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from math import floor
+from typing import Iterable
 
-from repro.geometry.rect import pruning_epsilon, range_region, upper_range_region
-from repro.index.grid import cell_key, cells_overlapping
+from repro.geometry.rect import pruning_epsilon
 from repro.index.gridobject import GridObject
 
 
@@ -23,24 +23,40 @@ def allocate_location(
     cell_width: float,
     epsilon: float,
     lemma1: bool = True,
-) -> Iterator[GridObject]:
+) -> list[GridObject]:
     """Grid objects for one location (lines 2-6 of Algorithm 1).
 
-    Yields the data object first, then the query objects.
+    The data object comes first, then the query objects in row-major
+    cell order.  The cell keys are computed with the float expressions
+    of :func:`~repro.index.grid.cell_key` and
+    :func:`~repro.index.grid.cells_overlapping` over
+    :func:`~repro.geometry.rect.upper_range_region` (Lemma 1) or
+    :func:`~repro.geometry.rect.range_region`, so they agree with those
+    helpers on every boundary.
     """
-    home = cell_key(x, y, cell_width)
-    yield GridObject(key=home, is_query=False, oid=oid, x=x, y=y)
+    if cell_width <= 0:
+        raise ValueError(f"grid cell width must be positive, got {cell_width}")
+    if epsilon < 0:
+        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
+    home_x = floor(x / cell_width)
+    home_y = floor(y / cell_width)
+    # GridObject(key, is_query, oid, x, y), positional: this is the
+    # per-location hot path.
+    objects = [GridObject((home_x, home_y), False, oid, x, y)]
     # Replication regions prune candidate *cells*; the margin keeps a
     # partner a few ulps past the exact-epsilon boundary reachable (the
     # probe verifies with the exact metric).
     padded = pruning_epsilon(epsilon)
-    if lemma1:
-        region = upper_range_region(x, y, padded)
-    else:
-        region = range_region(x, y, padded)
-    for key in cells_overlapping(region, cell_width):
-        if key != home:
-            yield GridObject(key=key, is_query=True, oid=oid, x=x, y=y)
+    x_lo = floor((x - padded) / cell_width)
+    x_hi = floor((x + padded) / cell_width)
+    # The Lemma-1 half region starts at y itself: its lowest row is home's.
+    y_lo = home_y if lemma1 else floor((y - padded) / cell_width)
+    y_hi = floor((y + padded) / cell_width)
+    for gx in range(x_lo, x_hi + 1):
+        for gy in range(y_lo, y_hi + 1):
+            if gx != home_x or gy != home_y:
+                objects.append(GridObject((gx, gy), True, oid, x, y))
+    return objects
 
 
 def allocate_snapshot(
@@ -78,8 +94,7 @@ def replication_factor(
     if not points:
         return 0.0
     total = sum(
-        1
+        len(allocate_location(oid, x, y, cell_width, epsilon, lemma1=lemma1))
         for oid, x, y in points
-        for _ in allocate_location(oid, x, y, cell_width, epsilon, lemma1=lemma1)
     )
     return total / len(points)

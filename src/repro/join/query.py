@@ -22,7 +22,7 @@ half-region always covers the loser, so no pair is lost.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Sequence
 
 from repro.geometry.distance import Metric, l1_distance
 from repro.geometry.rect import (
@@ -32,7 +32,7 @@ from repro.geometry.rect import (
     upper_range_region,
 )
 from repro.index.gridobject import GridObject
-from repro.index.rtree import RTree
+from repro.index.rtree import MIN_MAX_ENTRIES, RTree
 from repro.join.pairs import normalize_pair
 
 
@@ -86,12 +86,20 @@ class CellJoiner:
             raise ValueError(f"epsilon must be non-negative, got {epsilon}")
         if local_index not in ("rtree", "quadtree", "linear"):
             raise ValueError(f"unknown local index kind: {local_index!r}")
+        if rtree_fanout < MIN_MAX_ENTRIES:
+            raise ValueError(
+                f"rtree_fanout must be >= {MIN_MAX_ENTRIES}, got {rtree_fanout}"
+            )
         self.epsilon = epsilon
         self.metric = metric
         self.lemma2 = lemma2
         self.lemma1 = lemma1
         self.local_index = local_index
         self.rtree_fanout = rtree_fanout
+        # Probe rects prune candidates; the margin keeps a partner a few
+        # ulps past the exact-epsilon edge inside the rect (the metric
+        # check in _probe is the exact filter).
+        self._padded = pruning_epsilon(epsilon)
 
     def _new_index(self):
         if self.local_index == "rtree":
@@ -102,21 +110,29 @@ class CellJoiner:
             return QuadTree()
         return _LinearLocalIndex()
 
-    def join(self, objects: Iterable[GridObject]) -> Iterator[tuple[int, int]]:
+    def join(self, objects: Sequence[GridObject]) -> list[tuple[int, int]]:
         """Neighbour pairs for one cell's GridObjects.
 
         Pairs are emitted normalised as ``(min oid, max oid)``.  With
         Lemma 1 and Lemma 2 both on the output is duplicate free; otherwise
         the caller (GridSync) deduplicates.
+
+        Every pair has a data object of this cell at one end and another
+        grid object at the other, so a cell with fewer than two objects
+        or without a data object yields none and builds no index.
         """
-        data = [go for go in objects if go.is_data]
-        queries = [go for go in objects if go.is_query]
+        pairs: list[tuple[int, int]] = []
+        if len(objects) < 2:
+            return pairs
+        data = [go for go in objects if not go.is_query]
+        if not data:
+            return pairs
         index = self._new_index()
 
         if self.lemma2:
             # Query-before-insert: each intra-cell pair found exactly once.
             for go in data:
-                yield from self._probe(index, go, intra_cell=True)
+                self._probe(index, go, pairs, intra_cell=True)
                 index.insert(go.x, go.y, (go.oid, go.x, go.y))
         else:
             # Traditional build-then-query (ablation): every pair found from
@@ -124,30 +140,35 @@ class CellJoiner:
             for go in data:
                 index.insert(go.x, go.y, (go.oid, go.x, go.y))
             for go in data:
-                yield from self._probe(index, go, intra_cell=True)
+                self._probe(index, go, pairs, intra_cell=True)
 
-        for go in queries:
-            yield from self._probe(index, go, intra_cell=False)
+        for go in objects:
+            if go.is_query:
+                self._probe(index, go, pairs, intra_cell=False)
+        return pairs
 
     def _probe(
-        self, index, go: GridObject, intra_cell: bool
-    ) -> Iterator[tuple[int, int]]:
-        # Probe rects prune candidates; the margin keeps a partner a few
-        # ulps past the exact-epsilon edge inside the rect (the metric
-        # check below is the exact filter).
-        padded = pruning_epsilon(self.epsilon)
-        region = range_region(go.x, go.y, padded)
+        self,
+        index,
+        go: GridObject,
+        pairs: list[tuple[int, int]],
+        intra_cell: bool,
+    ) -> None:
+        """Append ``go``'s verified neighbour pairs found in ``index``."""
         if not intra_cell and self.lemma1:
             # The allocator only routed this query object to cells in the
             # upper half-region; restricting the probe region accordingly is
             # a no-op spatially but keeps the candidate set minimal.
-            region = upper_range_region(go.x, go.y, padded)
+            region = upper_range_region(go.x, go.y, self._padded)
+            tie_break = True
+        else:
+            region = range_region(go.x, go.y, self._padded)
+            tie_break = False
         for oid, x, y in index.search(region):
             if oid == go.oid:
                 continue
             if self.metric(go.x, go.y, x, y) > self.epsilon:
                 continue
-            if not intra_cell and self.lemma1:
-                if (y, x, oid) <= (go.y, go.x, go.oid):
-                    continue
-            yield normalize_pair(go.oid, oid)
+            if tie_break and (y, x, oid) <= (go.y, go.x, go.oid):
+                continue
+            pairs.append(normalize_pair(go.oid, oid))

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.geometry.distance import Metric, get_metric, l1_distance
+from repro.index.rtree import MIN_MAX_ENTRIES
 from repro.join.allocate import allocate_snapshot
 from repro.join.pairs import NeighborPairs
 from repro.join.query import CellJoiner
@@ -50,6 +51,10 @@ class RangeJoinConfig:
             raise ValueError(f"cell_width must be positive: {self.cell_width}")
         if self.epsilon < 0:
             raise ValueError(f"epsilon must be non-negative: {self.epsilon}")
+        if self.rtree_fanout < MIN_MAX_ENTRIES:
+            raise ValueError(
+                f"rtree_fanout must be >= {MIN_MAX_ENTRIES}: {self.rtree_fanout}"
+            )
 
     @property
     def metric(self) -> Metric:
@@ -116,9 +121,9 @@ class GRRangeJoin:
         result: NeighborPairs = set()
         emitted = 0
         for key in sorted(partitions):
-            for pair in joiner.join(partitions[key]):
-                emitted += 1
-                result.add(pair)
+            pairs = joiner.join(partitions[key])
+            emitted += len(pairs)
+            result.update(pairs)
         stats.emitted_pairs = emitted
         stats.result_pairs = len(result)
         self.last_stats = stats

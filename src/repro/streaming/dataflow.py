@@ -372,8 +372,13 @@ class StageRuntime:
         Columnar :class:`~repro.model.batch.SnapshotBatch` envelopes are
         split into at most one sub-envelope per destination subtask (the
         batch-shaped keyed exchange) instead of being unboxed into rows.
+        An unkeyed or single-subtask stage routes everything to subtask 0,
+        so the batch is handed over whole, in order, envelopes unsplit.
         """
         buckets: list[list[Any]] = [[] for _ in self.subtasks]
+        if self.stage.key_fn is None or self.stage.parallelism == 1:
+            buckets[0].extend(elements)
+            return buckets
         for element in elements:
             if isinstance(element, SnapshotBatch):
                 self._partition_envelope(element, buckets)
@@ -386,16 +391,10 @@ class StageRuntime:
     ) -> None:
         """Split one columnar envelope by routed subtask.
 
-        Emits one sub-envelope per destination that receives any rows;
-        an unkeyed or single-subtask stage takes the envelope whole
-        (zero-copy).  Row order within each sub-envelope preserves the
-        envelope's order, exactly like the per-element exchange.
+        Emits one sub-envelope per destination that receives any rows.
+        Row order within each sub-envelope preserves the envelope's order,
+        exactly like the per-element exchange.
         """
-        if self.stage.key_fn is None or self.stage.parallelism == 1:
-            # Unkeyed stages broadcast to subtask 0; any key modulo a
-            # parallelism of 1 is also 0 — the envelope passes whole.
-            buckets[0].append(envelope)
-            return
         assigned: list[list[int]] = [[] for _ in self.subtasks]
         for index, row in enumerate(envelope.rows()):
             assigned[self.route(row)].append(index)

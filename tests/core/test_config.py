@@ -39,6 +39,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             make(**overrides)
 
+    def test_rtree_fanout_below_four_rejected_at_construction(self):
+        # Rejected here, not mid-stream when a cell first builds its R-tree.
+        with pytest.raises(ValueError, match="rtree_fanout must be >= 4"):
+            make(rtree_fanout=3)
+        assert make(rtree_fanout=4).rtree_fanout == 4
+
     def test_backend_defaults_serial(self):
         config = make()
         assert config.backend == "serial"

@@ -64,6 +64,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             CellJoiner(epsilon=-0.5)
 
+    def test_rtree_fanout_below_four(self):
+        with pytest.raises(ValueError, match="rtree_fanout must be >= 4"):
+            CellJoiner(epsilon=1.0, rtree_fanout=3)
+
     def test_linear_index_same_result(self):
         objects = [data(1, 0, 0), data(2, 1, 0), query(3, 0.5, -0.5)]
         rtree_pairs = sorted(CellJoiner(epsilon=2.0).join(list(objects)))

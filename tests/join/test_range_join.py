@@ -144,6 +144,8 @@ class TestStats:
             RangeJoinConfig(cell_width=0, epsilon=1)
         with pytest.raises(ValueError):
             RangeJoinConfig(cell_width=1, epsilon=-1)
+        with pytest.raises(ValueError, match="rtree_fanout must be >= 4"):
+            RangeJoinConfig(cell_width=1, epsilon=1, rtree_fanout=3)
 
     def test_rj_with_defaults(self):
         points = [(1, 0.0, 0.0), (2, 0.5, 0.5), (3, 50.0, 50.0)]

@@ -97,6 +97,45 @@ class TestStageRuntime:
             row[0]: runtime.route(row) for row in envelope.rows()
         }
 
+    @pytest.mark.parametrize(
+        "parallelism, keyed",
+        [(3, False), (1, False), (1, True)],
+        ids=["unkeyed", "unkeyed-single", "keyed-single"],
+    )
+    @pytest.mark.parametrize("shape", ["plain", "envelopes", "mixed"])
+    def test_unrouted_stages_give_the_routed_buckets(self, parallelism, keyed, shape):
+        """Unkeyed and single-subtask stages skip per-element routing;
+        the buckets are the ones routing each element would give."""
+        first = SnapshotBatch.from_rows(1, [1, 2, 3], [0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
+        second = SnapshotBatch.from_rows(1, [7, 8], [5.0, 6.0], [1.0, 1.0])
+        plain = [(4, 0.5, 0.5), (5, 1.5, 1.5), (6, 2.5, 2.5)]
+        elements = {
+            "plain": plain,
+            "envelopes": [first, second],
+            "mixed": [plain[0], first, plain[1], second, plain[2]],
+        }[shape]
+        keys_asked = []
+
+        def key_fn(row):
+            keys_asked.append(row)
+            return row[0]
+
+        stage = KeyedStage(
+            "s", Doubler, parallelism=parallelism, key_fn=key_fn if keyed else None
+        )
+        runtime = StageRuntime(stage)
+        buckets = runtime.partition(elements)
+        assert keys_asked == []
+        # The routed path sends every row to subtask 0 and an envelope
+        # whose rows all share a destination travels whole.
+        for element in elements:
+            rows = element.rows() if isinstance(element, SnapshotBatch) else [element]
+            assert {runtime.route(row) for row in rows} == {0}
+        assert [len(bucket) for bucket in buckets] == [len(elements)] + [0] * (
+            parallelism - 1
+        )
+        assert all(got is sent for got, sent in zip(buckets[0], elements))
+
     def test_count_elements_counts_envelope_rows_anywhere(self):
         envelope = SnapshotBatch.from_rows(
             1, [1, 2, 3], [0.0, 1.0, 2.0], [0.0, 0.0, 0.0]
