@@ -84,8 +84,10 @@ def describe_clustering_stages(
     With a vectorized kernel (``"numpy"``), the whole phase collapses
     into one :class:`~repro.core.operators.KernelClusterOperator` stage
     that clusters the packed snapshot inside the kernel and emits the
-    identical partition records — the strategy swap is invisible to
-    enumeration and composes with either execution backend.
+    identical partition records, packed into one
+    :class:`~repro.model.batch.PartitionBatch` envelope — the strategy
+    swap is invisible to enumeration and composes with either execution
+    backend.
     """
     if kernel != "python":
         kernel_name = kernel

@@ -29,15 +29,20 @@ from repro.enumeration.kernels.python_ref import (
     join_anchor_state,
     split_anchor_state,
 )
-from repro.enumeration.partition import id_partitions
+from repro.enumeration.partition import id_partitions, partition_batch
 from repro.cluster.dbscan import dbscan_from_pairs
 from repro.index.grid import GridKey
 from repro.index.gridobject import GridObject
 from repro.join.allocate import allocate_location
 from repro.join.query import CellJoiner
-from repro.model.batch import SnapshotBatch
+from repro.model.batch import PartitionBatch, SnapshotBatch
 from repro.model.snapshot import ClusterSnapshot
-from repro.streaming.dataflow import Operator
+from repro.streaming.dataflow import Operator, count_elements
+
+try:  # pragma: no cover - exercised only on numpy-less hosts
+    import numpy as np
+except ModuleNotFoundError:  # pragma: no cover
+    np = None
 
 PartitionRecord = tuple[int, int, frozenset[int]]  # (time, anchor, members)
 
@@ -174,9 +179,12 @@ class KernelClusterOperator(Operator):
     subtask buffers the snapshot's raw ``(oid, x, y)`` locations and, at
     the snapshot trigger, runs the kernel over packed arrays — grid
     bucketing, the epsilon join and the DBSCAN labeling all happen inside
-    the kernel.  It emits exactly the same id-based partition records as
-    :class:`ClusterOperator`, so enumeration and every downstream consumer
-    are oblivious to the strategy swap.
+    the kernel.  The clusters stay arrays through Lemma 3
+    (:func:`~repro.enumeration.partition.partition_batch`) and leave as
+    one :class:`~repro.model.batch.PartitionBatch` whose rows are exactly
+    :class:`ClusterOperator`'s partition records, so enumeration and
+    every downstream consumer are oblivious to the strategy swap.  The
+    :class:`ClusterSnapshot` is built only when read.
     """
 
     def __init__(self, kernel, significance: int):
@@ -184,7 +192,10 @@ class KernelClusterOperator(Operator):
         self.significance = significance
         self._points: list[tuple[int, float, float]] = []
         self._blocks: list[SnapshotBatch] = []
-        self.last_cluster_snapshot: ClusterSnapshot | None = None
+        #: ``(time, members, bounds)`` of the last snapshot's clusters,
+        #: until :attr:`last_cluster_snapshot` materialises them.
+        self._clusters: tuple | None = None
+        self._snapshot: ClusterSnapshot | None = None
         self.clusters_formed = 0
         self.cluster_size_sum = 0
 
@@ -205,8 +216,8 @@ class KernelClusterOperator(Operator):
         self._blocks.append(batch)
         return ()
 
-    def end_batch(self, ctx: Any) -> Iterable[PartitionRecord]:
-        """Cluster the buffered snapshot and emit id-based partitions.
+    def end_batch(self, ctx: Any) -> list[PartitionBatch | PartitionRecord]:
+        """Cluster the buffered snapshot and emit its id-based partitions.
 
         At ``min_pts == 1`` singleton clusters are dropped to match
         :class:`ClusterOperator` exactly: the reference stage derives its
@@ -216,22 +227,48 @@ class KernelClusterOperator(Operator):
         are *kept*: they are always pair-connected there (a core point
         whose border neighbours all attach to smaller-id cores elsewhere),
         so the reference stage sees and emits them too.
+
+        Ids a packed key cannot hold (outside ``[0, 2**31)``) leave as
+        the plain records instead, so only the numpy enumeration kernel
+        refuses them, as it does for the reference stage's records.
         """
         time = int(ctx)
-        result = self._cluster_buffered()
-        groups = result.clusters.values()
+        members, bounds = self._cluster_buffered()
         if self.kernel.min_pts == 1:
-            groups = [members for members in groups if len(members) >= 2]
-        snapshot = ClusterSnapshot.from_groups(time, groups)
-        self._account(snapshot)
-        return [
-            (time, anchor, members)
-            for anchor, members in sorted(
-                id_partitions(snapshot, self.significance).items()
-            )
-        ]
+            sizes = np.diff(bounds)
+            members = members[np.repeat(sizes >= 2, sizes)]
+            bounds = np.concatenate(([0], np.cumsum(sizes[sizes >= 2])))
+        self._clusters, self._snapshot = (time, members, bounds), None
+        self.clusters_formed += len(bounds) - 1
+        self.cluster_size_sum += int(bounds[-1])
+        batch = partition_batch(time, members, bounds, self.significance)
+        if batch is None:
+            return [
+                (time, anchor, group)
+                for anchor, group in sorted(
+                    id_partitions(
+                        self.last_cluster_snapshot, self.significance
+                    ).items()
+                )
+            ]
+        return [batch]
 
-    _account = ClusterOperator._account
+    @property
+    def last_cluster_snapshot(self) -> ClusterSnapshot | None:
+        """The last snapshot's clusters, materialised on first read."""
+        if self._snapshot is None and self._clusters is not None:
+            time, members, bounds = self._clusters
+            oids, cuts = members.tolist(), bounds.tolist()
+            self._snapshot = ClusterSnapshot(
+                time,
+                {
+                    cluster_id: tuple(oids[start:stop])
+                    for cluster_id, (start, stop) in enumerate(
+                        zip(cuts, cuts[1:])
+                    )
+                },
+            )
+        return self._snapshot
 
     def snapshot_state(self) -> dict:
         """Cluster aggregates plus the last emitted cluster snapshot."""
@@ -245,7 +282,7 @@ class KernelClusterOperator(Operator):
         """Adopt a payload produced by :meth:`snapshot_state`."""
         self.clusters_formed = payload["clusters_formed"]
         self.cluster_size_sum = payload["cluster_size_sum"]
-        self.last_cluster_snapshot = payload["last_snapshot"]
+        self._clusters, self._snapshot = None, payload["last_snapshot"]
         self._points.clear()
         self._blocks.clear()
 
@@ -258,51 +295,27 @@ class KernelClusterOperator(Operator):
         }
 
     def _cluster_buffered(self):
-        """Cluster whatever the snapshot buffered, preferring columns.
+        """Cluster whatever the snapshot buffered: ``(members, bounds)``.
 
-        A snapshot arriving purely as columnar envelopes goes to the
-        kernel's ``cluster_columns`` entry (concatenated arrays, no row
-        boxing); mixed or row-only buffers fall back to the row form.
-        One envelope per snapshot is the normal case — the cluster
-        stage is unkeyed, so the exchange passes the batch whole.
+        Envelopes hand their columns to the kernel's ``cluster_members``
+        entry as arrays, with no row boxing; buffered rows (a backend
+        without batch ingest) are split into columns first.  One
+        envelope per snapshot is the normal case — the cluster stage is
+        unkeyed, so the exchange passes the batch whole.
         """
         blocks, self._blocks = self._blocks, []
-        if blocks and not self._points:
-            if len(blocks) == 1:
-                block = blocks[0]
-                result = self.kernel.cluster_columns(
-                    block.oids, block.xs, block.ys
-                )
-            else:
-                result = self.kernel.cluster_columns(
-                    *_concat_columns(blocks)
-                )
-            return result
-        points = self._points
-        self._points = []
-        for block in blocks:
-            points.extend(block.rows())
-        return self.kernel.cluster(points)
-
-
-def _concat_columns(blocks: list[SnapshotBatch]):
-    """Concatenate the columns of several envelopes (rare multi-block path)."""
-    if blocks[0].backing == "numpy":
-        import numpy as np
-
-        return (
-            np.concatenate([b.oids for b in blocks]),
-            np.concatenate([b.xs for b in blocks]),
-            np.concatenate([b.ys for b in blocks]),
-        )
-    oids: list[int] = []
-    xs: list[float] = []
-    ys: list[float] = []
-    for block in blocks:
-        oids.extend(block.oids)
-        xs.extend(block.xs)
-        ys.extend(block.ys)
-    return oids, xs, ys
+        points, self._points = self._points, []
+        if len(blocks) == 1 and not points:
+            columns = (blocks[0].oids, blocks[0].xs, blocks[0].ys)
+        else:
+            for block in blocks:
+                points.extend(block.rows())
+            columns = (
+                [oid for oid, _x, _y in points],
+                [x for _oid, x, _y in points],
+                [y for _oid, _x, y in points],
+            )
+        return self.kernel.cluster_members(*columns)
 
 
 class EnumerateOperator(Operator):
@@ -394,37 +407,50 @@ class BatchedEnumerateOperator(Operator):
 
     Replaces :class:`EnumerateOperator` when a vectorized enumeration
     kernel (e.g. ``numpy``) is selected: the subtask buffers its
-    snapshot's partition records and, at the snapshot trigger, hands them
-    to the kernel in one batch — membership bitmaps, candidate screening
-    and Lemma-7 closing all happen inside the kernel across every hosted
-    anchor at once.  Per anchor, the emitted pattern stream is identical
-    to the reference operator's (shared exact predicates and combination
-    growth).
+    snapshot's partitions — one :class:`~repro.model.batch.PartitionBatch`
+    from the kernel clustering stage, or records from the reference one —
+    and, at the snapshot trigger, hands them to the kernel in one batch —
+    membership bitmaps, candidate screening and Lemma-7 closing all
+    happen inside the kernel across every hosted anchor at once.  Per
+    anchor, the emitted pattern stream is identical to the reference
+    operator's (shared exact predicates and combination growth).
     """
 
     def __init__(self, kernel: EnumerationKernel):
         self.kernel = kernel
-        self._records: list[PartitionRecord] = []
+        self._buffer: list[PartitionBatch | PartitionRecord] = []
 
     def process(self, element: PartitionRecord) -> Iterable[Any]:
         """Buffer one partition record until the snapshot trigger."""
-        self._records.append(element)
+        self._buffer.append(element)
+        return ()
+
+    def process_batch(self, batch: PartitionBatch) -> Iterable[Any]:
+        """Buffer one partition envelope whole until the snapshot trigger."""
+        self._buffer.append(batch)
         return ()
 
     def end_batch(self, ctx: Any) -> Iterable[Any]:
-        """Hand the snapshot's records to the kernel in one batch.
+        """Hand the snapshot's partitions to the kernel in one batch.
 
-        A ctx-less trigger keeps the buffer intact: the records belong
-        to a snapshot whose time has not been announced yet, and
-        dropping them would silently diverge from the reference
-        operator (which processes records eagerly).
+        A lone envelope goes to the kernel as it is; anything else goes
+        as ``(anchor, members)`` pairs.  A ctx-less trigger keeps the
+        buffer intact: the partitions belong to a snapshot whose time
+        has not been announced yet, and dropping them would silently
+        diverge from the reference operator (which processes records
+        eagerly).
         """
         if ctx is None:
             return ()
-        records, self._records = self._records, []
-        return self.kernel.on_snapshot(
-            int(ctx), [(anchor, members) for _time, anchor, members in records]
-        )
+        buffered, self._buffer = self._buffer, []
+        if len(buffered) == 1 and isinstance(buffered[0], PartitionBatch):
+            partitions = buffered[0]
+        else:
+            partitions = [
+                (anchor, members)
+                for _time, anchor, members in _records(buffered)
+            ]
+        return self.kernel.on_snapshot(int(ctx), partitions)
 
     def finish(self) -> Iterable[Any]:
         """Flush the kernel's state at end of stream."""
@@ -439,16 +465,17 @@ class BatchedEnumerateOperator(Operator):
         return self.kernel.forming_candidates()
 
     def snapshot_state(self) -> dict:
-        """The kernel's payload plus any records buffered pre-trigger."""
+        """The kernel's payload plus any records buffered pre-trigger
+        (a buffered envelope is saved as its records)."""
         return {
             "kernel": self.kernel.snapshot_state(),
-            "records": list(self._records),
+            "records": list(_records(self._buffer)),
         }
 
     def restore_state(self, payload: dict) -> None:
         """Adopt a payload produced by :meth:`snapshot_state`."""
         self.kernel.restore_state(payload["kernel"])
-        self._records = list(payload["records"])
+        self._buffer = list(payload["records"])
 
     def split_state(self, payload: dict) -> tuple[Any, dict[int, dict]]:
         """Per-anchor pieces: the kernel's share plus buffered records."""
@@ -488,8 +515,17 @@ class BatchedEnumerateOperator(Operator):
     def state_metrics(self) -> dict[str, int]:
         """Memory accounting: kernel metrics plus the pre-trigger buffer."""
         metrics = dict(self.kernel.state_metrics())
-        metrics["buffered_records"] = len(self._records)
+        metrics["buffered_records"] = count_elements(self._buffer)
         return metrics
+
+
+def _records(buffered: list) -> Iterable[PartitionRecord]:
+    """The partition records of a buffer, envelopes unrolled in place."""
+    for item in buffered:
+        if isinstance(item, PartitionBatch):
+            yield from item.rows()
+        else:
+            yield item
 
 
 def make_enumerator_factory(

@@ -66,7 +66,9 @@ class EnumerationKernel(ABC):
         """Consume one snapshot's partition records; return new patterns.
 
         ``partitions`` holds every record routed to this subtask for
-        ``time``; anchors the kernel has seen before but that received no
+        ``time``, as ``(anchor, members)`` pairs or as one
+        :class:`~repro.model.batch.PartitionBatch` whose rows are those
+        records; anchors the kernel has seen before but that received no
         record are treated as absent (their bit strings append a zero /
         their windows advance), exactly like the reference operator's
         absence tick.  Times must arrive in strictly increasing order.

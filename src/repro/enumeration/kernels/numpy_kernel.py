@@ -7,9 +7,12 @@ of their time on membership bookkeeping: one Python dict probe per
 string per time to append and check Lemma 7.  This kernel batches *all*
 anchors hosted by one enumerate subtask into contiguous arrays:
 
-1. **Pack** — each snapshot's partition records flatten into a single
-   sorted int64 key array (``anchor << 32 | oid``), so every membership
-   question becomes one :func:`numpy.searchsorted` probe.
+1. **Pack** — each snapshot's partitions arrive as one
+   :class:`~repro.model.batch.PartitionBatch`: a sorted int64 key array
+   (``anchor << 32 | oid``) plus the sorted anchors, so every membership
+   question becomes one :func:`numpy.searchsorted` probe.  The kernel
+   clustering stage emits it that way; ``(anchor, members)`` pairs are
+   packed on arrival by :meth:`~repro.model.batch.PartitionBatch.from_pairs`.
 2. **Membership bitmaps** — bit strings live in a ``(rows, words)``
    uint64 matrix, one row per (anchor, trajectory) pair, bit ``j`` of
    the row covering time ``start + j`` (multi-word rows support windows
@@ -52,6 +55,7 @@ from repro.enumeration.bitstring import ClosedBitString, valid_sequences_of_bits
 from repro.enumeration.growth import WindowCover, grow_window
 from repro.enumeration.kernels.base import EnumerationKernel, Partitions
 from repro.enumeration.vba import VBAEnumerator
+from repro.model.batch import PartitionBatch
 from repro.model.constraints import PatternConstraints
 from repro.model.pattern import CoMovementPattern
 
@@ -65,22 +69,10 @@ except ModuleNotFoundError:  # pragma: no cover
 #: nothing column-shaped to vectorize.
 BITMAP_ENUMERATORS = ("fba", "vba")
 
-_ID_BITS = 31  # anchors and oids must fit the packed int64 key
-
 
 def numpy_available() -> bool:
     """Whether the optional NumPy dependency is importable."""
     return np is not None
-
-
-def _check_ids(anchor: int, oids) -> None:
-    """Packed keys hold ``anchor << 32 | oid`` in int64; refuse overflow."""
-    if anchor >> _ID_BITS or (oids.size and int(oids.max()) >> _ID_BITS):
-        raise ValueError(
-            "trajectory ids must fit 31 bits for the numpy enumeration "
-            "kernel's packed keys; use enumeration_kernel='python' for "
-            "this workload"
-        )
 
 
 def _isin_sorted(sorted_keys, queries):
@@ -183,16 +175,12 @@ class _FBAWindows:
         self.and_evaluations = 0
 
     def on_snapshot(
-        self, time: int, partitions: Partitions, keys
+        self, time: int, batch: PartitionBatch
     ) -> list[CoMovementPattern]:
         """Record the snapshot, run every window that completed."""
-        if keys.size:
-            self._time_keys[time] = keys
-        entries = [
-            (anchor, tuple(sorted(members)))
-            for anchor, members in partitions
-            if members
-        ]
+        if batch.keys.size:
+            self._time_keys[time] = batch.keys
+        entries = batch.member_runs()
         if entries:
             self._pending[time] = entries
             for anchor, _members in entries:
@@ -489,7 +477,7 @@ class _VBAStrings:
         return sum(shell.and_evaluations for shell in self._shells.values())
 
     def on_snapshot(
-        self, time: int, partitions: Partitions, keys
+        self, time: int, batch: PartitionBatch
     ) -> list[CoMovementPattern]:
         """Advance all strings one (or more, padding gaps) time steps."""
         # Anchors the reference would process this snapshot: a record
@@ -498,7 +486,7 @@ class _VBAStrings:
         # not worth computing under the default keep-forever semantics.
         active: set[int] = set()
         if self.candidate_retention is not None:
-            active = {anchor for anchor, _ in partitions}
+            active = set(batch.anchors.tolist())
             if self._keys.size:
                 active.update(
                     int(a) for a in np.unique(self._keys >> np.int64(32))
@@ -512,7 +500,7 @@ class _VBAStrings:
             for missing in range(self._last_time + 1, time):
                 self._advance(missing, empty, closed)
         self._last_time = time
-        self._advance(time, keys, closed)
+        self._advance(time, batch.keys, closed)
 
         emitted: list[CoMovementPattern] = []
         for anchor in sorted(closed):
@@ -920,27 +908,22 @@ class NumpyEnumerationKernel(EnumerationKernel):
         return self._state.and_evaluations
 
     def on_snapshot(
-        self, time: int, partitions: Partitions
+        self, time: int, partitions: Partitions | PartitionBatch
     ) -> list[CoMovementPattern]:
-        """Pack the snapshot's records into keys; advance the batch state."""
+        """Advance the batch state by one snapshot's packed keys.
+
+        A :class:`~repro.model.batch.PartitionBatch` is consumed as it
+        is; ``(anchor, members)`` pairs are packed first
+        (:meth:`PartitionBatch.from_pairs`).
+        """
         if self._last_time is not None and time <= self._last_time:
             raise ValueError(
                 f"times must increase: got {time} after {self._last_time}"
             )
         self._last_time = time
-        partitions = list(partitions)
-        chunks = []
-        for anchor, members in partitions:
-            if not members:
-                continue
-            oids = np.fromiter(members, count=len(members), dtype=np.int64)
-            _check_ids(anchor, oids)
-            chunks.append((np.int64(anchor) << np.int64(32)) | oids)
-        if chunks:
-            keys = np.sort(np.concatenate(chunks))
-        else:
-            keys = np.empty(0, dtype=np.int64)
-        return self._state.on_snapshot(time, partitions, keys)
+        if not isinstance(partitions, PartitionBatch):
+            partitions = PartitionBatch.from_pairs(time, partitions)
+        return self._state.on_snapshot(time, partitions)
 
     def finish(self) -> list[CoMovementPattern]:
         """Flush pending windows / open strings at end of stream."""

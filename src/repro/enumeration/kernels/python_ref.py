@@ -15,6 +15,7 @@ from typing import Any, Callable
 
 from repro.enumeration.base import AnchorEnumerator
 from repro.enumeration.kernels.base import EnumerationKernel, Partitions
+from repro.model.batch import PartitionBatch
 from repro.model.constraints import PatternConstraints
 from repro.model.pattern import CoMovementPattern
 
@@ -73,9 +74,13 @@ class PythonEnumerationKernel(EnumerationKernel):
         self._enumerators: dict[int, AnchorEnumerator] = {}
 
     def on_snapshot(
-        self, time: int, partitions: Partitions
+        self, time: int, partitions: Partitions | PartitionBatch
     ) -> list[CoMovementPattern]:
         """Route records to their anchors, then tick the absent ones."""
+        if isinstance(partitions, PartitionBatch):
+            partitions = [
+                (anchor, members) for _time, anchor, members in partitions.rows()
+            ]
         out: list[CoMovementPattern] = []
         received: set[int] = set()
         for anchor, members in partitions:

@@ -12,7 +12,13 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from repro.model.batch import PartitionBatch, packable_ids
 from repro.model.snapshot import ClusterSnapshot
+
+try:  # pragma: no cover - exercised only on numpy-less hosts
+    import numpy as np
+except ModuleNotFoundError:  # pragma: no cover
+    np = None
 
 
 def id_partitions(
@@ -39,6 +45,39 @@ def id_partitions(
         for position, anchor in enumerate(ordered):
             partitions[anchor] = frozenset(ordered[position + 1 :])
     return partitions
+
+
+def partition_batch(
+    time: int, members, bounds, significance: int
+) -> PartitionBatch | None:
+    """:func:`id_partitions` on cluster arrays, as one :class:`PartitionBatch`.
+
+    ``members`` / ``bounds`` are a kernel's
+    :meth:`~repro.kernels.base.ClusteringKernel.cluster_members` arrays
+    (clusters disjoint, members ascending).  Lemma 3 drops clusters below
+    ``significance``; every member of a kept cluster is an anchor (the
+    maximum with no members), and every (smaller, larger) member pair of
+    a kept cluster is one packed key.  Walking members in ascending oid
+    order emits the keys already sorted.  Returns ``None`` when a kept id
+    lies outside ``[0, 2**31)``, which packed keys cannot hold.
+    """
+    sizes = np.diff(bounds)
+    end = np.repeat(bounds[1:], sizes)  # each member's cluster end
+    kept = np.flatnonzero(np.repeat(sizes >= significance, sizes))
+    anchors = members[kept]
+    if not packable_ids(anchors):
+        return None
+    ascending = kept[np.argsort(anchors, kind="stable")]
+    anchors = members[ascending]
+    counts = end[ascending] - ascending - 1  # larger members of the cluster
+    total = int(counts.sum())
+    offsets = np.cumsum(counts) - counts
+    larger = members[
+        np.arange(total, dtype=np.int64)
+        + np.repeat(ascending + 1 - offsets, counts)
+    ]
+    keys = (np.repeat(anchors, counts) << np.int64(32)) | larger
+    return PartitionBatch(time, anchors, keys)
 
 
 class PartitionRouter:

@@ -64,7 +64,24 @@ class RangeJoinConfig:
 
 @dataclass(slots=True)
 class JoinStats:
-    """Work counters of one snapshot join (for benchmarks/ablations)."""
+    """Work counters of one snapshot join (for benchmarks/ablations).
+
+    Attributes:
+        locations: input points.
+        grid_objects: objects the join indexed — data plus Lemma-1 query
+            objects for the GR-index; every point (when there are at
+            least two) for the numpy kernel.
+        occupied_cells: grid cells holding an object; for the numpy
+            kernel, distinct occupied buckets of width ``epsilon`` plus
+            the pruning margin.
+        emitted_pairs: pairs before deduplication — for the GR-index,
+            what the cell joins emit (replicated objects may emit a pair
+            twice); for the numpy kernel, the candidates before the
+            exact metric check: point pairs in 3x3-adjacent buckets,
+            each unordered pair once (the same count its column-range
+            join and the earlier five-offset join produce).
+        result_pairs: distinct pairs within epsilon.
+    """
 
     locations: int = 0
     grid_objects: int = 0

@@ -95,3 +95,28 @@ class ClusteringKernel(ABC):
         batch-transparent.  Results are identical either way.
         """
         return self.cluster(list(zip(oids, xs, ys)))
+
+    def cluster_members(self, oids, xs, ys):
+        """Cluster one snapshot's columns into ``(members, bounds)`` arrays.
+
+        ``members`` (int64) holds the clustered oids grouped by cluster —
+        clusters in :meth:`cluster_columns` order (by smallest member),
+        members ascending — and ``bounds`` (int64, one more entry than
+        clusters) their offsets, so cluster ``i`` is
+        ``members[bounds[i]:bounds[i + 1]]``.  What the kernel
+        clustering stage partitions from.  The default converts
+        :meth:`cluster_columns`' result; vectorized kernels override it
+        to stay on arrays.
+        """
+        import numpy as np
+
+        groups = list(self.cluster_columns(oids, xs, ys).clusters.values())
+        sizes = [len(group) for group in groups]
+        members = np.fromiter(
+            (oid for group in groups for oid in group),
+            dtype=np.int64,
+            count=sum(sizes),
+        )
+        bounds = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=bounds[1:])
+        return members, bounds

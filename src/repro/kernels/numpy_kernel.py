@@ -6,26 +6,34 @@ The whole clustering phase runs on contiguous arrays:
    packed into int64 / float64 arrays, so array index order equals oid
    order (every canonical "smallest id" rule becomes an argmin).
 2. **Grid bucketing** — cell coordinates ``floor(p / w)`` with bucket
-   width ``w = epsilon`` are hashed into a single int64 key per point; one
-   stable argsort groups points by occupied cell (no ``Rect`` /
-   ``GridObject`` materialisation).
-3. **Epsilon join** — for each of the five half-plane neighbour offsets
-   ``(0,0), (0,1), (1,-1), (1,0), (1,1)``, occupied cells are matched to
-   their neighbour cells with :func:`numpy.searchsorted` and the matched
-   cell blocks expand into candidate index pairs via cumulative-sum
-   arithmetic; a single broadcast distance evaluation filters the exact
-   pairs.  Every unordered pair is produced exactly once (the offset set
-   covers each unordered cell pair once; intra-cell candidates keep only
-   ``i < j``).
+   width ``w = epsilon`` are hashed into a single column-major int64 key
+   per point (``cx * stride + cy + 1``); one stable argsort groups points
+   by occupied cell and cells by column (no ``Rect`` / ``GridObject``
+   materialisation).
+3. **Column-range epsilon join** — in that order, each point's
+   candidates are two contiguous ranges, found by three vectorized
+   :func:`numpy.searchsorted` calls: the rest of its own cell plus cell
+   ``cy + 1`` of its column, and cells ``cy - 1 .. cy + 1`` of column
+   ``cx + 1``.  Both ranges expand into candidate index pairs with one
+   ``repeat`` / ``cumsum``, and a single broadcast distance evaluation
+   filters the exact pairs.  Every unordered pair of 3x3-adjacent cells
+   is produced exactly once, from one side.
 4. **DBSCAN labeling** — neighbour counts via ``bincount`` give the core
    mask; core components form by iterated min-label propagation with
    pointer jumping (``minimum.at`` + ``labels[labels]``); border points
    attach to their smallest-id core neighbour via one more ``minimum.at``.
+   Clusters leave as arrays (:meth:`NumpyKernel.cluster_members`) or as
+   a :class:`~repro.cluster.dbscan.DBSCANResult`.
 
 The result is bit-for-bit identical to the reference kernel: the pair set
 is exact (bucketing only generates candidates; the metric verifies), and
 the labeling reproduces the canonical border rule of
 :func:`repro.cluster.dbscan.dbscan_from_pairs`.
+
+``last_join_stats`` counts, per snapshot: ``emitted_pairs`` — candidate
+pairs, i.e. point pairs in 3x3-adjacent buckets, each unordered pair
+once; ``occupied_cells`` — distinct occupied buckets; ``result_pairs`` —
+pairs within epsilon.
 
 NumPy is an *optional* dependency: this module imports without it, and
 constructing the kernel raises a clear error when it is missing.
@@ -43,12 +51,6 @@ try:  # pragma: no cover - exercised only on numpy-less hosts
     import numpy as np
 except ModuleNotFoundError:  # pragma: no cover
     np = None
-
-#: Half-plane neighbour offsets: together with the symmetric roles of the
-#: two cells in a match, these cover every unordered pair of 3x3-adjacent
-#: cells exactly once.
-_OFFSETS = ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1))
-
 
 def numpy_available() -> bool:
     """Whether the optional NumPy dependency is importable."""
@@ -132,90 +134,54 @@ class NumpyKernel(ClusteringKernel):
         width = self.bucket_width
         cx_f = np.floor((xs - xs.min()) / width)
         cy_f = np.floor((ys - ys.min()) / width)
-        # The composite key must hold up to (cx + 2) * stride in int64
-        # (neighbour probes add up to stride + 1 to a key); a pathological
-        # spread/epsilon ratio (~1e10 per axis) would wrap silently and
-        # drop neighbour pairs, so refuse it before casting.
-        stride_f = cy_f.max() + 2.0
+        # Cell (cx, cy) keys as cx * stride + cy + 1: rows cy - 1 and
+        # cy + 1 of every column encode inside the column's own key
+        # range.  The probes reach (cx + 2) * stride, which must fit
+        # int64; a pathological spread/epsilon ratio (~1e10 per axis)
+        # would wrap silently and drop neighbour pairs, so refuse it
+        # before casting.
+        stride_f = cy_f.max() + 3.0
         if (cx_f.max() + 2.0) * stride_f >= float(np.iinfo(np.int64).max):
             raise ValueError(
                 "coordinate spread / epsilon ratio too large for the "
                 "numpy kernel's int64 cell keys; use the 'python' kernel "
                 "for this workload"
             )
-        cx = cx_f.astype(np.int64)
-        cy = cy_f.astype(np.int64)
-        # stride leaves one spare row so y-neighbour offsets of boundary
-        # cells encode to keys no occupied cell can collide with.
-        stride = int(cy.max()) + 2
-        keys = cx * stride + cy
+        stride = int(stride_f)
+        keys = cx_f.astype(np.int64) * stride + cy_f.astype(np.int64) + 1
+        order = np.argsort(keys, kind="stable")
+        ranked = keys[order]
 
-        order = np.argsort(keys, kind="stable").astype(np.int64)
-        occupied, starts, counts = np.unique(
-            keys[order], return_index=True, return_counts=True
+        # Every unordered pair of 3x3-adjacent cells is one contiguous
+        # sorted range from exactly one side: a point pairs with the
+        # rest of its own cell plus cell cy + 1 of its column, and with
+        # cells cy - 1 .. cy + 1 of column cx + 1.  The 3x3 bound stays:
+        # a sweep over x alone would pair every point of a north-south
+        # road with every other.
+        position = np.arange(n, dtype=np.int64)
+        column_stop = np.searchsorted(ranked, ranked + 2)
+        next_start = np.searchsorted(ranked, ranked + (stride - 1))
+        next_stop = np.searchsorted(ranked, ranked + (stride + 2))
+        starts = np.concatenate((position + 1, next_start))
+        counts = np.concatenate(
+            (column_stop - position - 1, next_stop - next_start)
         )
+        candidates = int(counts.sum())
 
-        lefts: list = []
-        rights: list = []
-        candidates = 0
-        for dx, dy in _OFFSETS:
-            delta = dx * stride + dy
-            if delta == 0:
-                cell_a = np.arange(occupied.size, dtype=np.int64)
-                cell_b = cell_a
-            else:
-                targets = occupied + delta
-                pos = np.searchsorted(occupied, targets)
-                found = pos < occupied.size
-                found[found] = occupied[pos[found]] == targets[found]
-                cell_a = np.flatnonzero(found).astype(np.int64)
-                cell_b = pos[cell_a]
-            if cell_a.size == 0:
-                continue
-
-            # Expand each matched (cell_a, cell_b) block pair into its
-            # full cross product of point indices with cumsum arithmetic.
-            sizes_b = counts[cell_b]
-            block = counts[cell_a] * sizes_b
-            bounds = np.concatenate(([0], np.cumsum(block)))
-            total = int(bounds[-1])
-            if total == 0:
-                continue
-            match = np.repeat(
-                np.arange(cell_a.size, dtype=np.int64), block
-            )
-            within = np.arange(total, dtype=np.int64) - bounds[match]
-            a_local = within // sizes_b[match]
-            b_local = within % sizes_b[match]
-            left = order[starts[cell_a][match] + a_local]
-            right = order[starts[cell_b][match] + b_local]
-            if delta == 0:
-                keep = left < right
-                left, right = left[keep], right[keep]
-            else:
-                # Distinct cells: each unordered pair appears once; only
-                # normalise the orientation to (smaller, larger) index.
-                left, right = (
-                    np.minimum(left, right),
-                    np.maximum(left, right),
-                )
-            candidates += left.size
-            lefts.append(left)
-            rights.append(right)
-
-        if not lefts:
-            self.last_join_stats = JoinStats(
-                locations=int(n), occupied_cells=int(occupied.size)
-            )
-            return empty, empty
-        left = np.concatenate(lefts)
-        right = np.concatenate(rights)
+        # Expand both ranges of every point with one repeat / cumsum.
+        offsets = np.cumsum(counts) - counts
+        near = order[np.repeat(np.concatenate((position, position)), counts)]
+        far = order[
+            np.arange(candidates, dtype=np.int64)
+            + np.repeat(starts - offsets, counts)
+        ]
+        left, right = np.minimum(near, far), np.maximum(near, far)
         keep = self._distances(xs, ys, left, right) <= self.epsilon
         left, right = left[keep], right[keep]
         self.last_join_stats = JoinStats(
             locations=int(n),
             grid_objects=int(n),
-            occupied_cells=int(occupied.size),
+            occupied_cells=1 + int(np.count_nonzero(ranked[1:] != ranked[:-1])),
             emitted_pairs=candidates,
             result_pairs=int(left.size),
         )
@@ -252,7 +218,7 @@ class NumpyKernel(ClusteringKernel):
 
     def cluster(self, points: Points) -> DBSCANResult:
         """Full vectorized DBSCAN over the snapshot (arrays end to end)."""
-        return self._cluster_packed(*self._pack(points))
+        return self._result(*self._label(*self._pack(points)))
 
     def cluster_columns(self, oids, xs, ys) -> DBSCANResult:
         """Columnar entry: cluster parallel ``(oids, xs, ys)`` columns.
@@ -262,14 +228,52 @@ class NumpyKernel(ClusteringKernel):
         distinct oids (the snapshot contract) the packed layout is
         identical to the row path's, so results are bit-for-bit equal.
         """
+        return self._result(*self._label(*self._sort_columns(oids, xs, ys)))
+
+    def cluster_members(self, oids, xs, ys):
+        """Columnar entry that stays on arrays: ``(members, bounds)``.
+
+        The clusters of :meth:`cluster_columns` without a Python object
+        per member — see :meth:`ClusteringKernel.cluster_members`.
+        """
+        oids, _core, _noise, members, bounds = self._label(
+            *self._sort_columns(oids, xs, ys)
+        )
+        return oids[members], bounds
+
+    @staticmethod
+    def _sort_columns(oids, xs, ys):
+        """Parallel columns as oid-sorted packed arrays (one stable argsort)."""
         oids = np.asarray(oids, dtype=np.int64)
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
         order = np.argsort(oids, kind="stable")
-        return self._cluster_packed(oids[order], xs[order], ys[order])
+        return oids[order], xs[order], ys[order]
 
-    def _cluster_packed(self, oids, xs, ys) -> DBSCANResult:
-        """DBSCAN over oid-sorted packed arrays (shared by both entries)."""
+    @staticmethod
+    def _result(oids, core, noise, members, bounds) -> DBSCANResult:
+        """The :class:`DBSCANResult` of one :meth:`_label` outcome."""
+        clustered = oids[members].tolist()
+        cuts = bounds.tolist()
+        return DBSCANResult(
+            clusters={
+                cluster_id: tuple(clustered[start:stop])
+                for cluster_id, (start, stop) in enumerate(
+                    zip(cuts, cuts[1:])
+                )
+            },
+            core_points=set(oids[core].tolist()),
+            noise=set(oids[noise].tolist()),
+        )
+
+    def _label(self, oids, xs, ys):
+        """DBSCAN over oid-sorted packed arrays (shared by every entry).
+
+        Returns ``(oids, core, noise, members, bounds)``: the distinct
+        oids, core and noise masks over them, and the clustered indices
+        grouped by cluster — clusters ordered by smallest member, members
+        ascending — with ``bounds`` the cluster offsets into ``members``.
+        """
         left, right = self._pair_indices(xs, ys)
         oids, left, right = self._collapse_duplicate_oids(oids, left, right)
         n = oids.size
@@ -306,22 +310,17 @@ class NumpyKernel(ClusteringKernel):
         member_label = np.where(core, labels, np.int64(-1))
         member_label[border] = labels[anchor[border]]
 
+        # Group clustered indices by cluster.  ``clustered`` ascends, so a
+        # label's first occurrence is its smallest member, which ranks
+        # the clusters; a stable sort by rank keeps members ascending.
         clustered = np.flatnonzero(member_label >= 0)
-        groups: list = []
-        if clustered.size:
-            by_label = np.argsort(member_label[clustered], kind="stable")
-            sorted_idx = clustered[by_label]
-            sorted_labels = member_label[clustered][by_label]
-            cuts = np.flatnonzero(np.diff(sorted_labels)) + 1
-            groups = np.split(sorted_idx, cuts)
-            groups.sort(key=lambda g: int(g[0]))  # order by smallest member
-
-        clusters = {
-            cluster_id: tuple(oids[members].tolist())
-            for cluster_id, members in enumerate(groups)
-        }
-        return DBSCANResult(
-            clusters=clusters,
-            core_points=set(oids[core].tolist()),
-            noise=set(oids[noise].tolist()),
-        )
+        labels_of = member_label[clustered]
+        distinct, first = np.unique(labels_of, return_index=True)
+        rank = np.empty(distinct.size, dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(distinct.size, dtype=np.int64)
+        cluster_of = rank[np.searchsorted(distinct, labels_of)]
+        members = clustered[np.argsort(cluster_of, kind="stable")]
+        bounds = np.concatenate(
+            ([0], np.cumsum(np.bincount(cluster_of, minlength=distinct.size)))
+        ).astype(np.int64)
+        return oids, core, noise, members, bounds

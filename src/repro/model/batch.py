@@ -21,10 +21,15 @@ record-at-a-time plane:
   (``time``, ``len``, ``points()``) and hands its columns directly to
   the vectorized clustering kernel, so the hot path never materialises
   per-point objects.
+* :class:`PartitionBatch` — one snapshot's id-based partitions (Lemma 3)
+  as sorted anchors plus sorted packed ``anchor << 32 | oid`` keys, the
+  envelope the kernel clustering stage emits and the numpy enumeration
+  kernel consumes, so no Python set is built per anchor.
 
-NumPy stays optional: both types degrade to list-backed columns with
-identical semantics, and every consumer treats the backing as an
-implementation detail.
+NumPy stays optional: the record and snapshot types degrade to
+list-backed columns with identical semantics, and every consumer treats
+the backing as an implementation detail.  Partition envelopes exist only
+on the numpy kernels' path.
 
 Both types also carry a flat *shared-memory codec* (``shm_nbytes`` /
 ``to_shm`` / ``from_shm``): the columns of an array-backed batch are
@@ -39,6 +44,7 @@ batches have no flat layout and take the pickle fallback instead.
 
 from __future__ import annotations
 
+from math import isfinite
 from typing import Iterable, Iterator, Sequence
 
 from repro.model.records import Location, StreamRecord
@@ -348,6 +354,36 @@ class RecordBatch:
             )
         return (self.oids, self.xs, self.ys, self.times, self.last_times)
 
+    def require_finite(self) -> None:
+        """Refuse a batch holding a NaN or infinite coordinate.
+
+        One vectorised check on the array backing, ``math.isfinite`` per
+        row on the list backing.  The error names the first offending
+        record's ``(oid, time)``.
+        """
+        if self.backing == "numpy":
+            bad = ~(_np.isfinite(self.xs) & _np.isfinite(self.ys))
+            if not bad.any():
+                return
+            index = int(bad.argmax())
+        else:
+            index = next(
+                (
+                    i
+                    for i, (x, y) in enumerate(zip(self.xs, self.ys))
+                    if not (isfinite(x) and isfinite(y))
+                ),
+                None,
+            )
+            if index is None:
+                return
+        record = self.record_at(index)
+        raise ValueError(
+            f"non-finite coordinate in record (oid={record.oid}, "
+            f"time={record.time}): x={record.x!r}, y={record.y!r}; "
+            "every x and y must be a finite number"
+        )
+
     # ------------------------------------------------------ shared-memory codec
 
     #: Column dtypes in shm layout order (five 8-byte columns per row).
@@ -514,6 +550,9 @@ class SnapshotBatch:
             return zip(self.oids.tolist(), self.xs.tolist(), self.ys.tolist())
         return zip(self.oids, self.xs, self.ys)
 
+    #: The rows as the keyed exchange routes them: all of them.
+    route_rows = rows
+
     def points(self) -> list[tuple[int, float, float]]:
         """``(oid, x, y)`` triples, exactly :meth:`Snapshot.points`."""
         return list(self.rows())
@@ -595,3 +634,128 @@ class SnapshotBatch:
         for oid, x, y in self.rows():
             snapshot.add(oid, Location(x, y))
         return snapshot
+
+
+def packable_ids(ids) -> bool:
+    """Whether every id of an int64 array fits a packed partition key.
+
+    Keys hold ``anchor << 32 | oid`` in int64, so every id must lie in
+    ``[0, 2**31)``.
+    """
+    return not ids.size or (int(ids.min()) >= 0 and int(ids.max()) < 1 << 31)
+
+
+class PartitionBatch:
+    """One snapshot's id-based partitions (Lemma 3) as two sorted arrays.
+
+    The columnar counterpart of the ``(time, anchor, members)`` partition
+    records: ``anchors`` holds every record's anchor, ascending (cluster
+    maxima included — their record has no members), and ``keys`` holds
+    one ``anchor << 32 | oid`` int64 per (anchor, member) pair,
+    ascending, so each anchor's members are one contiguous run.  The
+    kernel clustering stage emits one per snapshot, the keyed exchange
+    splits it by anchor with :meth:`select`, and the numpy enumeration
+    kernel consumes the keys as they are; row-oriented consumers unroll
+    :meth:`rows`, which yields exactly the records.  ``len`` is the
+    record count.
+    """
+
+    __slots__ = ("time", "anchors", "keys")
+
+    def __init__(self, time: int, anchors, keys):
+        """Wrap sorted ``anchors`` and sorted packed ``keys`` at ``time``."""
+        self.time = int(time)
+        self.anchors = anchors
+        self.keys = keys
+
+    @classmethod
+    def from_pairs(cls, time: int, pairs) -> "PartitionBatch":
+        """Pack ``(anchor, members)`` pairs: the one partition-key packing.
+
+        Anchors come out ascending and distinct.  Ids outside
+        ``[0, 2**31)`` among anchors with members, or members, are
+        refused (:func:`packable_ids`).
+        """
+        anchors: list[int] = []
+        owners: list[int] = []
+        sizes: list[int] = []
+        members: list[int] = []
+        for anchor, group in pairs:
+            anchors.append(anchor)
+            if group:
+                owners.append(anchor)
+                sizes.append(len(group))
+                members.extend(group)
+        oids = _np.array(members, dtype=_np.int64)
+        owners_array = _np.array(owners, dtype=_np.int64)
+        if not (packable_ids(owners_array) and packable_ids(oids)):
+            raise ValueError(
+                "trajectory ids must fit 31 bits for the numpy enumeration "
+                "kernel's packed keys; use enumeration_kernel='python' for "
+                "this workload"
+            )
+        keys = _np.sort(
+            (_np.repeat(owners_array, sizes) << _np.int64(32)) | oids
+        )
+        return cls(time, _np.unique(_np.array(anchors, dtype=_np.int64)), keys)
+
+    def __len__(self) -> int:
+        return len(self.anchors)
+
+    def __repr__(self) -> str:
+        return (
+            f"PartitionBatch(time={self.time}, records={len(self)}, "
+            f"keys={len(self.keys)})"
+        )
+
+    def __reduce__(self):
+        return (PartitionBatch, (self.time, self.anchors, self.keys))
+
+    def _runs(self) -> Iterator[tuple[int, list[int]]]:
+        """``(anchor, members)`` per record, members ascending, as lists."""
+        owners = self.keys >> _np.int64(32)
+        lo = _np.searchsorted(owners, self.anchors, side="left").tolist()
+        hi = _np.searchsorted(owners, self.anchors, side="right").tolist()
+        members = (self.keys & _np.int64(0xFFFFFFFF)).tolist()
+        for anchor, start, stop in zip(self.anchors.tolist(), lo, hi):
+            yield anchor, members[start:stop]
+
+    def rows(self) -> Iterator[tuple[int, int, frozenset[int]]]:
+        """The ``(time, anchor, members)`` records, anchors ascending."""
+        time = self.time
+        for anchor, members in self._runs():
+            yield time, anchor, frozenset(members)
+
+    def route_rows(self) -> Iterator[tuple[int, int, None]]:
+        """The records as the keyed exchange routes them, by anchor.
+
+        Like :meth:`rows` without building member sets: the enumerate
+        stage keys on ``record[1]``, the anchor, alone.
+        """
+        time = self.time
+        return ((time, anchor, None) for anchor in self.anchors.tolist())
+
+    def member_runs(self) -> list[tuple[int, tuple[int, ...]]]:
+        """``(anchor, sorted members)`` of every record that has members."""
+        return [
+            (anchor, tuple(members)) for anchor, members in self._runs() if members
+        ]
+
+    def select(self, indices: Sequence[int]) -> "PartitionBatch":
+        """Sub-batch of the given records (keyed-exchange splitting).
+
+        ``indices`` are ascending record positions; both arrays stay
+        sorted.
+        """
+        picked = _np.zeros(len(self.anchors), dtype=bool)
+        picked[_np.asarray(indices, dtype=_np.int64)] = True
+        owner = _np.searchsorted(self.anchors, self.keys >> _np.int64(32))
+        return PartitionBatch(
+            self.time, self.anchors[picked], self.keys[picked[owner]]
+        )
+
+
+#: Columnar envelopes: the keyed exchange splits them with ``select``,
+#: element counts count their rows, and operators receive them through
+#: ``process_batch``.
+ENVELOPES = (SnapshotBatch, PartitionBatch)

@@ -312,8 +312,16 @@ class Session:
         event for event — to feeding the same records through
         :meth:`feed` one at a time (an emission can at most move to a
         later call when the batch boundary defers the watermark).
+
+        Raises:
+            ValueError: when a record's ``x`` or ``y`` is NaN or
+                infinite, naming the first such ``(oid, time)``.  The
+                batch is refused whole before anything is ingested, so
+                the session accepts the next batch as if this one had
+                never been fed.
         """
         self._check_open()
+        batch.require_finite()
         self._records_ingested += len(batch)
         events: list[PatternEvent] = []
         for snapshot in self._sync.feed_batch(batch):

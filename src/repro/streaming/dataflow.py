@@ -29,7 +29,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
-from repro.model.batch import SnapshotBatch
+from repro.model.batch import ENVELOPES, PartitionBatch, SnapshotBatch
 from repro.streaming.hashing import stable_hash
 
 
@@ -43,13 +43,16 @@ class Operator(ABC):
     def process(self, element: Any) -> Iterable[Any]:
         """Handle one element; yield downstream elements."""
 
-    def process_batch(self, batch: SnapshotBatch) -> Iterable[Any]:
+    def process_batch(
+        self, batch: SnapshotBatch | PartitionBatch
+    ) -> Iterable[Any]:
         """Handle one columnar envelope routed to this subtask.
 
         The default unrolls the envelope's rows through :meth:`process`,
         so every row-oriented operator is batch-transparent; columnar
-        operators (the kernel clustering stage) override this to consume
-        the columns wholesale and never box per-point objects.
+        operators (the kernel clustering stage, the batched enumerate
+        stage) override this to consume the columns wholesale and never
+        box per-row objects.
         """
         out: list[Any] = []
         for row in batch.rows():
@@ -111,17 +114,25 @@ class FnOperator(Operator):
         return self._fn(element)
 
 
+_ENVELOPE_TYPES = frozenset(ENVELOPES)
+
+
 def count_elements(elements: Sequence[Any]) -> int:
     """Logical element count of a unit of work (envelopes count rows).
 
-    Keeps ``StageWork.elements_in`` comparable between the per-element
-    and the batch-shaped exchange: a columnar envelope contributes its
-    row count, not 1, wherever it sits in the sequence.
+    Keeps element counts comparable between the per-element and the
+    batch-shaped exchange: a columnar envelope contributes its row count,
+    not 1, wherever it sits in the sequence.
     """
-    return sum(
-        len(element) if isinstance(element, SnapshotBatch) else 1
-        for element in elements
-    )
+    count = len(elements)
+    # Most element lists hold no envelope: a C-level scan of the exact
+    # types settles those without a Python step per element.
+    if _ENVELOPE_TYPES.isdisjoint(map(type, elements)):
+        return count
+    for element in elements:
+        if type(element) in _ENVELOPE_TYPES:
+            count += len(element) - 1
+    return count
 
 
 class ShmEnvelope:
@@ -369,7 +380,7 @@ class StageRuntime:
         The whole batch is exchanged at once — one bucket handoff per
         subtask per unit of work, not one per element — which is what lets
         a parallel backend hand each worker its full bucket up front.
-        Columnar :class:`~repro.model.batch.SnapshotBatch` envelopes are
+        Columnar envelopes (:data:`~repro.model.batch.ENVELOPES`) are
         split into at most one sub-envelope per destination subtask (the
         batch-shaped keyed exchange) instead of being unboxed into rows.
         An unkeyed or single-subtask stage routes everything to subtask 0,
@@ -380,23 +391,27 @@ class StageRuntime:
             buckets[0].extend(elements)
             return buckets
         for element in elements:
-            if isinstance(element, SnapshotBatch):
+            if isinstance(element, ENVELOPES):
                 self._partition_envelope(element, buckets)
             else:
                 buckets[self.route(element)].append(element)
         return buckets
 
     def _partition_envelope(
-        self, envelope: SnapshotBatch, buckets: list[list[Any]]
+        self,
+        envelope: SnapshotBatch | PartitionBatch,
+        buckets: list[list[Any]],
     ) -> None:
         """Split one columnar envelope by routed subtask.
 
         Emits one sub-envelope per destination that receives any rows.
         Row order within each sub-envelope preserves the envelope's order,
-        exactly like the per-element exchange.
+        exactly like the per-element exchange.  Rows are routed in the
+        shape the envelope's ``route_rows`` gives them, which carries
+        every field a stage keys on.
         """
         assigned: list[list[int]] = [[] for _ in self.subtasks]
-        for index, row in enumerate(envelope.rows()):
+        for index, row in enumerate(envelope.route_rows()):
             assigned[self.route(row)].append(index)
         for subtask, indices in enumerate(assigned):
             if indices:
@@ -416,14 +431,19 @@ class StageRuntime:
         outputs: list[Any] = []
         started = _time.perf_counter()
         for element in bucket:
-            if isinstance(element, SnapshotBatch):
+            if isinstance(element, ENVELOPES):
                 outputs.extend(subtask.process_batch(element))
             else:
                 outputs.extend(subtask.process(element))
         outputs.extend(subtask.end_batch(ctx))
         busy = _time.perf_counter() - started
         self._record_span(
-            index, ctx, "unit", count_elements(bucket), len(outputs), busy
+            index,
+            ctx,
+            "unit",
+            count_elements(bucket),
+            count_elements(outputs),
+            busy,
         )
         return outputs, busy
 
@@ -433,7 +453,9 @@ class StageRuntime:
         started = _time.perf_counter()
         outputs.extend(self.subtasks[index].finish())
         busy = _time.perf_counter() - started
-        self._record_span(index, None, "finish", 0, len(outputs), busy)
+        self._record_span(
+            index, None, "finish", 0, count_elements(outputs), busy
+        )
         return outputs, busy
 
     def run(
@@ -456,7 +478,7 @@ class StageRuntime:
             name=self.stage.name,
             busy_seconds=busy,
             elements_in=count_elements(elements),
-            elements_out=len(outputs),
+            elements_out=count_elements(outputs),
             wall_seconds=_time.perf_counter() - started,
         )
         return outputs, work
@@ -474,7 +496,7 @@ class StageRuntime:
             name=self.stage.name,
             busy_seconds=busy,
             elements_in=0,
-            elements_out=len(outputs),
+            elements_out=count_elements(outputs),
             wall_seconds=_time.perf_counter() - started,
         )
         return outputs, work

@@ -32,7 +32,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from repro.streaming.dataflow import StageRuntime, StageWork
+from repro.streaming.dataflow import StageRuntime, StageWork, count_elements
 
 BACKENDS = ("serial", "parallel", "process")
 
@@ -333,7 +333,7 @@ def execute_finish(
                     name=runtime.stage.name,
                     busy_seconds=busy,
                     elements_in=work_run.elements_in,
-                    elements_out=len(carried),
+                    elements_out=count_elements(carried),
                     wall_seconds=work_run.wall_seconds + work_fin.wall_seconds,
                 )
             )

@@ -132,7 +132,7 @@ class ParallelBackend(ExecutionBackend):
             name=runtime.stage.name,
             busy_seconds=busy,
             elements_in=elements_in,
-            elements_out=len(outputs),
+            elements_out=count_elements(outputs),
             wall_seconds=_time.perf_counter() - started,
         )
         return outputs, work

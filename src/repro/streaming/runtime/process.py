@@ -492,7 +492,7 @@ class ProcessBackend(ExecutionBackend):
             name=runtime.stage.name,
             busy_seconds=busy,
             elements_in=elements_in,
-            elements_out=len(outputs),
+            elements_out=count_elements(outputs),
             wall_seconds=_time.perf_counter() - started,
         )
         return outputs, work

@@ -26,6 +26,8 @@ one fan-out continues at any other.  Held to:
    (numpy or python kernel) checkpointed mid-snapshot, with partition
    records buffered ahead of the trigger, re-partitions onto B subtasks
    and emits per snapshot what an uninterrupted B-subtask stage emits.
+   The same holds for a ``PartitionBatch`` envelope buffered ahead of a
+   ctx-less trigger (1→2 and 2→3): its payload holds the same records.
 5. **Mutants** — routing with the writer's fan-out, dropping buffered
    records and not summing counters each fail a named property.
 
@@ -56,6 +58,7 @@ from repro.enumeration.kernels import (
     numpy_kernel,
 )
 from repro.enumeration.partition import PartitionRouter
+from repro.model.batch import PartitionBatch
 from repro.model.constraints import PatternConstraints
 from repro.model.snapshot import ClusterSnapshot
 from repro.session import event_to_dict
@@ -305,7 +308,13 @@ def by_anchor(patterns) -> list[tuple]:
     return sorted((p.key() for p in patterns), key=lambda key: key[0][0])
 
 
-def check_records_survive(kernel, enumerator, before, after, seed, cut):
+def check_records_survive(
+    kernel, enumerator, before, after, seed, cut, envelope=False
+):
+    """With ``envelope``, the buffered snapshot arrives as one
+    ``PartitionBatch`` split by the exchange, followed by a ctx-less
+    trigger (the end-of-stream cascade's), as the kernel clustering
+    stage's output would."""
     constraints = PatternConstraints(m=2, k=3, l=2, g=2)
     stream = partition_stream(seed, n_times=10)
     expected_stage = enumerate_stage(after, kernel, enumerator, constraints)
@@ -320,12 +329,26 @@ def check_records_survive(kernel, enumerator, before, after, seed, cut):
         by_anchor(first.run(records, t)[0])
         for t, records in enumerate(stream[:cut])
     ]
-    for record in stream[cut]:  # buffered, the snapshot trigger not yet run
-        first.subtasks[first.route(record)].process(record)
+    # Buffered, the snapshot trigger not yet run.
+    if envelope:
+        batch = PartitionBatch.from_pairs(
+            cut, [(anchor, members) for _t, anchor, members in stream[cut]]
+        )
+        for subtask, bucket in zip(first.subtasks, first.partition([batch])):
+            for share in bucket:
+                subtask.process_batch(share)
+            assert list(subtask.end_batch(None)) == []
+    else:
+        for record in stream[cut]:
+            first.subtasks[first.route(record)].process(record)
     payloads = [
         (index, encode_payload(subtask.snapshot_state())[1])
         for index, subtask in enumerate(first.subtasks)
     ]
+    # Either way the payloads buffer the snapshot's records.
+    assert sorted(
+        record for _i, data in payloads for record in decode_payload(data)["records"]
+    ) == sorted(stream[cut])
     second = enumerate_stage(after, kernel, enumerator, constraints)
     for index, data in icpe._repartition_by_anchor(second, payloads):
         second.subtasks[index].restore_state(decode_payload(data))
@@ -338,7 +361,12 @@ def check_records_survive(kernel, enumerator, before, after, seed, cut):
     assert got == expected
 
 
-def run_records_property(examples=EXAMPLES, **extra):
+def run_records_property(
+    examples=EXAMPLES,
+    fan_outs=((16, 1), (1, 2), (2, 3), (3, 2)),
+    envelope=False,
+    **extra,
+):
     @settings(
         max_examples=examples,
         deadline=None,
@@ -348,18 +376,22 @@ def run_records_property(examples=EXAMPLES, **extra):
     @given(
         kernel=st.sampled_from(["numpy", "python"]),
         enumerator=st.sampled_from(["fba", "vba"]),
-        fan_outs=st.sampled_from([(16, 1), (1, 2), (2, 3), (3, 2)]),
+        pair=st.sampled_from(fan_outs),
         seed=st.integers(0, 10_000),
         cut=st.integers(1, 8),
     )
-    def prop(kernel, enumerator, fan_outs, seed, cut):
-        check_records_survive(kernel, enumerator, *fan_outs, seed, cut)
+    def prop(kernel, enumerator, pair, seed, cut):
+        check_records_survive(kernel, enumerator, *pair, seed, cut, envelope)
 
     prop()
 
 
 def test_records_survive_property():
     run_records_property()
+
+
+def test_envelope_survives_property():
+    run_records_property(fan_outs=((1, 2), (2, 3)), envelope=True)
 
 
 # --------------------------------------------------------------------- mutants
