@@ -46,13 +46,6 @@ FAN_OUT_FIELDS = (
     "enumerate_parallelism",
 )
 
-#: Cluster-state view when no cluster aggregates are available (yet).
-_EMPTY_CLUSTER_STATE = {
-    "clusters_formed": 0,
-    "cluster_size_sum": 0,
-    "last_snapshot": None,
-}
-
 
 def describe_clustering_stages(
     stream: DataStream,
@@ -283,10 +276,8 @@ class ICPEPipeline:
         #: per (stage, subtask) — unchanged operators reuse these bytes.
         self._state_digests: dict[tuple[str, int], str] = {}
         self._state_payloads: dict[tuple[str, int], bytes] = {}
-        #: Cluster-state fetch cache for process-isolated backends,
-        #: keyed on the snapshot count at fetch time.
-        self._cluster_state_cache: tuple[int, dict] | None = None
-        #: Protected-set fetch cache (load shedding), same keying.
+        #: Protected-set fetch cache (load shedding), keyed on the
+        #: snapshot count at fetch time.
         self._protected_cache: tuple[int, frozenset[int]] | None = None
         #: Forming-candidate fetch cache (pattern prediction), same keying.
         self._forming_cache: tuple[int, tuple] | None = None
@@ -296,14 +287,15 @@ class ICPEPipeline:
         #: Tracing spans of the most recent unit of work (stage order,
         #: subtask order within each stage — identical on every backend).
         self.last_spans: list[SpanRecord] = []
-        self._cluster_final_state: dict | None = None
         # Exposed for the harness: average cluster size (Figs. 12-13).
-        self._cluster_operator: ClusterOperator | KernelClusterOperator | None
-        self._cluster_operator = None
-        for runtime in self._runtimes:
-            for subtask in runtime.subtasks:
-                if isinstance(subtask, (ClusterOperator, KernelClusterOperator)):
-                    self._cluster_operator = subtask
+        # The cluster stage has one subtask, which every built-in
+        # backend runs in this process, so this is the live operator.
+        self._cluster_operator: ClusterOperator | KernelClusterOperator = next(
+            subtask
+            for runtime in self._runtimes
+            for subtask in runtime.subtasks
+            if isinstance(subtask, (ClusterOperator, KernelClusterOperator))
+        )
 
     @staticmethod
     def build_environment(config: ICPEConfig) -> StreamEnvironment:
@@ -383,13 +375,6 @@ class ICPEPipeline:
         self._finished = True
         outputs, _works = self._job.finish()
         self.last_spans = self._drain_spans()
-        if getattr(self._backend, "supports_process_isolation", False):
-            # The workers are about to go away; keep their final cluster
-            # aggregates readable for post-run instrumentation.
-            try:
-                self._cluster_final_state = self._fetch_cluster_state()
-            except RuntimeError:  # pragma: no cover - dead worker
-                pass
         self.close()
         time = self._last_time if self._last_time is not None else 0
         fresh_count = self.collector.offer(time, _patterns_by_anchor(outputs))
@@ -471,21 +456,19 @@ class ICPEPipeline:
     def average_cluster_size(self) -> float:
         """Mean size of the clusters formed so far (Figs. 12-13 curves).
 
-        Works under every backend: in-process backends read the live
-        master-side cluster operator; a process-isolated backend fetches
-        the owning worker's aggregates through the reply protocol's
-        ``state`` command (cached per processed snapshot, final values
-        retained past :meth:`finish`).
+        Works under every backend, also past :meth:`finish`: the
+        single-subtask cluster stage runs in this process on every
+        built-in backend, so its live operator is read directly.
         """
-        state = self._cluster_state()
-        if not state["clusters_formed"]:
+        operator = self._cluster_operator
+        if not operator.clusters_formed:
             return 0.0
-        return state["cluster_size_sum"] / state["clusters_formed"]
+        return operator.cluster_size_sum / operator.clusters_formed
 
     @property
     def clusters_formed(self) -> int:
         """Total number of clusters formed across processed snapshots."""
-        return self._cluster_state()["clusters_formed"]
+        return self._cluster_operator.clusters_formed
 
     @property
     def job(self) -> Job:
@@ -510,57 +493,12 @@ class ICPEPipeline:
     @property
     def last_cluster_snapshot(self) -> ClusterSnapshot | None:
         """Clusters of the most recently processed snapshot (any backend)."""
-        return self._cluster_state()["last_snapshot"]
+        return self._cluster_operator.last_cluster_snapshot
 
     @property
     def patterns(self) -> list[CoMovementPattern]:
         """Every distinct pattern detected so far."""
         return self.collector.patterns()
-
-    # ------------------------------------------------------------ cluster state
-
-    def _cluster_state(self) -> dict:
-        """The cluster stage's aggregates, wherever the live operator is."""
-        if getattr(self._backend, "supports_process_isolation", False):
-            if self._finished:
-                return self._cluster_final_state or _EMPTY_CLUSTER_STATE
-            return self._fetch_cluster_state()
-        operator = self._cluster_operator
-        if operator is None:
-            return _EMPTY_CLUSTER_STATE
-        return {
-            "clusters_formed": operator.clusters_formed,
-            "cluster_size_sum": operator.cluster_size_sum,
-            "last_snapshot": operator.last_cluster_snapshot,
-        }
-
-    def _fetch_cluster_state(self) -> dict:
-        """Fetch the cluster subtask's payload from its owning worker.
-
-        One round-trip per processed snapshot at most: the result is
-        cached against the snapshot count, so repeated reads (the convoy
-        tracker plus the harness) reuse it.
-        """
-        marker = self.meter.snapshots
-        if (
-            self._cluster_state_cache is not None
-            and self._cluster_state_cache[0] == marker
-        ):
-            return self._cluster_state_cache[1]
-        runtime = next(
-            (r for r in self._runtimes if r.stage.name == "cluster"), None
-        )
-        if runtime is None:  # pragma: no cover - graph without clustering
-            return _EMPTY_CLUSTER_STATE
-        state = dict(_EMPTY_CLUSTER_STATE)
-        for _index, _digest, data in self._backend.collect_states(runtime):
-            payload = decode_payload(data)
-            state["clusters_formed"] += payload["clusters_formed"]
-            state["cluster_size_sum"] += payload["cluster_size_sum"]
-            if payload["last_snapshot"] is not None:
-                state["last_snapshot"] = payload["last_snapshot"]
-        self._cluster_state_cache = (marker, state)
-        return state
 
     # --------------------------------------------------------------- shedding
 
@@ -715,7 +653,6 @@ class ICPEPipeline:
             if runtime.stage.name == "enumerate":
                 payloads = _repartition_by_anchor(runtime, payloads)
             self._backend.restore_states(runtime, sorted(payloads))
-        self._cluster_state_cache = None
         self._protected_cache = None
         self._forming_cache = None
         self._state_digests.clear()

@@ -43,10 +43,13 @@ class CoMovementPattern:
     ) -> "CoMovementPattern":
         """Trusted construction: ``objects`` is already a strictly
         ascending tuple, so the normalisation of the public constructor
-        is skipped (the growth engine builds its tuples sorted)."""
-        pattern = object.__new__(cls)
-        object.__setattr__(pattern, "objects", objects)
-        object.__setattr__(pattern, "times", times)
+        is skipped (the growth engine builds its tuples sorted).
+
+        Stores through the class's slot descriptors, which skips the
+        frozen ``__setattr__`` and its attribute-name lookup."""
+        pattern = _new(cls)
+        _set_objects(pattern, objects)
+        _set_times(pattern, times)
         return pattern
 
     def __reduce__(self):
@@ -82,6 +85,11 @@ class CoMovementPattern:
     def __str__(self) -> str:
         ids = ", ".join(f"o{oid}" for oid in self.objects)
         return f"{{{ids}}} @ T={list(self.times)}"
+
+
+_new = object.__new__
+_set_objects = CoMovementPattern.objects.__set__
+_set_times = CoMovementPattern.times.__set__
 
 
 def _rebuild(objects: tuple[int, ...], times: TimeSequence) -> CoMovementPattern:

@@ -17,7 +17,7 @@ string (``"pattern"`` / ``"convoy"`` / ``"watermark"`` / ``"evolved"``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, Iterable
 
 from repro.model.pattern import CoMovementPattern
 
@@ -124,6 +124,31 @@ class WatermarkAdvanced(PatternEvent):
 
     snapshots_processed: int
     patterns_total: int
+
+
+_new = object.__new__
+_set_time = PatternEvent.time.__set__
+_set_pattern = PatternConfirmed.pattern.__set__
+
+
+def confirmations(
+    time: int, patterns: Iterable[CoMovementPattern]
+) -> list[PatternConfirmed]:
+    """One :class:`PatternConfirmed` at ``time`` per pattern, in order.
+
+    Stores through the slot descriptors instead of calling the frozen
+    dataclass ``__init__`` per event: a dense snapshot confirms
+    thousands of patterns, and the keyword-argument constructor was
+    most of what building each event cost.
+    """
+    events = []
+    append = events.append
+    for pattern in patterns:
+        event = _new(PatternConfirmed)
+        _set_time(event, time)
+        _set_pattern(event, pattern)
+        append(event)
+    return events
 
 
 def event_to_dict(event: PatternEvent) -> dict:

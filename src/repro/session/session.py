@@ -35,9 +35,9 @@ from repro.model.snapshot import Snapshot
 from repro.registry import default_registry
 from repro.session.events import (
     ConvoyDelta,
-    PatternConfirmed,
     PatternEvent,
     WatermarkAdvanced,
+    confirmations,
 )
 from repro.session.sinks import PatternSink, as_sink
 from repro.state import (
@@ -386,10 +386,7 @@ class Session:
             events.extend(self._process(snapshot))
         flush_patterns = self.pipeline.finish()
         flush_time = self._last_time()
-        events.extend(
-            PatternConfirmed(time=flush_time, pattern=pattern)
-            for pattern in flush_patterns
-        )
+        events.extend(confirmations(flush_time, flush_patterns))
         if self._tracker is not None:
             ended = tuple(self._tracker.finish())
             if ended or self._tracked_members:
@@ -879,10 +876,7 @@ class Session:
         fresh = self.pipeline.process_snapshot(snapshot)
         if self._shedding_active:
             self._observe_latency()
-        events: list[PatternEvent] = [
-            PatternConfirmed(time=snapshot.time, pattern=pattern)
-            for pattern in fresh
-        ]
+        events: list[PatternEvent] = confirmations(snapshot.time, fresh)
         if self._tracker is not None:
             cluster_snapshot = self.pipeline.last_cluster_snapshot
             if cluster_snapshot is not None:

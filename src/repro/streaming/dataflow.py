@@ -27,10 +27,14 @@ from __future__ import annotations
 import time as _time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from repro.model.batch import ENVELOPES, PartitionBatch, SnapshotBatch
+from repro.model.pattern import CoMovementPattern
 from repro.streaming.hashing import stable_hash
+
+_from_sorted = CoMovementPattern._from_sorted
 
 
 class Operator(ABC):
@@ -209,6 +213,89 @@ def decode_exchange_elements(
     return decoded
 
 
+class PatternColumns:
+    """A run of patterns in transit through a reply pipe, as two columns.
+
+    The token :func:`encode_pattern_runs` puts in place of each maximal
+    run of exact :class:`~repro.model.pattern.CoMovementPattern`
+    elements: the runs' object tuples and time sequences as two parallel
+    lists.  Pickling two lists costs one opcode stream per column instead
+    of one ``__reduce__`` call per pattern, and sequences shared between
+    patterns stay shared through pickle's memo.
+    """
+
+    __slots__ = ("objects", "times")
+
+    def __init__(self, objects: list, times: list):
+        self.objects = objects
+        self.times = times
+
+    def __repr__(self) -> str:
+        return f"PatternColumns(n={len(self.objects)})"
+
+    def __reduce__(self):
+        return (PatternColumns, (self.objects, self.times))
+
+
+_objects_of = attrgetter("objects")
+_times_of = attrgetter("times")
+
+
+def encode_pattern_runs(elements: list[Any]) -> list[Any]:
+    """Replace each maximal run of exact patterns by one column token.
+
+    Only elements whose type *is* ``CoMovementPattern`` join a run; a
+    subclass instance (which may carry more state) and every other
+    element pass through unchanged, so :func:`decode_pattern_runs`
+    restores the same sequence with the same exact types.  A list with
+    no pattern is returned as is.
+    """
+    kinds = list(map(type, elements))
+    count = kinds.count(CoMovementPattern)
+    if not count:
+        return elements
+    if count == len(elements):
+        return [
+            PatternColumns(
+                list(map(_objects_of, elements)),
+                list(map(_times_of, elements)),
+            )
+        ]
+    encoded: list[Any] = []
+    run: PatternColumns | None = None
+    for element, kind in zip(elements, kinds):
+        if kind is CoMovementPattern:
+            if run is None:
+                run = PatternColumns([], [])
+                encoded.append(run)
+            run.objects.append(element.objects)
+            run.times.append(element.times)
+        else:
+            run = None
+            encoded.append(element)
+    return encoded
+
+
+def decode_pattern_runs(elements: list[Any]) -> list[Any]:
+    """Rebuild the patterns :func:`encode_pattern_runs` turned into columns.
+
+    Patterns are rebuilt through the trusted constructor (their object
+    tuples were sorted when they were built).  A list without a token is
+    returned as is.
+    """
+    if PatternColumns not in map(type, elements):
+        return elements
+    decoded: list[Any] = []
+    for element in elements:
+        if type(element) is PatternColumns:
+            decoded.extend(
+                map(_from_sorted, element.objects, element.times)
+            )
+        else:
+            decoded.append(element)
+    return decoded
+
+
 @dataclass(slots=True)
 class KeyedStage:
     """One stage of the topology.
@@ -355,10 +442,10 @@ class StageRuntime:
     def adopt_spans(self, spans: Sequence[SpanRecord]) -> None:
         """Append spans recorded elsewhere (a process worker's runtime).
 
-        The master-side runtime of a process backend never executes
-        subtasks itself; the workers' drained spans are adopted here so
-        every driver reads spans from the same place regardless of
-        backend.
+        The master-side runtime of a process backend executes no
+        subtask of a multi-subtask stage itself; the workers' drained
+        spans are adopted here so every driver reads spans from the same
+        place regardless of backend.
         """
         self.spans.extend(spans)
 

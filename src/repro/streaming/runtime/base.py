@@ -12,8 +12,9 @@ backend.  Three implementations ship:
 * :class:`~repro.streaming.runtime.parallel.ParallelBackend` — subtasks of
   a stage run concurrently on a worker pool with real wall-clock
   measurement.
-* :class:`~repro.streaming.runtime.process.ProcessBackend` — subtasks run
-  in a shared-nothing pool of persistent worker processes; columnar
+* :class:`~repro.streaming.runtime.process.ProcessBackend` — subtasks of
+  multi-subtask stages run in a shared-nothing pool of persistent worker
+  processes (a single-subtask stage runs in the caller); columnar
   keyed-exchange envelopes travel through ``multiprocessing.
   shared_memory`` segments.  Operator state cannot be shipped across a
   process boundary, so this backend additionally needs a picklable
@@ -101,7 +102,10 @@ class ExecutionBackend(ABC):
     #: (shared-nothing address spaces, no GIL contention between
     #: subtasks).  Such backends cannot receive operator state from the
     #: caller and instead rebuild it per worker from a bound
-    #: :class:`GraphSpec`.
+    #: :class:`GraphSpec`.  The built-in one isolates only stages with
+    #: more than one subtask: a single-subtask stage runs on the
+    #: caller's runtime, so its operator (ICPE's cluster stage) is live
+    #: in the caller on every built-in backend.
     supports_process_isolation: bool = False
 
     #: Whether the backend can capture and restore operator state via

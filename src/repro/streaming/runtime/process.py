@@ -1,12 +1,21 @@
 """The process execution backend: shared-nothing workers, shared-memory
 exchanges.
 
-A persistent pool of spawn-safe worker processes executes every stage's
-subtasks outside the master interpreter — no GIL contention between
-subtasks, real multi-core parallelism for pure-Python operator code.
-Subtask ``i`` of every stage lives in worker ``i % workers`` for the life
-of the job, so each worker owns a fixed, disjoint slice of the operator
-state: the shared-nothing contract of the paper's Flink deployment.
+A persistent pool of spawn-safe worker processes executes the subtasks
+of every stage with more than one subtask outside the master
+interpreter — no GIL contention between subtasks, real multi-core
+parallelism for pure-Python operator code.  Subtask ``i`` of such a
+stage lives in worker ``i % workers`` for the life of the job, so each
+worker owns a fixed, disjoint slice of the operator state: the
+shared-nothing contract of the paper's Flink deployment.
+
+A stage with a single subtask (ICPE's ``cluster`` stage, or every stage
+when the fan-out is one) runs in the master on its master-side runtime,
+exactly as the serial backend runs it: the master would wait for that
+subtask and re-route its outputs anyway, so a worker would add only a
+pipe round trip.  Control queries (state capture and restore, metrics,
+protected and forming sets) for such a stage read the master-side
+operator too.
 
 Because operator state cannot be shipped across a process boundary, the
 backend must be handed a picklable :class:`~repro.streaming.runtime.base.
@@ -26,7 +35,10 @@ written into pooled ``multiprocessing.shared_memory`` segments
 :class:`~repro.streaming.dataflow.ShmEnvelope` token crosses the pipe;
 the worker rebuilds the batch as zero-copy read-only NumPy views over
 the segment.  Everything else (plain elements, list-backed or empty
-batches) rides the pipe's pickle path.
+batches) rides the pipe's pickle path.  On the way back, each run of
+patterns in a subtask's outputs travels as one
+:class:`~repro.streaming.dataflow.PatternColumns` token (object tuples
+and time sequences as two lists) and is rebuilt in the master.
 
 Outputs are concatenated in subtask-index order, exactly like the serial
 and parallel backends, so the emitted element sequence — and every
@@ -48,7 +60,9 @@ from repro.streaming.dataflow import (
     StageWork,
     count_elements,
     decode_exchange_elements,
+    decode_pattern_runs,
     encode_exchange_elements,
+    encode_pattern_runs,
 )
 from repro.state.codec import decode_payload, encode_payload
 from repro.streaming.runtime.base import ExecutionBackend, GraphSpec
@@ -109,7 +123,12 @@ class _WorkerState:
             # 4th entry, so master-side telemetry is complete under
             # process isolation.
             results.append(
-                (subtask_index, outputs, busy, runtime.drain_spans())
+                (
+                    subtask_index,
+                    encode_pattern_runs(outputs),
+                    busy,
+                    runtime.drain_spans(),
+                )
             )
         return results
 
@@ -118,7 +137,9 @@ class _WorkerState:
         results = []
         for index in indices:
             outputs, busy = runtime.finish_subtask(index)
-            results.append((index, outputs, busy, runtime.drain_spans()))
+            results.append(
+                (index, encode_pattern_runs(outputs), busy, runtime.drain_spans())
+            )
         return results
 
     def collect_states(self, stage_index: int, tasks) -> list[tuple]:
@@ -282,7 +303,11 @@ class ProcessBackend(ExecutionBackend):
             :func:`~repro.streaming.runtime.parallel.default_worker_count`
             (affinity-aware).  Stages with fewer subtasks than workers
             leave workers idle for that stage; stages with more give
-            each worker several subtasks.
+            each worker several subtasks.  A stage with one subtask runs
+            in the master, so with ``max_workers=1`` (``parallel_workers
+            =1``) and the fan-out following the backend, every stage has
+            one subtask and the whole graph runs in the master, like the
+            serial backend; the one worker is still spawned and idles.
     """
 
     name = "process"
@@ -438,6 +463,16 @@ class ProcessBackend(ExecutionBackend):
                 f"job graph {sorted(self._stage_index)}"
             ) from None
 
+    def _in_master(self, runtime: StageRuntime) -> bool:
+        """Whether the stage runs in the master: it has one subtask.
+
+        Execution and every control query of such a stage use the
+        master-side runtime (see the module docstring).  Raises like any
+        stage address when no graph is bound.
+        """
+        self._stage_address(runtime)
+        return len(runtime.subtasks) == 1
+
     def _dispatch(
         self,
         runtime: StageRuntime,
@@ -469,7 +504,7 @@ class ProcessBackend(ExecutionBackend):
                 failure = failure or reply[1]
                 continue
             for subtask_index, outputs, seconds, spans in reply[1]:
-                by_subtask[subtask_index] = outputs
+                by_subtask[subtask_index] = decode_pattern_runs(outputs)
                 busy[subtask_index] = seconds
                 spans_by_subtask[subtask_index] = spans
             released.update(reply[2])
@@ -530,6 +565,8 @@ class ProcessBackend(ExecutionBackend):
         crosses the command pipe and must pickle (ICPE passes the
         snapshot time, an ``int``).
         """
+        if self._in_master(runtime):
+            return runtime.run(elements, ctx)
         started = _time.perf_counter()
         stage_index = self._stage_address(runtime)
         buckets = runtime.partition(elements)
@@ -558,6 +595,8 @@ class ProcessBackend(ExecutionBackend):
         self, runtime: StageRuntime
     ) -> tuple[list[Any], StageWork]:
         """Flush every subtask's state inside its owning worker."""
+        if self._in_master(runtime):
+            return runtime.finish()
         started = _time.perf_counter()
         stage_index = self._stage_address(runtime)
         workers = len(self._conns)
@@ -627,6 +666,8 @@ class ProcessBackend(ExecutionBackend):
         known_digests: dict[int, str] | None = None,
     ) -> list[tuple[int, str, bytes | None]]:
         """Capture the stage's operator state through the worker protocol."""
+        if self._in_master(runtime):
+            return super().collect_states(runtime, known_digests)
         known = known_digests or {}
         args = [
             (index, known.get(index))
@@ -638,6 +679,8 @@ class ProcessBackend(ExecutionBackend):
         self, runtime: StageRuntime, payloads: Sequence[tuple[int, bytes]]
     ) -> None:
         """Restore checkpointed state into each subtask's owning worker."""
+        if self._in_master(runtime):
+            return super().restore_states(runtime, payloads)
         args: list = [None] * len(runtime.subtasks)
         for index, data in payloads:
             args[index] = (index, data)
@@ -647,6 +690,8 @@ class ProcessBackend(ExecutionBackend):
         self, runtime: StageRuntime
     ) -> list[tuple[int, dict[str, int]]]:
         """Gather per-subtask memory accounting through the worker protocol."""
+        if self._in_master(runtime):
+            return super().collect_metrics(runtime)
         args = list(range(len(runtime.subtasks)))
         return self._control(runtime, "metrics", args)
 
@@ -654,6 +699,8 @@ class ProcessBackend(ExecutionBackend):
         self, runtime: StageRuntime
     ) -> list[tuple[int, frozenset[int]]]:
         """Gather shed-protected oid sets through the worker protocol."""
+        if self._in_master(runtime):
+            return super().collect_protected(runtime)
         args = list(range(len(runtime.subtasks)))
         return self._control(runtime, "protected", args)
 
@@ -661,5 +708,7 @@ class ProcessBackend(ExecutionBackend):
         self, runtime: StageRuntime
     ) -> list[tuple[int, tuple[tuple[int, int, int, int, int], ...]]]:
         """Gather forming-candidate descriptors through the worker protocol."""
+        if self._in_master(runtime):
+            return super().collect_forming(runtime)
         args = list(range(len(runtime.subtasks)))
         return self._control(runtime, "forming", args)

@@ -1,12 +1,9 @@
 """Cluster metrics parity: the process backend reports like serial.
 
-Before this PR the process backend reported ``average_cluster_size`` as
-0.0 and ``last_cluster_snapshot`` as ``None`` — the live cluster
-operator existed only inside a worker process.  The reply protocol's
-``state`` command now fetches the worker-side aggregates, so every
+The cluster stage has one subtask, which the process backend runs in
+the master, so the live cluster operator is the master-side one.  Every
 metrics surface must agree with a serial run of the same stream, both
-mid-stream and after ``finish()`` (when the workers are already gone
-and the final values must have been retained).
+mid-stream and after ``finish()`` (when the workers are already gone).
 """
 
 from __future__ import annotations
