@@ -21,8 +21,6 @@ Results are written to ``benchmarks/results/enum_kernel_speedup.txt``.
 
 import pytest
 
-pytest.importorskip("numpy", reason="the numpy enumeration kernel needs NumPy")
-
 from benchmarks.conftest import (
     DEFAULT_CONSTRAINTS,
     DEFAULT_EPS_PCT,

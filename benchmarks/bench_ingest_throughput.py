@@ -7,8 +7,8 @@ pipeline is throughput-bound at ingestion rather than at enumeration —
 detected with the vectorized NumPy clustering and enumeration kernels so
 the data plane, not the kernels, is what the two paths differ in:
 
-* **per-point** — every record through ``Session.feed`` (the one-row
-  compatibility path);
+* **per-point** — every record through ``Session.feed`` (the
+  synchronisation operator's scalar update, then the columnar pipeline);
 * **batched** — the identical record stream through
   ``Session.feed_batch`` in columnar ``RecordBatch`` chunks.
 
@@ -17,8 +17,9 @@ ingest must stay at least 1.15x per-point ingest (measured 1.3-1.4x;
 clustering and enumeration are common to both and bound the ratio).
 Per-point ingest has its own budget: the same per-point run with the
 time-synchronisation operator swapped for the retained row-at-a-time
-chain walk (``_ChainWalkSync``) is the yardstick, and ``Session.feed``
-on the array state must stay within 1.25x of it per record.  A last measurement quantifies the
+chain walk (``tests/streaming/reference_sync.py``) is the yardstick, and
+``Session.feed`` on the array state must stay within 1.25x of it per
+record.  A last measurement quantifies the
 zero-sink dispatch short-circuit: a session with no subscribed sinks
 against the same run with one no-op sink.
 
@@ -32,15 +33,12 @@ import time
 
 import pytest
 
-pytest.importorskip("numpy", reason="the vectorized ingest path needs NumPy")
-
 from repro.bench.report import format_table, write_report
 from repro.core.config import ICPEConfig
 from repro.data.taxi import TaxiConfig, generate_taxi
-from repro.model.batch import RecordBatch
 from repro.model.constraints import PatternConstraints
 from repro.session import Session
-from repro.streaming.sync import _ChainWalkSync
+from tests.streaming.reference_sync import _ChainWalkSync
 
 BATCH_SIZE = 2048
 ROUNDS = 3

@@ -17,8 +17,6 @@ Results are written to ``benchmarks/results/kernel_speedup.txt``.
 
 import pytest
 
-pytest.importorskip("numpy", reason="the numpy kernel needs NumPy")
-
 from benchmarks.conftest import (
     DEFAULT_CONSTRAINTS,
     DEFAULT_EPS_PCT,

@@ -81,7 +81,7 @@ def main() -> None:
     packed = dataset.to_batch()
     head = packed[:5]
     print(f"\nfirst {len(head)} rows of the packed workload "
-          f"(backing={packed.backing!r}):")
+          f"({packed.oids.dtype} / {packed.xs.dtype} columns):")
     for record in head.to_records():
         print(f"  oid={record.oid:<4} t={record.time:<3} "
               f"({record.x:8.1f}, {record.y:8.1f}) last={record.last_time}")

@@ -6,9 +6,6 @@ combination of the PED phase — the reference per-anchor state machines
 bitmaps (``"numpy"``) for FBA and VBA — verifies the detected pattern
 sets are identical, and prints the measured wall-clock times.
 
-Falls back to a reference-only run when NumPy is not installed (the
-vectorized kernel is an optional strategy, never a requirement).
-
 Run:  python examples/enumeration_kernels.py
 """
 
@@ -18,7 +15,6 @@ import time
 
 from repro import open_session
 from repro.data.taxi import TaxiConfig, generate_taxi
-from repro.enumeration.kernels import numpy_available
 from repro.model.constraints import PatternConstraints
 
 
@@ -59,16 +55,10 @@ def main() -> None:
     )
     print(f"Dataset: {dataset.statistics().as_row()}")
 
-    kernels = ["python"]
-    if numpy_available():
-        kernels.append("numpy")
-    else:
-        print("NumPy not installed - showing the reference kernel only.\n")
-
     print(f"{'enumerator':>10}  {'kernel':>7}  {'seconds':>8}  {'patterns':>8}  equal")
     for enumerator in ("fba", "vba"):
         reference = None
-        for kernel in kernels:
+        for kernel in ("python", "numpy"):
             signature, seconds = detect(dataset, enumerator, kernel)
             if reference is None:
                 reference = signature

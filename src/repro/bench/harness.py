@@ -54,15 +54,14 @@ def registered_strategy_names(
     """Sweepable plugin names of one strategy axis, reference first.
 
     Reads the plugin registry (so entry-point plugins join sweeps
-    automatically), keeps only plugins whose runtime requirements are
-    met on this host, and moves ``reference`` — the row speedups are
+    automatically) and moves ``reference`` — the row speedups are
     measured against — to the front when present.  The backend / kernel
     comparison runners use this as their default instead of hardcoded
     name lists.
     """
     from repro.registry import default_registry
 
-    names = list(default_registry().available_names(kind))
+    names = list(default_registry().names(kind))
     if reference is not None and reference in names:
         names.remove(reference)
         names.insert(0, reference)

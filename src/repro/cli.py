@@ -35,7 +35,6 @@ from repro.data.brinkhoff import BrinkhoffConfig, generate_brinkhoff
 from repro.data.dataset import TrajectoryDataset
 from repro.data.geolife import GeoLifeConfig, generate_geolife
 from repro.data.taxi import TaxiConfig, generate_taxi
-from repro.kernels import numpy_available
 from repro.model.constraints import PatternConstraints
 from repro.observability import ObservabilityOptions
 from repro.registry import PLUGIN_KINDS, PluginError, default_registry
@@ -46,16 +45,6 @@ GENERATORS = {
     "brinkhoff": (generate_brinkhoff, BrinkhoffConfig),
     "geolife": (generate_geolife, GeoLifeConfig),
     "taxi": (generate_taxi, TaxiConfig),
-}
-
-#: Strategy axis -> the CLI flag selecting it (error messages, listings).
-AXIS_FLAGS = {
-    "enumerator": "--enumerator",
-    "backend": "--backend",
-    "clustering_kernel": "--kernel",
-    "enumeration_kernel": "--enum-kernel",
-    "shed_policy": "--shed-policy",
-    "pattern_family": "--pattern-family",
 }
 
 
@@ -261,13 +250,11 @@ def cmd_plugins(args: argparse.Namespace) -> int:
     rows = []
     for kind in kinds:
         for spec in registry.specs(kind):
-            missing = spec.missing_requirement()
             rows.append(
                 {
                     "kind": spec.kind,
                     "name": spec.name,
                     "source": spec.source,
-                    "available": "yes" if missing is None else f"no ({missing})",
                     "capabilities": spec.capabilities.summary_markers(),
                     "summary": spec.summary,
                 }
@@ -280,13 +267,11 @@ def _selection_error(args: argparse.Namespace) -> str | None:
     """One-line reason the requested plugin selection cannot run, if any.
 
     Unknown names are already rejected by argparse ``choices``; this
-    covers the capability layer — invalid cross-axis combinations
-    (declarative registry check) and unmet runtime requirements, each
-    phrased in terms of the CLI flag that selects the offending plugin.
+    covers the capability layer — invalid cross-axis combinations, from
+    the declarative registry check.
     """
-    registry = default_registry()
     try:
-        selection = registry.validate_selection(
+        default_registry().validate_selection(
             enumerator=args.enumerator,
             backend=args.backend,
             clustering_kernel=args.kernel,
@@ -296,22 +281,6 @@ def _selection_error(args: argparse.Namespace) -> str | None:
         )
     except PluginError as error:
         return str(error)
-    for kind, spec in selection.items():
-        # The module-level numpy_available reference keeps the check
-        # monkeypatchable per the established CLI test seam.
-        if spec.capabilities.requires_numpy and not numpy_available():
-            flag = AXIS_FLAGS[kind]
-            message = (
-                f"{flag} {spec.name} requires NumPy, which is not installed"
-            )
-            alternatives = [
-                name
-                for name in registry.available_names(kind)
-                if name != spec.name
-            ]
-            if alternatives:
-                message += f"; use {flag} {alternatives[0]}"
-            return message
     return None
 
 

@@ -27,7 +27,7 @@ class ClusteringConfig:
         lemma1, lemma2, local_index: ablation switches (paper defaults on).
         kernel: snapshot-clustering kernel strategy — ``"python"`` (the
             reference object path, default) or ``"numpy"`` (vectorized;
-            identical results, requires NumPy).
+            identical results).
     """
 
     epsilon: float

@@ -63,14 +63,13 @@ class ICPEConfig:
         clustering_kernel: snapshot-clustering kernel strategy —
             ``"python"`` (the reference object path, default) or
             ``"numpy"`` (vectorized array kernel; identical cluster and
-            pattern sets, requires the optional NumPy dependency).
+            pattern sets).
             Composable with either execution backend.
         enumeration_kernel: pattern-enumeration kernel strategy —
             ``"python"`` (reference per-anchor state machines, default)
             or ``"numpy"`` (batched membership bitmaps across every
-            anchor of a subtask; identical pattern sets, requires the
-            optional NumPy dependency and a bit-compression enumerator,
-            i.e. ``fba`` or ``vba``).  Composable with either execution
+            anchor of a subtask; identical pattern sets, requires a
+            bit-compression enumerator, i.e. ``fba`` or ``vba``).  Composable with either execution
             backend and either clustering kernel.
         shed_policy: load-shedding policy applied to completed snapshots
             before clustering — ``"none"`` (default, no shedding),

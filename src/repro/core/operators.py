@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable
 
+import numpy as np
+
 from repro.enumeration.base import AnchorEnumerator
 from repro.enumeration.kernels.base import EnumerationKernel
 from repro.enumeration.kernels.python_ref import (
@@ -38,11 +40,6 @@ from repro.join.query import CellJoiner
 from repro.model.batch import PartitionBatch, SnapshotBatch
 from repro.model.snapshot import ClusterSnapshot
 from repro.streaming.dataflow import Operator, count_elements
-
-try:  # pragma: no cover - exercised only on numpy-less hosts
-    import numpy as np
-except ModuleNotFoundError:  # pragma: no cover
-    np = None
 
 PartitionRecord = tuple[int, int, frozenset[int]]  # (time, anchor, members)
 

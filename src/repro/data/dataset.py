@@ -83,8 +83,8 @@ class TrajectoryDataset:
     def batches(self, batch_size: int) -> Iterator[RecordBatch]:
         """Stream the dataset as columnar batches of ``batch_size``.
 
-        Slices of one packed batch — zero-copy views on the array
-        backing — in stream order; the final batch may be shorter.
+        Slices of one packed batch — zero-copy column views — in stream
+        order; the final batch may be shorter.
         """
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")

@@ -9,8 +9,8 @@ strategies behind one contract
   VBA), driven exactly like the classic enumerate operator; the default.
 * ``"numpy"`` — contiguous membership bitmaps across all anchors of a
   subtask, vectorized window builds, popcount candidate screens and
-  Lemma-7 trailing-zero closing; requires the optional NumPy dependency
-  and the bit-compression enumerators (``fba`` / ``vba``).
+  Lemma-7 trailing-zero closing; requires the bit-compression
+  enumerators (``fba`` / ``vba``).
 
 All kernels produce identical pattern streams by construction (the exact
 validity predicate and the combination growth are shared code), so the
@@ -26,7 +26,6 @@ from repro.enumeration.kernels.base import EnumerationKernel
 from repro.enumeration.kernels.numpy_kernel import (
     BITMAP_ENUMERATORS,
     NumpyEnumerationKernel,
-    numpy_available,
 )
 from repro.enumeration.kernels.python_ref import (
     PythonEnumerationKernel,
@@ -44,7 +43,6 @@ __all__ = [
     "PythonEnumerationKernel",
     "anchor_enumerator_factory",
     "make_enumeration_kernel",
-    "numpy_available",
 ]
 
 
@@ -75,7 +73,6 @@ def make_enumeration_kernel(
         ValueError: for an unknown kernel name, an unknown enumerator,
             or a vectorized kernel combined with an enumerator that has
             no bitmap form.
-        RuntimeError: when the kernel's optional dependency is missing.
     """
     from repro.registry import default_registry
 

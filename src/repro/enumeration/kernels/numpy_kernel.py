@@ -44,12 +44,11 @@ are the same code the reference path runs, in the same per-anchor
 order.  Kernel equivalence therefore says nothing about the engine
 itself; ``tests/enumeration/test_growth_engine.py`` holds it to the
 retained pre-engine loops and to a brute-force oracle instead.
-
-NumPy is an *optional* dependency: this module imports without it, and
-constructing the kernel raises a clear error when it is missing.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.enumeration.bitstring import ClosedBitString, valid_sequences_of_bits
 from repro.enumeration.growth import WindowCover, grow_window
@@ -59,20 +58,10 @@ from repro.model.batch import PartitionBatch
 from repro.model.constraints import PatternConstraints
 from repro.model.pattern import CoMovementPattern
 
-try:  # pragma: no cover - exercised only on numpy-less hosts
-    import numpy as np
-except ModuleNotFoundError:  # pragma: no cover
-    np = None
-
 #: Enumerators with a batched bitmap form.  BA has none: it materialises
 #: explicit subsets instead of per-trajectory bit strings, so there is
 #: nothing column-shaped to vectorize.
 BITMAP_ENUMERATORS = ("fba", "vba")
-
-
-def numpy_available() -> bool:
-    """Whether the optional NumPy dependency is importable."""
-    return np is not None
 
 
 def _isin_sorted(sorted_keys, queries):
@@ -84,18 +73,9 @@ def _isin_sorted(sorted_keys, queries):
     return sorted_keys[pos] == queries
 
 
-if np is not None and hasattr(np, "bitwise_count"):
-
-    def _popcount_rows(words):
-        """Set-bit count per row of a uint64 word matrix."""
-        return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
-
-else:  # pragma: no cover - numpy < 2.0 fallback
-
-    def _popcount_rows(words):
-        """Set-bit count per row of a uint64 word matrix."""
-        as_bytes = words.view(np.uint8).reshape(words.shape[0], -1)
-        return np.unpackbits(as_bytes, axis=1).sum(axis=1, dtype=np.int64)
+def _popcount_rows(words):
+    """Set-bit count per row of a uint64 word matrix."""
+    return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
 
 
 def _words_to_int(row) -> int:
@@ -873,11 +853,6 @@ class NumpyEnumerationKernel(EnumerationKernel):
         constraints: PatternConstraints,
         vba_candidate_retention: int | None = None,
     ):
-        if np is None:
-            raise RuntimeError(
-                "the 'numpy' enumeration kernel requires NumPy, which is "
-                "not installed; use enumeration_kernel='python' instead"
-            )
         if enumerator not in BITMAP_ENUMERATORS:
             raise ValueError(
                 "the 'numpy' enumeration kernel batches membership bit "

@@ -12,13 +12,10 @@ from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as np
+
 from repro.model.batch import PartitionBatch, packable_ids
 from repro.model.snapshot import ClusterSnapshot
-
-try:  # pragma: no cover - exercised only on numpy-less hosts
-    import numpy as np
-except ModuleNotFoundError:  # pragma: no cover
-    np = None
 
 
 def id_partitions(

@@ -7,7 +7,7 @@ interchangeable implementation strategies behind one contract
 * ``"python"`` — the reference object walk (GR-index join, honours every
   ablation switch); the default.
 * ``"numpy"`` — contiguous-array bucketing, searchsorted cell matching and
-  vectorized DBSCAN labeling; requires the optional NumPy dependency.
+  vectorized DBSCAN labeling.
 
 All kernels produce identical cluster sets by construction (exact pair
 verification + the canonical border rule), so the choice is purely a
@@ -29,7 +29,7 @@ from dataclasses import fields as _dataclass_fields
 
 from repro.join.range_join import RangeJoinConfig
 from repro.kernels.base import ClusteringKernel
-from repro.kernels.numpy_kernel import NumpyKernel, numpy_available
+from repro.kernels.numpy_kernel import NumpyKernel
 from repro.kernels.python_ref import PythonKernel
 
 KERNELS = ("python", "numpy")
@@ -49,7 +49,6 @@ __all__ = [
     "NumpyKernel",
     "PythonKernel",
     "make_kernel",
-    "numpy_available",
 ]
 
 
@@ -85,7 +84,6 @@ def make_kernel(
         ValueError: for an unknown kernel name, or a kernel whose
             registered capabilities lack ``supports_ablation`` combined
             with non-default ablation switches.
-        RuntimeError: when the kernel's optional dependency is missing.
     """
     from repro.registry import default_registry
 

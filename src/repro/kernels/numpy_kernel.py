@@ -34,27 +34,17 @@ the labeling reproduces the canonical border rule of
 pairs, i.e. point pairs in 3x3-adjacent buckets, each unordered pair
 once; ``occupied_cells`` — distinct occupied buckets; ``result_pairs`` —
 pairs within epsilon.
-
-NumPy is an *optional* dependency: this module imports without it, and
-constructing the kernel raises a clear error when it is missing.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.cluster.dbscan import DBSCANResult
 from repro.geometry.distance import canonical_metric_name
 from repro.geometry.rect import pruning_epsilon
 from repro.join.range_join import JoinStats
 from repro.kernels.base import ClusteringKernel, Points
-
-try:  # pragma: no cover - exercised only on numpy-less hosts
-    import numpy as np
-except ModuleNotFoundError:  # pragma: no cover
-    np = None
-
-def numpy_available() -> bool:
-    """Whether the optional NumPy dependency is importable."""
-    return np is not None
 
 
 class NumpyKernel(ClusteringKernel):
@@ -73,11 +63,6 @@ class NumpyKernel(ClusteringKernel):
         vectorized join has no object replication, no local trees, and
         picks its own bucket width.  :func:`repro.kernels.make_kernel`
         rejects non-default switch combinations with a clear error."""
-        if np is None:
-            raise RuntimeError(
-                "the 'numpy' clustering kernel requires NumPy, which is not "
-                "installed; use clustering_kernel='python' instead"
-            )
         super().__init__(epsilon, min_pts)
         self.metric_name = canonical_metric_name(metric_name)
         # Bucket width: any pair at metric distance <= epsilon (all

@@ -9,8 +9,7 @@ vectorized.  This module holds the columnar types that replace that
 record-at-a-time plane:
 
 * :class:`RecordBatch` — a batch of ``(oid, x, y, time, last_time)``
-  *columns* (NumPy arrays when the optional dependency is available,
-  plain lists otherwise) with zero-copy slicing on the array backing,
+  *columns* (int64 / float64 NumPy arrays) with zero-copy slicing,
   ``from_records`` / ``to_records`` converters, CSV-row and dataset
   constructors, and ``pack()`` chunking for auto-batching iterables.
 * :class:`SnapshotBatch` — one complete snapshot in columnar form
@@ -24,22 +23,17 @@ record-at-a-time plane:
 * :class:`PartitionBatch` — one snapshot's id-based partitions (Lemma 3)
   as sorted anchors plus sorted packed ``anchor << 32 | oid`` keys, the
   envelope the kernel clustering stage emits and the numpy enumeration
-  kernel consumes, so no Python set is built per anchor.
+  kernel consumes, so no Python set is built per anchor.  Partition
+  envelopes exist only on the numpy kernels' path.
 
-NumPy stays optional: the record and snapshot types degrade to
-list-backed columns with identical semantics, and every consumer treats
-the backing as an implementation detail.  Partition envelopes exist only
-on the numpy kernels' path.
-
-Both types also carry a flat *shared-memory codec* (``shm_nbytes`` /
-``to_shm`` / ``from_shm``): the columns of an array-backed batch are
+The record and snapshot types also carry a flat *shared-memory codec*
+(``shm_nbytes`` / ``to_shm`` / ``from_shm``): the columns of a batch are
 written contiguously into any writable buffer — a
 ``multiprocessing.shared_memory`` segment in production, a plain
 ``bytearray`` in tests — and reconstructed on the reader side as
 zero-copy NumPy views over that buffer.  This is the transport the
 ``process`` execution backend uses to ship keyed-exchange envelopes
-between worker processes without pickling the column data; list-backed
-batches have no flat layout and take the pickle fallback instead.
+between worker processes without pickling the column data.
 """
 
 from __future__ import annotations
@@ -47,36 +41,34 @@ from __future__ import annotations
 from math import isfinite
 from typing import Iterable, Iterator, Sequence
 
+import numpy as _np
+
 from repro.model.records import Location, StreamRecord
 from repro.model.snapshot import Snapshot
 
-try:  # pragma: no cover - exercised only on numpy-less hosts
-    import numpy as _np
-except ModuleNotFoundError:  # pragma: no cover
-    _np = None
-
-#: Sentinel encoding ``last_time is None`` in the int64 array backing.
-#: int64-min cannot collide with any discretized time a stream produces.
+#: Sentinel encoding ``last_time is None`` in the int64 ``last_times``
+#: column.  int64-min cannot collide with any discretized time a stream
+#: produces.
 NO_LAST_TIME = -(2**63)
 
 
-def _batch_numpy_available() -> bool:
-    """Whether batches use the NumPy array backing in this process."""
-    return _np is not None
+def _non_finite_error(record: StreamRecord) -> ValueError:
+    """The refusal of a record with a NaN or infinite coordinate."""
+    return ValueError(
+        f"non-finite coordinate in record (oid={record.oid}, "
+        f"time={record.time}): x={float(record.x)!r}, y={float(record.y)!r}; "
+        "every x and y must be a finite number"
+    )
 
 
-def _require_numpy_backing(batch, operation: str) -> None:
-    """Shared-memory codec precondition: flat array columns.
+def require_finite_record(record: StreamRecord) -> None:
+    """Refuse one record holding a NaN or infinite coordinate.
 
-    List-backed batches have no contiguous layout to copy; callers route
-    them through the pickle fallback instead (the process backend does
-    exactly that in its keyed exchange).
+    The per-point twin of :meth:`RecordBatch.require_finite`, with the
+    same error.
     """
-    if _np is None or batch.backing != "numpy":
-        raise ValueError(
-            f"{operation} requires the NumPy array backing; this batch is "
-            f"list-backed — use pickle for list-backed batches"
-        )
+    if not (isfinite(record.x) and isfinite(record.y)):
+        raise _non_finite_error(record)
 
 
 def _write_shm_columns(buffer, offset: int, columns) -> int:
@@ -116,11 +108,9 @@ def _read_shm_columns(buffer, offset: int, dtypes, count: int):
 class RecordBatch:
     """A columnar batch of stream records: five parallel columns.
 
-    Columns are ``oids`` (int), ``xs`` / ``ys`` (float), ``times`` (int)
-    and ``last_times`` (int, with :data:`NO_LAST_TIME` standing in for
-    ``None``).  With NumPy available the columns are contiguous
-    ``int64`` / ``float64`` arrays and slicing returns zero-copy views;
-    without it they are plain lists and slicing copies.  Batches are
+    Columns are ``oids`` (int64), ``xs`` / ``ys`` (float64), ``times``
+    (int64) and ``last_times`` (int64, with :data:`NO_LAST_TIME` standing
+    in for ``None``), and slicing returns zero-copy views.  Batches are
     treated as immutable by every consumer.
 
     Build one with :meth:`from_records`, :meth:`from_columns`,
@@ -131,18 +121,22 @@ class RecordBatch:
     __slots__ = ("oids", "xs", "ys", "times", "last_times")
 
     def __init__(self, oids, xs, ys, times, last_times):
-        """Wrap five equal-length columns (validated; not copied)."""
+        """Wrap five equal-length columns as int64 / float64 arrays.
+
+        ``np.asarray`` does not copy a column that already is an array
+        of its dtype; any other sequence is converted once.
+        """
         n = len(oids)
         if not (len(xs) == len(ys) == len(times) == len(last_times) == n):
             raise ValueError(
                 "RecordBatch columns must have equal lengths, got "
                 f"{(len(oids), len(xs), len(ys), len(times), len(last_times))}"
             )
-        self.oids = oids
-        self.xs = xs
-        self.ys = ys
-        self.times = times
-        self.last_times = last_times
+        self.oids = _np.asarray(oids, dtype=_np.int64)
+        self.xs = _np.asarray(xs, dtype=_np.float64)
+        self.ys = _np.asarray(ys, dtype=_np.float64)
+        self.times = _np.asarray(times, dtype=_np.int64)
+        self.last_times = _np.asarray(last_times, dtype=_np.int64)
 
     # ------------------------------------------------------------ constructors
 
@@ -157,29 +151,14 @@ class RecordBatch:
     ) -> "RecordBatch":
         """Build from column sequences (``last_times`` entries may be
         ``None``; a missing column means "no record has a predecessor")."""
-        n = len(oids)
         if last_times is None:
-            lasts: list[int] = [NO_LAST_TIME] * n
+            lasts = _np.full(len(oids), NO_LAST_TIME, dtype=_np.int64)
         else:
             lasts = [
                 NO_LAST_TIME if value is None else int(value)
                 for value in last_times
             ]
-        if _np is not None:
-            return cls(
-                _np.asarray(oids, dtype=_np.int64),
-                _np.asarray(xs, dtype=_np.float64),
-                _np.asarray(ys, dtype=_np.float64),
-                _np.asarray(times, dtype=_np.int64),
-                _np.asarray(lasts, dtype=_np.int64),
-            )
-        return cls(
-            [int(v) for v in oids],
-            [float(v) for v in xs],
-            [float(v) for v in ys],
-            [int(v) for v in times],
-            lasts,
-        )
+        return cls(oids, xs, ys, times, lasts)
 
     @classmethod
     def from_records(
@@ -197,31 +176,7 @@ class RecordBatch:
             ys.append(r.y)
             times.append(r.time)
             lasts.append(NO_LAST_TIME if r.last_time is None else r.last_time)
-        if _np is not None:
-            return cls(
-                _np.array(oids, dtype=_np.int64),
-                _np.array(xs, dtype=_np.float64),
-                _np.array(ys, dtype=_np.float64),
-                _np.array(times, dtype=_np.int64),
-                _np.array(lasts, dtype=_np.int64),
-            )
         return cls(oids, xs, ys, times, lasts)
-
-    @classmethod
-    def single(cls, record: StreamRecord) -> "RecordBatch":
-        """A one-row, list-backed batch (the per-point compatibility path).
-
-        Per-record array construction would dominate a one-row batch, so
-        this constructor always uses the list backing — the batch
-        consumers are backing-agnostic, and ``Session.feed`` stays cheap.
-        """
-        return cls(
-            [record.oid],
-            [record.x],
-            [record.y],
-            [record.time],
-            [NO_LAST_TIME if record.last_time is None else record.last_time],
-        )
 
     @classmethod
     def from_csv_rows(
@@ -291,7 +246,7 @@ class RecordBatch:
 
     def __getitem__(self, index):
         """Row access: an ``int`` boxes one record, a ``slice`` returns a
-        batch over column views (zero-copy on the array backing)."""
+        batch over zero-copy column views."""
         if isinstance(index, slice):
             return RecordBatch(
                 self.oids[index],
@@ -308,81 +263,29 @@ class RecordBatch:
             yield self.record_at(i)
 
     def __repr__(self) -> str:
-        return (
-            f"RecordBatch(n={len(self)}, backing={self.backing!r})"
-        )
-
-    @property
-    def backing(self) -> str:
-        """``"numpy"`` for array columns, ``"python"`` for list columns."""
-        if _np is not None and isinstance(self.oids, _np.ndarray):
-            return "numpy"
-        return "python"
+        return f"RecordBatch(n={len(self)})"
 
     def min_time(self) -> int:
         """Smallest record time in the batch (batch must be non-empty)."""
         if not len(self):
             raise ValueError("min_time() of an empty batch")
-        if self.backing == "numpy":
-            return int(self.times.min())
-        return min(self.times)
+        return int(self.times.min())
 
     def max_time(self) -> int:
         """Largest record time in the batch (batch must be non-empty)."""
         if not len(self):
             raise ValueError("max_time() of an empty batch")
-        if self.backing == "numpy":
-            return int(self.times.max())
-        return max(self.times)
-
-    def column_lists(
-        self,
-    ) -> tuple[list[int], list[float], list[float], list[int], list[int]]:
-        """The five columns as plain Python lists (one bulk conversion).
-
-        ``tolist()`` on the array backing converts wholesale in C — the
-        batch-path synchronisation walk reads rows from these instead of
-        paying per-element array indexing.
-        """
-        if self.backing == "numpy":
-            return (
-                self.oids.tolist(),
-                self.xs.tolist(),
-                self.ys.tolist(),
-                self.times.tolist(),
-                self.last_times.tolist(),
-            )
-        return (self.oids, self.xs, self.ys, self.times, self.last_times)
+        return int(self.times.max())
 
     def require_finite(self) -> None:
         """Refuse a batch holding a NaN or infinite coordinate.
 
-        One vectorised check on the array backing, ``math.isfinite`` per
-        row on the list backing.  The error names the first offending
+        One vectorised check; the error names the first offending
         record's ``(oid, time)``.
         """
-        if self.backing == "numpy":
-            bad = ~(_np.isfinite(self.xs) & _np.isfinite(self.ys))
-            if not bad.any():
-                return
-            index = int(bad.argmax())
-        else:
-            index = next(
-                (
-                    i
-                    for i, (x, y) in enumerate(zip(self.xs, self.ys))
-                    if not (isfinite(x) and isfinite(y))
-                ),
-                None,
-            )
-            if index is None:
-                return
-        record = self.record_at(index)
-        raise ValueError(
-            f"non-finite coordinate in record (oid={record.oid}, "
-            f"time={record.time}): x={record.x!r}, y={record.y!r}; "
-            "every x and y must be a finite number"
-        )
+        bad = ~(_np.isfinite(self.xs) & _np.isfinite(self.ys))
+        if bad.any():
+            raise _non_finite_error(self.record_at(int(bad.argmax())))
 
     # ------------------------------------------------------ shared-memory codec
 
@@ -391,7 +294,6 @@ class RecordBatch:
 
     def shm_nbytes(self) -> int:
         """Bytes :meth:`to_shm` writes: five 8-byte columns per row."""
-        _require_numpy_backing(self, "RecordBatch.shm_nbytes")
         return 8 * len(self._SHM_DTYPES) * len(self)
 
     def to_shm(self, buffer, offset: int = 0) -> dict:
@@ -403,7 +305,6 @@ class RecordBatch:
         ``buf`` in production, a ``bytearray`` in tests — and must hold
         at least ``offset + shm_nbytes()`` bytes.
         """
-        _require_numpy_backing(self, "RecordBatch.to_shm")
         _write_shm_columns(
             buffer,
             offset,
@@ -420,8 +321,6 @@ class RecordBatch:
         as long as the batch (or anything derived from its columns by
         reference) is alive.
         """
-        if _np is None:  # pragma: no cover - guarded by the writer side
-            raise ValueError("RecordBatch.from_shm requires NumPy")
         if meta.get("kind") != "record":
             raise ValueError(f"not a RecordBatch shm descriptor: {meta!r}")
         columns = _read_shm_columns(
@@ -439,23 +338,6 @@ def _dedup_last_wins(oids, xs, ys):
     Reproduces dict-update semantics of :class:`Snapshot.locations`
     (``d[oid] = loc`` keeps the original position, takes the new value),
     so the columnar snapshot is indistinguishable from the object one.
-    """
-    last_index: dict[int, int] = {}
-    for i, oid in enumerate(oids):
-        last_index[oid] = i
-    if len(last_index) == len(oids):
-        return oids, xs, ys
-    keep = list(last_index.values())
-    return (
-        [oids[i] for i in keep],
-        [xs[i] for i in keep],
-        [ys[i] for i in keep],
-    )
-
-
-def _dedup_last_wins_arrays(oids, xs, ys):
-    """:func:`_dedup_last_wins` on array columns, without leaving NumPy.
-
     One plain sort decides whether any oid repeats; only then does a
     stable argsort find the first-occurrence positions and the
     last-occurrence values.
@@ -468,7 +350,7 @@ def _dedup_last_wins_arrays(oids, xs, ys):
     first = order[_np.concatenate(([True], ~repeats))]
     last = order[_np.concatenate((~repeats, [True]))]
     keep = last[_np.argsort(first)]
-    return oids[keep], _np.asarray(xs)[keep], _np.asarray(ys)[keep]
+    return oids[keep], xs[keep], ys[keep]
 
 
 class SnapshotBatch:
@@ -486,7 +368,8 @@ class SnapshotBatch:
     __slots__ = ("time", "oids", "xs", "ys")
 
     def __init__(self, time: int, oids, xs, ys, *, _deduped: bool = False):
-        """Wrap columns at ``time``; collapses duplicate oids unless the
+        """Wrap columns at ``time`` as int64 / float64 arrays (not copied
+        when they already are); collapses duplicate oids unless the
         caller guarantees distinctness (internal ``_deduped`` fast path).
         """
         if not (len(oids) == len(xs) == len(ys)):
@@ -494,18 +377,12 @@ class SnapshotBatch:
                 "SnapshotBatch columns must have equal lengths, got "
                 f"{(len(oids), len(xs), len(ys))}"
             )
+        oids = _np.asarray(oids, dtype=_np.int64)
+        xs = _np.asarray(xs, dtype=_np.float64)
+        ys = _np.asarray(ys, dtype=_np.float64)
         if not _deduped:
-            if _np is not None and isinstance(oids, _np.ndarray):
-                oids, xs, ys = _dedup_last_wins_arrays(oids, xs, ys)
-            else:
-                oids, xs, ys = _dedup_last_wins(
-                    list(oids), list(xs), list(ys)
-                )
+            oids, xs, ys = _dedup_last_wins(oids, xs, ys)
         self.time = int(time)
-        if _np is not None and not isinstance(oids, _np.ndarray):
-            oids = _np.asarray(oids, dtype=_np.int64)
-            xs = _np.asarray(xs, dtype=_np.float64)
-            ys = _np.asarray(ys, dtype=_np.float64)
         self.oids = oids
         self.xs = xs
         self.ys = ys
@@ -536,19 +413,10 @@ class SnapshotBatch:
     def __repr__(self) -> str:
         return f"SnapshotBatch(time={self.time}, n={len(self)})"
 
-    @property
-    def backing(self) -> str:
-        """``"numpy"`` for array columns, ``"python"`` for list columns."""
-        if _np is not None and isinstance(self.oids, _np.ndarray):
-            return "numpy"
-        return "python"
-
     def rows(self) -> Iterator[tuple[int, float, float]]:
         """Iterate ``(oid, x, y)`` row tuples (the range-join element
         shape) — the generic unrolling path for row-oriented operators."""
-        if self.backing == "numpy":
-            return zip(self.oids.tolist(), self.xs.tolist(), self.ys.tolist())
-        return zip(self.oids, self.xs, self.ys)
+        return zip(self.oids.tolist(), self.xs.tolist(), self.ys.tolist())
 
     #: The rows as the keyed exchange routes them: all of them.
     route_rows = rows
@@ -563,21 +431,9 @@ class SnapshotBatch:
         Row order follows ``indices``; oids stay distinct, so the dedup
         pass is skipped.
         """
-        if self.backing == "numpy":
-            idx = _np.asarray(indices, dtype=_np.int64)
-            return SnapshotBatch(
-                self.time,
-                self.oids[idx],
-                self.xs[idx],
-                self.ys[idx],
-                _deduped=True,
-            )
+        idx = _np.asarray(indices, dtype=_np.int64)
         return SnapshotBatch(
-            self.time,
-            [self.oids[i] for i in indices],
-            [self.xs[i] for i in indices],
-            [self.ys[i] for i in indices],
-            _deduped=True,
+            self.time, self.oids[idx], self.xs[idx], self.ys[idx], _deduped=True
         )
 
     # ------------------------------------------------------ shared-memory codec
@@ -587,7 +443,6 @@ class SnapshotBatch:
 
     def shm_nbytes(self) -> int:
         """Bytes :meth:`to_shm` writes: three 8-byte columns per row."""
-        _require_numpy_backing(self, "SnapshotBatch.shm_nbytes")
         return 8 * len(self._SHM_DTYPES) * len(self)
 
     def to_shm(self, buffer, offset: int = 0) -> dict:
@@ -598,7 +453,6 @@ class SnapshotBatch:
         backend ships through its command pipe while the column data
         crosses via the shared segment.
         """
-        _require_numpy_backing(self, "SnapshotBatch.to_shm")
         _write_shm_columns(buffer, offset, (self.oids, self.xs, self.ys))
         return {
             "kind": "snapshot",
@@ -616,8 +470,6 @@ class SnapshotBatch:
         batch is alive.  Oids were distinct when the writer serialized
         the batch, so the dedup pass is skipped.
         """
-        if _np is None:  # pragma: no cover - guarded by the writer side
-            raise ValueError("SnapshotBatch.from_shm requires NumPy")
         if meta.get("kind") != "snapshot":
             raise ValueError(f"not a SnapshotBatch shm descriptor: {meta!r}")
         columns = _read_shm_columns(

@@ -9,7 +9,7 @@ that with a single capability-aware extension point:
   :class:`PluginSpec`, the error hierarchy, and the declarative
   :func:`check_selection` compatibility rule;
 * :mod:`repro.registry.capabilities` — the per-plugin metadata
-  (``requires_numpy``, ``provides_bitmap_enumeration``, ...);
+  (``provides_bitmap_enumeration``, ``supports_ablation``, ...);
 * :mod:`repro.registry.builtin` — re-registration of every existing
   strategy (backends, clustering kernels, enumeration kernels,
   enumerators);
@@ -33,7 +33,6 @@ from repro.registry.core import (
     PluginError,
     PluginRegistry,
     PluginSpec,
-    PluginUnavailableError,
     UnknownPluginError,
     check_selection,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "PluginError",
     "PluginRegistry",
     "PluginSpec",
-    "PluginUnavailableError",
     "UnknownPluginError",
     "check_selection",
     "default_registry",

@@ -285,7 +285,6 @@ BUILTIN_SPECS: tuple[PluginSpec, ...] = (
         name="numpy",
         factory=_numpy_clustering_kernel,
         capabilities=PluginCapabilities(
-            requires_numpy=True,
             supports_ablation=False,
             honours_cell_width=False,
         ),
@@ -304,10 +303,7 @@ BUILTIN_SPECS: tuple[PluginSpec, ...] = (
         kind="enumeration_kernel",
         name="numpy",
         factory=_numpy_enumeration_kernel,
-        capabilities=PluginCapabilities(
-            requires_numpy=True,
-            requires_bitmap_enumeration=True,
-        ),
+        capabilities=PluginCapabilities(requires_bitmap_enumeration=True),
         summary="batched membership bitmaps, popcount screens, Lemma-7 closes",
         source="builtin",
     ),

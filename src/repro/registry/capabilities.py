@@ -3,8 +3,8 @@
 PRs 1-3 grew three strategy axes (execution backends, clustering
 kernels, enumeration kernels) plus the enumerator choice, each policing
 its own combinations with hand-rolled if-chains — the baseline x numpy
-rejection lived in ``ICPEConfig.__post_init__``, the NumPy-missing check
-in each kernel constructor, the ablation restriction in ``make_kernel``.
+rejection lived in ``ICPEConfig.__post_init__``, the ablation
+restriction in ``make_kernel``.
 :class:`PluginCapabilities` turns those facts into *data* attached to
 each registered plugin, so cross-axis validity is computed from
 capability pairs (see :func:`repro.registry.core.check_selection`)
@@ -21,8 +21,6 @@ class PluginCapabilities:
     """What a plugin needs and what it provides.
 
     Attributes:
-        requires_numpy: the plugin cannot be constructed without the
-            optional NumPy dependency (vectorized kernels).
         provides_bitmap_enumeration: the enumerator maintains Definition
             13/14 membership bit strings (FBA / VBA) and therefore has a
             batched bitmap form.
@@ -87,7 +85,6 @@ class PluginCapabilities:
             built-in backend declares it.
     """
 
-    requires_numpy: bool = False
     provides_bitmap_enumeration: bool = False
     requires_bitmap_enumeration: bool = False
     supports_ablation: bool = True
@@ -107,10 +104,8 @@ class PluginCapabilities:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def summary_markers(self) -> str:
-        """Compact marker string for CLI listings (e.g. ``numpy,bitmap``)."""
+        """Compact marker string for CLI listings (e.g. ``bitmap,no-ablation``)."""
         markers: list[str] = []
-        if self.requires_numpy:
-            markers.append("requires-numpy")
         if self.provides_bitmap_enumeration:
             markers.append("bitmap")
         if self.requires_bitmap_enumeration:

@@ -11,10 +11,9 @@ from capability pairs by :func:`check_selection`, replacing the
 per-combination if-chains that previously lived in
 ``ICPEConfig.__post_init__``.
 
-The error classes double-inherit from the built-in exception types the
-pre-registry code raised (``ValueError`` for bad names and invalid
-combinations, ``RuntimeError`` for missing optional dependencies), so
-every existing caller and test keeps working unchanged.
+The error classes double-inherit from ``ValueError``, the built-in
+exception type the pre-registry code raised for bad names and invalid
+combinations, so every existing caller and test keeps working unchanged.
 """
 
 from __future__ import annotations
@@ -53,22 +52,6 @@ class PluginCompatibilityError(PluginError, ValueError):
     """A selected combination of plugins is invalid by capability."""
 
 
-class PluginUnavailableError(PluginError, RuntimeError):
-    """A selected plugin's runtime requirement (e.g. NumPy) is unmet."""
-
-
-def _numpy_available() -> bool:
-    """True when the optional NumPy dependency actually imports.
-
-    Delegates to the kernels layer's import-based probe (rather than a
-    ``find_spec`` check) so a present-but-broken installation is
-    reported unavailable here exactly as it is everywhere else.
-    """
-    from repro.kernels.numpy_kernel import numpy_available
-
-    return numpy_available()
-
-
 @dataclass(frozen=True, slots=True)
 class PluginSpec:
     """One registered strategy: identity, factory, capabilities.
@@ -102,24 +85,8 @@ class PluginSpec:
                 f"kind={self.kind!r} name={self.name!r}"
             )
 
-    def missing_requirement(self) -> str | None:
-        """Name of the unmet runtime requirement, or ``None`` if usable."""
-        if self.capabilities.requires_numpy and not _numpy_available():
-            return "NumPy"
-        return None
-
-    def available(self) -> bool:
-        """True when every runtime requirement of the plugin is met."""
-        return self.missing_requirement() is None
-
     def create(self, *args: Any, **kwargs: Any) -> Any:
-        """Construct the plugin, first enforcing runtime requirements."""
-        missing = self.missing_requirement()
-        if missing is not None:
-            raise PluginUnavailableError(
-                f"{self.kind} {self.name!r} requires {missing}, which is "
-                f"not installed"
-            )
+        """Construct the plugin."""
         return self.factory(*args, **kwargs)
 
 
@@ -228,14 +195,6 @@ class PluginRegistry:
     def names(self, kind: str) -> tuple[str, ...]:
         """Registered names of one kind, in registration order."""
         return tuple(self._specs.get(kind, {}))
-
-    def available_names(self, kind: str) -> tuple[str, ...]:
-        """Names of one kind whose runtime requirements are met."""
-        return tuple(
-            spec.name
-            for spec in self._specs.get(kind, {}).values()
-            if spec.available()
-        )
 
     def specs(self, kind: str | None = None) -> tuple[PluginSpec, ...]:
         """Every spec of one kind — or of all kinds, grouped by kind."""

@@ -10,7 +10,7 @@ enumerator, pattern family — is selectable), optionally a live
 online co-movement prediction; see :mod:`repro.patterns`), and a set
 of subscribed sinks.  ``feed_batch()`` accepts columnar
 :class:`~repro.model.batch.RecordBatch` input (``feed()`` is the
-one-row compatibility form, ``feed_many()`` packs iterables
+per-record form, ``feed_many()`` packs iterables
 automatically) and returns the typed
 :class:`~repro.session.events.PatternEvent` stream those records
 caused; ``result()`` summarises the run at any point; the session is a
@@ -28,7 +28,11 @@ from typing import Callable, Iterable, Iterator
 from repro.core.config import ICPEConfig
 from repro.core.icpe import FAN_OUT_FIELDS, ICPEPipeline
 from repro.core.live import ConvoyTracker
-from repro.model.batch import RecordBatch, SnapshotBatch
+from repro.model.batch import (
+    RecordBatch,
+    SnapshotBatch,
+    require_finite_record,
+)
 from repro.model.pattern import CoMovementPattern
 from repro.model.records import StreamRecord
 from repro.model.snapshot import Snapshot
@@ -295,12 +299,27 @@ class Session:
         live view changed (tracking enabled), and one
         :class:`~repro.session.events.WatermarkAdvanced`.
 
-        The per-point compatibility path of the columnar data plane: a
-        record is a one-row :class:`~repro.model.batch.RecordBatch`, so
-        both paths run the identical machinery and stay event-for-event
+        The per-point path of the columnar data plane: the record goes
+        through the synchronisation operator's scalar update, and every
+        snapshot it completes continues as a
+        :class:`~repro.model.batch.SnapshotBatch`, so both paths run the
+        identical downstream machinery and stay event-for-event
         interchangeable.
+
+        Raises:
+            ValueError: when the record's ``x`` or ``y`` is NaN or
+                infinite, with :meth:`feed_batch`'s message.  Nothing is
+                ingested, so the session accepts the next record.
         """
-        return self.feed_batch(RecordBatch.single(record))
+        self._check_open()
+        require_finite_record(record)
+        self._records_ingested += 1
+        events: list[PatternEvent] = []
+        for snapshot in self._sync.feed(record):
+            events.extend(self._process(SnapshotBatch.from_snapshot(snapshot)))
+        emitted = self._emit(events)
+        self._maybe_auto_checkpoint()
+        return emitted
 
     def feed_batch(self, batch: RecordBatch) -> list[PatternEvent]:
         """Accept one columnar batch; returns the events it caused.

@@ -171,20 +171,16 @@ def encode_exchange_elements(
     """Swap array-backed envelopes in a bucket for shared-memory tokens.
 
     ``allocate(nbytes)`` returns ``(segment_name, writable_buffer)`` —
-    the process backend passes its segment pool's allocator.  Array-backed
-    non-empty :class:`~repro.model.batch.SnapshotBatch` envelopes have
-    their columns written into a fresh segment and travel as
+    the process backend passes its segment pool's allocator.  Non-empty
+    :class:`~repro.model.batch.SnapshotBatch` envelopes have their
+    columns written into a fresh segment and travel as
     :class:`ShmEnvelope` tokens; everything else (plain elements,
-    list-backed or empty batches) passes through unchanged and rides the
-    pickle path of whatever pipe carries the bucket.
+    partition envelopes, empty batches) passes through unchanged and
+    rides the pickle path of whatever pipe carries the bucket.
     """
     encoded: list[Any] = []
     for element in elements:
-        if (
-            isinstance(element, SnapshotBatch)
-            and element.backing == "numpy"
-            and len(element)
-        ):
+        if isinstance(element, SnapshotBatch) and len(element):
             name, buffer = allocate(element.shm_nbytes())
             encoded.append(ShmEnvelope(name, element.to_shm(buffer)))
         else:

@@ -19,9 +19,8 @@ def percentile(values: Iterable[float], q: float) -> float:
     """The ``q``-th percentile of ``values`` (linear interpolation).
 
     Uses the same linear-interpolation-between-closest-ranks definition
-    NumPy defaults to, without requiring NumPy: the tail metrics the
-    SLO controller steers on must exist on pure-python installs too.
-    Returns 0.0 for an empty input.
+    NumPy defaults to, over a plain iterable.  Returns 0.0 for an empty
+    input.
     """
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"percentile must be in [0, 100]: {q}")

@@ -28,14 +28,14 @@ this automatically.
 The keyed exchange stays on the master: elements are bucketed once per
 stage with the shared :meth:`StageRuntime.partition` (identical routing
 to every other backend), and each worker receives its subtasks' complete
-buckets up front.  Array-backed :class:`~repro.model.batch.SnapshotBatch`
+buckets up front.  Non-empty :class:`~repro.model.batch.SnapshotBatch`
 envelopes do not travel through the command pipe — their columns are
 written into pooled ``multiprocessing.shared_memory`` segments
 (:class:`~repro.streaming.runtime.shm.SegmentPool`) and only a small
 :class:`~repro.streaming.dataflow.ShmEnvelope` token crosses the pipe;
 the worker rebuilds the batch as zero-copy read-only NumPy views over
-the segment.  Everything else (plain elements, list-backed or empty
-batches) rides the pipe's pickle path.  On the way back, each run of
+the segment.  Everything else (plain elements, partition envelopes,
+empty batches) rides the pipe's pickle path.  On the way back, each run of
 patterns in a subtask's outputs travels as one
 :class:`~repro.streaming.dataflow.PatternColumns` token (object tuples
 and time sequences as two lists) and is rebuilt in the master.

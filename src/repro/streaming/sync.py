@@ -20,31 +20,25 @@ event time ``tau`` arrives before any record with event time greater than
 
 ``flush()`` emits every remaining snapshot at end of stream.
 
-Two representations implement that contract behind one constructor;
-:class:`TimeSyncOperator` picks by whether NumPy is importable — a fact
-of the host, so there is no option to set:
-
-* :class:`_ArraySync` (every NumPy host).  State is flat: the known
-  oids as a sorted array with parallel ``released_up_to`` and creation
-  ordinal; one *pool* of the unreleased rows of all chains as five
-  columns ``(oid, time, x, y, last)`` kept in ``(oid, time, arrival)``
-  order; and per building snapshot a list of released column chunks.
-  ``feed_batch`` concatenates pool and batch, stable-sorts by ``(oid,
-  time)``, takes each row's predecessor from the row before it (the
-  chain's ``released_up_to`` for a chain's first row) and marks a row
-  *bad* when its ``last`` disagrees.  A chain releases exactly its rows
-  before its first bad one, so ``cumsum(bad)`` minus its value at the
-  chain start being zero *is* the release mask — the per-record walk
-  below, as one segmented prefix.  The rest is the next pool, and the
-  smallest ``last`` among the pool's chain heads is the only thing that
-  can hold the watermark back, so emission never scans chains.  A
-  single record whose chain is idle and in order is a scalar update of
-  the same arrays (``feed``, one-row batches); anything else is a
-  one-row array pass.
-* :class:`_ChainWalkSync` (NumPy-less hosts, and the reference the
-  differential test replays every call against).  One ``_Chain`` per
-  trajectory with a sorted list of pending ``(time, seq, oid, x, y,
-  last_time)`` tuples, advanced record by record.
+The state is flat arrays.  The known oids form a sorted array with
+parallel ``released_up_to`` and creation ordinal; one *pool* holds the
+unreleased rows of all chains as five columns ``(oid, time, x, y,
+last)`` kept in ``(oid, time, arrival)`` order; and per building
+snapshot there is a list of released column chunks.  ``feed_batch``
+concatenates pool and batch, stable-sorts by ``(oid, time)``, takes each
+row's predecessor from the row before it (the chain's
+``released_up_to`` for a chain's first row) and marks a row *bad* when
+its ``last`` disagrees.  A chain releases exactly its rows before its
+first bad one, so ``cumsum(bad)`` minus its value at the chain start
+being zero *is* the release mask — the paper's per-record chain walk as
+one segmented prefix.  The rest is the next pool, and the smallest
+``last`` among the pool's chain heads is the only thing that can hold
+the watermark back, so emission never scans chains.  A single record
+whose chain is idle and in order is a scalar update of the same arrays
+(``feed``, one-row batches); anything else is a one-row array pass.
+``tests/streaming/reference_sync.py`` keeps the record-at-a-time walk
+(one chain object per trajectory, a sorted pending list each) that the
+differential test replays every call against.
 
 **Row order inside a snapshot is part of the contract**, because the
 seeded ``random`` and ``pattern_aware`` shedding policies draw per row
@@ -61,135 +55,34 @@ objects (the historical contract), ``feed_batch`` columnar
 records through either, in any batching, yields the identical snapshot
 contents; deferring emission to the batch boundary can only move an
 emission to a later call (released pending records always carry times
-strictly above any snapshot already emittable).  Both representations
-read and write one :meth:`~TimeSyncOperator.snapshot_state` schema, so
-a checkpoint taken on one restores on the other.
+strictly above any snapshot already emittable).  Checkpoints use one
+:meth:`~TimeSyncOperator.snapshot_state` schema, written in the chain
+walk's terms, so payloads taken before the array state existed still
+restore.
 """
 
 from __future__ import annotations
 
-from bisect import insort
-from dataclasses import dataclass, field
+import numpy as _np
 
 from repro.model.batch import NO_LAST_TIME, RecordBatch, SnapshotBatch
-from repro.model.records import Location, StreamRecord
+from repro.model.records import StreamRecord
 from repro.model.snapshot import Snapshot
-
-try:
-    import numpy as _np
-except ModuleNotFoundError:
-    _np = None
 
 #: A pending record row: ``(time, seq, oid, x, y, last_time-or-None)``.
 _Row = tuple
 
 
-class _SnapshotBuilder:
-    """Accumulates one building snapshot's released rows as columns."""
-
-    __slots__ = ("oids", "xs", "ys")
-
-    def __init__(self) -> None:
-        self.oids: list[int] = []
-        self.xs: list[float] = []
-        self.ys: list[float] = []
-
-    def append(self, oid: int, x: float, y: float) -> None:
-        """Register one released row (re-reports resolve at emit time)."""
-        self.oids.append(oid)
-        self.xs.append(x)
-        self.ys.append(y)
-
-    def to_snapshot(self, time: int) -> Snapshot:
-        """Materialise the object form (dict last-wins, like ``add``)."""
-        snapshot = Snapshot(time)
-        for oid, x, y in zip(self.oids, self.xs, self.ys):
-            snapshot.add(oid, Location(x, y))
-        return snapshot
-
-    def to_snapshot_batch(self, time: int) -> SnapshotBatch:
-        """Materialise the columnar form (same last-wins dedup rule)."""
-        return SnapshotBatch.from_rows(time, self.oids, self.xs, self.ys)
-
-
-@dataclass(slots=True)
-class _Chain:
-    """Per-trajectory reassembly state."""
-
-    released_up_to: int | None = None
-    pending: list[_Row] = field(default_factory=list)
-    _seq: int = 0
-
-    def push(self, record: StreamRecord) -> None:
-        """Insert one record into the time-sorted pending list.
-
-        The sequence number breaks ordering ties between same-time
-        records, preserving arrival order.
-        """
-        insort(
-            self.pending,
-            (
-                record.time,
-                self._seq,
-                record.oid,
-                record.x,
-                record.y,
-                record.last_time,
-            ),
-        )
-        self._seq += 1
-
-    def push_rows(self, rows: list[_Row]) -> None:
-        """Merge a group of already-sequenced rows into the pending list.
-
-        ``rows`` arrive in arrival order (sequence numbers assigned by
-        the caller from this chain's counter); a single sort restores
-        the ``(time, seq)`` pending order.
-        """
-        if self.pending:
-            self.pending.extend(rows)
-            self.pending.sort()
-        else:
-            rows.sort()
-            self.pending = rows
-
-    def next_seq(self, count: int) -> int:
-        """Reserve ``count`` sequence numbers; returns the first."""
-        first = self._seq
-        self._seq += count
-        return first
-
-    def blocked_at(self) -> int | None:
-        """Time of the missing predecessor, if the chain is blocked."""
-        if not self.pending:
-            return None
-        last_time = self.pending[0][5]
-        if last_time is None or last_time == self.released_up_to:
-            return None
-        return last_time
-
-    def pop(self) -> _Row:
-        """Release the earliest pending row and advance the chain."""
-        row = self.pending.pop(0)
-        self.released_up_to = row[0]
-        return row
-
-
 class TimeSyncOperator:
     """Reorders a trajectory stream into complete, ascending snapshots.
 
-    ``TimeSyncOperator(max_delay, trajectory_ttl)`` builds the array
-    representation when NumPy is importable and the row-at-a-time chain
-    walk otherwise — a platform fact decided once per operator, not an
-    option.  Both honour the contract documented on the methods below
-    and read and write one :meth:`snapshot_state` schema.
+    Known trajectories are three parallel arrays sorted by oid
+    (``_oids``, ``_released`` with :data:`NO_LAST_TIME` for "nothing
+    released", ``_ordinal`` = creation rank); unreleased rows of every
+    chain share one *pool* of five columns kept sorted by ``(oid, time,
+    arrival)``; ``_building`` maps a time to the column chunks released
+    into it so far.
     """
-
-    def __new__(cls, *args, **kwargs):
-        """Pick the representation this host supports."""
-        if cls is TimeSyncOperator:
-            cls = _ChainWalkSync if _np is None else _ArraySync
-        return super().__new__(cls)
 
     def __init__(self, max_delay: int = 0, trajectory_ttl: int | None = None):
         """``max_delay``: bounded-delay guarantee of the source, in
@@ -219,10 +112,32 @@ class TimeSyncOperator:
         self._eviction_horizon: int | None = None
         #: Total chains evicted by the TTL policy.
         self.chains_evicted = 0
+        self._oids = _np.empty(0, dtype=_np.int64)
+        self._released = _np.empty(0, dtype=_np.int64)
+        self._ordinal = _np.empty(0, dtype=_np.int64)
+        self._next_ordinal = 0
+        self._set_pool(*_empty_pool())
+        #: time -> ``(oids, xs, ys)`` chunks in release order.  A chunk is
+        #: three arrays (:meth:`_stage`) or three lists of single rows
+        #: (:meth:`_feed_row`, which appends to a list chunk only while
+        #: it is the last of its time).  Readers go through
+        #: ``np.concatenate`` / :class:`SnapshotBatch`, which take both,
+        #: so nothing else looks at a chunk's type.
+        self._building: dict[int, list[tuple]] = {}
+
+    # ------------------------------------------------------------------ ingest
 
     def feed(self, record: StreamRecord) -> list[Snapshot]:
         """Accept one record; return any snapshots that became complete."""
-        raise NotImplementedError
+        last = record.last_time
+        self._feed_row(
+            record.oid,
+            record.time,
+            float(record.x),
+            float(record.y),
+            NO_LAST_TIME if last is None else last,
+        )
+        return self._emit_ready(columnar=False)
 
     def feed_batch(self, batch: RecordBatch) -> list[SnapshotBatch]:
         """Accept a whole columnar batch; return completed snapshots.
@@ -241,7 +156,29 @@ class TimeSyncOperator:
                 already emitted by a previous call (the same staleness
                 contract as :meth:`feed`); the operator is unchanged.
         """
-        raise NotImplementedError
+        n = len(batch)
+        if not n:
+            return []
+        if n == 1:
+            self._feed_row(
+                int(batch.oids[0]),
+                int(batch.times[0]),
+                float(batch.xs[0]),
+                float(batch.ys[0]),
+                int(batch.last_times[0]),
+            )
+            return self._emit_ready(columnar=True)
+        times = batch.times
+        self._check_not_stale(int(times.min()))
+        lasts = batch.last_times
+        if self._eviction_horizon is not None:
+            # NO_LAST_TIME is below every horizon, so it maps to itself.
+            lasts = _np.where(
+                lasts <= self._eviction_horizon, NO_LAST_TIME, lasts
+            )
+        self._advance(batch.oids, times, batch.xs, batch.ys, lasts)
+        self._saw(int(times.max()))
+        return self._emit_ready(columnar=True)
 
     def flush(self, *, columnar: bool = False) -> list:
         """End of stream: release everything and emit remaining snapshots.
@@ -253,26 +190,18 @@ class TimeSyncOperator:
         ``Session.finish`` asks for, so the tail of a stream takes the
         same columnar route as the rest of it).
         """
-        raise NotImplementedError
-
-    def snapshot_state(self) -> dict:
-        """Serializable payload capturing every chain and building snapshot.
-
-        One schema for both representations: ``chains`` maps oid (in
-        chain-creation order) to ``(released_up_to, pending rows,
-        next_seq)`` with rows ``(time, seq, oid, x, y, last_time)``;
-        ``building`` maps time to ``(oids, xs, ys)`` row lists.  ``seq``
-        only orders same-time rows of one chain by arrival.
-        """
-        raise NotImplementedError
-
-    def restore_state(self, payload: dict) -> None:
-        """Adopt a payload produced by :meth:`snapshot_state`."""
-        raise NotImplementedError
-
-    def state_metrics(self) -> dict[str, int]:
-        """Memory accounting: chain/pending/building sizes and evictions."""
-        raise NotImplementedError
+        oids, times, xs, ys, _lasts = self._pool
+        if len(oids):
+            chain = _np.searchsorted(self._oids, oids)
+            # Chain creation order, then the pool's (time, arrival) order.
+            order = _np.lexsort((self._ordinal[chain], times))
+            self._stage(times[order], oids[order], xs[order], ys[order])
+            last_of_chain = _np.flatnonzero(
+                _np.append(oids[1:] != oids[:-1], True)
+            )
+            self._released[chain[last_of_chain]] = times[last_of_chain]
+            self._set_pool(*_empty_pool())
+        return self._emit_through(None, columnar)
 
     def watermark_lag(self) -> int:
         """Event-time distance between ingest frontier and emission.
@@ -297,332 +226,6 @@ class TimeSyncOperator:
                 f"{self._emitted_up_to} was emitted; max_delay={self.max_delay} "
                 "is too small for this stream"
             )
-
-
-class _ChainWalkSync(TimeSyncOperator):
-    """The row-at-a-time chain walk: one ``_Chain`` per trajectory.
-
-    The only representation that runs without NumPy, and the reference
-    the array pass is differentially tested against.
-    """
-
-    def __init__(self, max_delay: int = 0, trajectory_ttl: int | None = None):
-        super().__init__(max_delay, trajectory_ttl)
-        self._chains: dict[int, _Chain] = {}
-        self._building: dict[int, _SnapshotBuilder] = {}
-
-    def feed(self, record: StreamRecord) -> list[Snapshot]:
-        self._check_not_stale(record.time)
-        chain = self._chains.setdefault(record.oid, _Chain())
-        last = self._effective_last(record.last_time)
-        if last is not record.last_time:
-            record = StreamRecord(
-                oid=record.oid,
-                time=record.time,
-                x=record.x,
-                y=record.y,
-                last_time=last,
-            )
-        chain.push(record)
-        if self._max_seen is None or record.time > self._max_seen:
-            self._max_seen = record.time
-        self._release_chain(chain)
-        return self._emit_ready()
-
-    def feed_batch(self, batch: RecordBatch) -> list[SnapshotBatch]:
-        if not len(batch):
-            return []
-        self._check_not_stale(batch.min_time())
-        oids, xs, ys, times, lasts = batch.column_lists()
-        n = len(oids)
-        if n == 1:
-            chain = self._chains.setdefault(oids[0], _Chain())
-            last = lasts[0]
-            chain.push_rows(
-                [
-                    (
-                        times[0],
-                        chain.next_seq(1),
-                        oids[0],
-                        xs[0],
-                        ys[0],
-                        self._effective_last(
-                            None if last == NO_LAST_TIME else last
-                        ),
-                    )
-                ]
-            )
-            self._release_chain(chain)
-        else:
-            # Group rows by oid, preserving arrival order within each
-            # group so sequence numbers replay per-point tie-breaking.
-            groups: dict[int, list[_Row]] = {}
-            for i in range(n):
-                last = lasts[i]
-                row = (
-                    times[i],
-                    0,  # sequenced below, once the group is complete
-                    oids[i],
-                    xs[i],
-                    ys[i],
-                    self._effective_last(
-                        None if last == NO_LAST_TIME else last
-                    ),
-                )
-                group = groups.get(oids[i])
-                if group is None:
-                    groups[oids[i]] = [row]
-                else:
-                    group.append(row)
-            for oid, rows in groups.items():
-                chain = self._chains.setdefault(oid, _Chain())
-                base = chain.next_seq(len(rows))
-                chain.push_rows(
-                    [
-                        (row[0], base + j, *row[2:])
-                        for j, row in enumerate(rows)
-                    ]
-                )
-                self._release_chain(chain)
-        max_time = batch.max_time()
-        if self._max_seen is None or max_time > self._max_seen:
-            self._max_seen = max_time
-        return self._emit_ready(columnar=True)
-
-    def flush(self, *, columnar: bool = False) -> list:
-        for chain in self._chains.values():
-            while chain.pending:
-                time, _seq, oid, x, y, _last = chain.pop()
-                self._builder(time).append(oid, x, y)
-        snapshots = [
-            self._building[t].to_snapshot_batch(t)
-            if columnar
-            else self._building[t].to_snapshot(t)
-            for t in sorted(self._building)
-        ]
-        self._building.clear()
-        if snapshots:
-            self._emitted_up_to = snapshots[-1].time
-        return snapshots
-
-    # ------------------------------------------------------------------ internals
-
-    def _builder(self, time: int) -> _SnapshotBuilder:
-        builder = self._building.get(time)
-        if builder is None:
-            builder = self._building[time] = _SnapshotBuilder()
-        return builder
-
-    def _release_chain(self, chain: _Chain) -> None:
-        """Release the chain's ready prefix into the building snapshots.
-
-        Chains are independent (a release can only unblock records of
-        the *same* trajectory), so only chains the current feed touched
-        need advancing.
-        """
-        pending = chain.pending
-        up_to = chain.released_up_to
-        i = 0
-        count = len(pending)
-        while i < count:
-            row = pending[i]
-            if row[5] != up_to:
-                break
-            up_to = row[0]
-            self._builder(row[0]).append(row[2], row[3], row[4])
-            i += 1
-        if i:
-            chain.released_up_to = up_to
-            del pending[:i]
-
-    def _effective_last(self, last: int | None) -> int | None:
-        """Drop back-references into evicted history (fresh-object rule)."""
-        if (
-            last is not None
-            and self._eviction_horizon is not None
-            and last <= self._eviction_horizon
-        ):
-            return None
-        return last
-
-    def _evict_idle_chains(self, watermark: int) -> None:
-        """TTL policy: forget chains idle past ``watermark - ttl``.
-
-        Only *idle* chains (nothing pending) are eligible — a chain with
-        pending rows is still reassembling and holds the watermark back
-        itself.  Every eviction advances the horizon so that a
-        reappearing trajectory's ``last_time`` back-reference is dropped
-        by :meth:`_effective_last` and the object starts a fresh chain
-        instead of blocking forever on forgotten history.
-        """
-        horizon = watermark - self.trajectory_ttl
-        if self._eviction_horizon is None or horizon > self._eviction_horizon:
-            self._eviction_horizon = horizon
-        evicted = [
-            oid
-            for oid, chain in self._chains.items()
-            if not chain.pending
-            and chain.released_up_to is not None
-            and chain.released_up_to <= horizon
-        ]
-        for oid in evicted:
-            del self._chains[oid]
-        self.chains_evicted += len(evicted)
-
-    def _emit_ready(self, columnar: bool = False):
-        if self._max_seen is None:
-            return []
-        watermark = self._max_seen - self.max_delay - 1
-        for chain in self._chains.values():
-            blocked = chain.blocked_at()
-            if blocked is not None and blocked - 1 < watermark:
-                watermark = blocked - 1
-        if self.trajectory_ttl is not None:
-            self._evict_idle_chains(watermark)
-        out: list = []
-        for t in sorted(self._building):
-            if t > watermark:
-                break
-            builder = self._building.pop(t)
-            out.append(
-                builder.to_snapshot_batch(t)
-                if columnar
-                else builder.to_snapshot(t)
-            )
-        if out:
-            self._emitted_up_to = out[-1].time
-        return out
-
-    # ------------------------------------------------------------------ state
-
-    def snapshot_state(self) -> dict:
-        return {
-            "chains": {
-                oid: (chain.released_up_to, list(chain.pending), chain._seq)
-                for oid, chain in self._chains.items()
-            },
-            "building": {
-                t: (list(b.oids), list(b.xs), list(b.ys))
-                for t, b in self._building.items()
-            },
-            "max_seen": self._max_seen,
-            "emitted_up_to": self._emitted_up_to,
-            "eviction_horizon": self._eviction_horizon,
-            "chains_evicted": self.chains_evicted,
-        }
-
-    def restore_state(self, payload: dict) -> None:
-        self._chains = {
-            oid: _Chain(
-                released_up_to=released, pending=list(rows), _seq=seq
-            )
-            for oid, (released, rows, seq) in payload["chains"].items()
-        }
-        self._building = {}
-        for t, (oids, xs, ys) in payload["building"].items():
-            builder = self._builder(t)
-            builder.oids = list(oids)
-            builder.xs = list(xs)
-            builder.ys = list(ys)
-        self._max_seen = payload["max_seen"]
-        self._emitted_up_to = payload["emitted_up_to"]
-        self._eviction_horizon = payload["eviction_horizon"]
-        self.chains_evicted = payload["chains_evicted"]
-
-    def state_metrics(self) -> dict[str, int]:
-        return {
-            "chains": len(self._chains),
-            "pending_records": sum(
-                len(chain.pending) for chain in self._chains.values()
-            ),
-            "building_snapshots": len(self._building),
-            "chains_evicted": self.chains_evicted,
-        }
-
-
-class _ArraySync(TimeSyncOperator):
-    """The array representation: flat columns, one sort-and-segment pass.
-
-    Known trajectories are three parallel arrays sorted by oid
-    (``_oids``, ``_released`` with :data:`NO_LAST_TIME` for "nothing
-    released", ``_ordinal`` = creation rank); unreleased rows of every
-    chain share one *pool* of five columns kept sorted by ``(oid, time,
-    arrival)``; ``_building`` maps a time to the column chunks released
-    into it so far.
-    """
-
-    def __init__(self, max_delay: int = 0, trajectory_ttl: int | None = None):
-        super().__init__(max_delay, trajectory_ttl)
-        self._oids = _np.empty(0, dtype=_np.int64)
-        self._released = _np.empty(0, dtype=_np.int64)
-        self._ordinal = _np.empty(0, dtype=_np.int64)
-        self._next_ordinal = 0
-        self._set_pool(*_empty_pool())
-        #: time -> ``(oids, xs, ys)`` chunks in release order.  A chunk is
-        #: three arrays (:meth:`_stage`) or three lists of single rows
-        #: (:meth:`_feed_row`, which appends to a list chunk only while
-        #: it is the last of its time).  Readers go through
-        #: ``np.concatenate`` / ``np.asarray``, which take both, so
-        #: nothing else looks at a chunk's type.
-        self._building: dict[int, list[tuple]] = {}
-
-    # ------------------------------------------------------------------ ingest
-
-    def feed(self, record: StreamRecord) -> list[Snapshot]:
-        last = record.last_time
-        self._feed_row(
-            record.oid,
-            record.time,
-            float(record.x),
-            float(record.y),
-            NO_LAST_TIME if last is None else last,
-        )
-        return self._emit_ready(columnar=False)
-
-    def feed_batch(self, batch: RecordBatch) -> list[SnapshotBatch]:
-        n = len(batch)
-        if not n:
-            return []
-        if n == 1:
-            self._feed_row(
-                int(batch.oids[0]),
-                int(batch.times[0]),
-                float(batch.xs[0]),
-                float(batch.ys[0]),
-                int(batch.last_times[0]),
-            )
-            return self._emit_ready(columnar=True)
-        times = _np.asarray(batch.times, dtype=_np.int64)
-        self._check_not_stale(int(times.min()))
-        lasts = _np.asarray(batch.last_times, dtype=_np.int64)
-        if self._eviction_horizon is not None:
-            # NO_LAST_TIME is below every horizon, so it maps to itself.
-            lasts = _np.where(
-                lasts <= self._eviction_horizon, NO_LAST_TIME, lasts
-            )
-        self._advance(
-            _np.asarray(batch.oids, dtype=_np.int64),
-            times,
-            _np.asarray(batch.xs, dtype=_np.float64),
-            _np.asarray(batch.ys, dtype=_np.float64),
-            lasts,
-        )
-        self._saw(int(times.max()))
-        return self._emit_ready(columnar=True)
-
-    def flush(self, *, columnar: bool = False) -> list:
-        oids, times, xs, ys, _lasts = self._pool
-        if len(oids):
-            chain = _np.searchsorted(self._oids, oids)
-            # Chain creation order, then the pool's (time, arrival) order.
-            order = _np.lexsort((self._ordinal[chain], times))
-            self._stage(times[order], oids[order], xs[order], ys[order])
-            last_of_chain = _np.flatnonzero(
-                _np.append(oids[1:] != oids[:-1], True)
-            )
-            self._released[chain[last_of_chain]] = times[last_of_chain]
-            self._set_pool(*_empty_pool())
-        return self._emit_through(None, columnar)
 
     def _saw(self, time: int) -> None:
         if self._max_seen is None or time > self._max_seen:
@@ -800,9 +403,7 @@ class _ArraySync(TimeSyncOperator):
         for t in ready:
             chunks = self._building.pop(t)
             oids, xs, ys = (
-                _np.concatenate(column)
-                if len(column) > 1
-                else _np.asarray(column[0])
+                _np.concatenate(column) if len(column) > 1 else column[0]
                 for column in zip(*chunks)
             )
             snapshot = SnapshotBatch(t, oids, xs, ys)
@@ -812,7 +413,15 @@ class _ArraySync(TimeSyncOperator):
         return out
 
     def _evict_idle_chains(self, watermark: int) -> None:
-        """TTL policy as a mask: see :meth:`_ChainWalkSync._evict_idle_chains`."""
+        """TTL policy: forget chains idle past ``watermark - ttl``.
+
+        Only *idle* chains (nothing pending) are eligible — a chain with
+        pending rows is still reassembling and holds the watermark back
+        itself.  Every eviction advances the horizon, so a reappearing
+        trajectory's ``last_time`` back-reference is dropped on ingest
+        and the object starts a fresh chain instead of blocking forever
+        on forgotten history.
+        """
         horizon = watermark - self.trajectory_ttl
         if self._eviction_horizon is None or horizon > self._eviction_horizon:
             self._eviction_horizon = horizon
@@ -830,6 +439,14 @@ class _ArraySync(TimeSyncOperator):
     # ------------------------------------------------------------------ state
 
     def snapshot_state(self) -> dict:
+        """Serializable payload capturing every chain and building snapshot.
+
+        The schema is the chain walk's: ``chains`` maps oid (in
+        chain-creation order) to ``(released_up_to, pending rows,
+        next_seq)`` with rows ``(time, seq, oid, x, y, last_time)``;
+        ``building`` maps time to ``(oids, xs, ys)`` row lists.  ``seq``
+        only orders same-time rows of one chain by arrival.
+        """
         pool = [column.tolist() for column in self._pool]
         pending: dict[int, list[_Row]] = {}
         for oid, time, x, y, last in zip(*pool):
@@ -866,6 +483,7 @@ class _ArraySync(TimeSyncOperator):
         }
 
     def restore_state(self, payload: dict) -> None:
+        """Adopt a payload produced by :meth:`snapshot_state`."""
         chains = payload["chains"]
         oids = _np.fromiter(chains, dtype=_np.int64, count=len(chains))
         by_oid = _np.argsort(oids, kind="stable")
@@ -910,6 +528,7 @@ class _ArraySync(TimeSyncOperator):
         self.chains_evicted = payload["chains_evicted"]
 
     def state_metrics(self) -> dict[str, int]:
+        """Memory accounting: chain/pending/building sizes and evictions."""
         return {
             "chains": len(self._oids),
             "pending_records": len(self._pool[0]),

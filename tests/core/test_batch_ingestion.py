@@ -19,7 +19,6 @@ import pytest
 from repro.core.config import ICPEConfig
 from repro.core.detector import CoMovementDetector
 from repro.data.taxi import TaxiConfig, generate_taxi
-from repro.kernels import numpy_available
 from repro.model.batch import RecordBatch
 from repro.model.constraints import PatternConstraints
 from repro.registry import default_registry
@@ -93,8 +92,6 @@ def _signature(patterns):
 def test_grid_feed_batch_matches_feed_event_for_event(
     workload, backend, clustering, enum
 ):
-    if (clustering == "numpy" or enum == "numpy") and not numpy_available():
-        pytest.skip("NumPy unavailable")
     dataset, records = workload
     expected, s_point = _events_per_point(
         _config(dataset, backend, clustering, enum), records

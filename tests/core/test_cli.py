@@ -192,7 +192,6 @@ class TestDetect:
         assert outputs["0"] == outputs["37"]
 
     def test_kernel_choice(self, workload_csv, capsys):
-        pytest.importorskip("numpy", reason="the numpy kernel needs NumPy")
         outputs = {}
         for kernel in ("python", "numpy"):
             code = main(
@@ -213,7 +212,6 @@ class TestDetect:
         assert outputs["python"] == outputs["numpy"]
 
     def test_enum_kernel_choice(self, workload_csv, capsys):
-        pytest.importorskip("numpy", reason="the numpy kernel needs NumPy")
         outputs = {}
         for kernel in ("python", "numpy"):
             code = main(
@@ -232,25 +230,6 @@ class TestDetect:
                 line for line in out.splitlines() if line.startswith("  {")
             ]
         assert outputs["python"] == outputs["numpy"]
-
-    def test_enum_kernel_without_numpy_is_clean_error(
-        self, monkeypatch, capsys
-    ):
-        """`detect --enum-kernel numpy` on a NumPy-less host exits with a
-        one-line error, not a RuntimeError traceback."""
-        import repro.cli as cli
-
-        monkeypatch.setattr(cli, "numpy_available", lambda: False)
-        code = main(
-            [
-                "detect", "--input", "does-not-matter.csv",
-                "--enum-kernel", "numpy",
-            ]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "requires NumPy" in err
-        assert "--enum-kernel python" in err
 
     def test_enum_kernel_rejects_baseline(self, capsys):
         """The batched bitmap kernel has no BA form; clean error."""
@@ -301,22 +280,6 @@ class TestDetect:
             build_parser().parse_args(
                 ["detect", "--input", "x.csv", "--pattern-family", "fuzzy"]
             )
-
-    def test_numpy_kernel_without_numpy_is_clean_error(
-        self, monkeypatch, capsys
-    ):
-        """`detect --kernel numpy` on a NumPy-less host exits with a
-        one-line error, not a RuntimeError traceback."""
-        import repro.cli as cli
-
-        monkeypatch.setattr(cli, "numpy_available", lambda: False)
-        code = main(
-            ["detect", "--input", "does-not-matter.csv", "--kernel", "numpy"]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "requires NumPy" in err
-        assert "--kernel python" in err
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(SystemExit):

@@ -19,7 +19,6 @@ import pytest
 from repro.core.config import ICPEConfig
 from repro.core.detector import CoMovementDetector
 from repro.data.taxi import TaxiConfig, generate_taxi
-from repro.kernels import numpy_available
 from repro.model.constraints import PatternConstraints
 from repro.session import open_session
 
@@ -71,8 +70,6 @@ def _config(workload, backend, clustering_kernel, enumeration_kernel):
 def test_detector_shim_warns_and_matches_session(
     workload, backend, clustering_kernel, enumeration_kernel
 ):
-    if "numpy" in (clustering_kernel, enumeration_kernel):
-        pytest.importorskip("numpy", reason="numpy kernels need NumPy")
     config = _config(
         workload, backend, clustering_kernel, enumeration_kernel
     )

@@ -1,4 +1,4 @@
-"""Non-finite coordinates are refused at ``Session.feed_batch``.
+"""Non-finite coordinates are refused at ``Session.feed_batch`` and ``feed``.
 
 A NaN or infinite ``x`` / ``y`` used to reach the clustering kernels:
 one NaN made every numpy cell key of its snapshot garbage, and an
@@ -6,10 +6,8 @@ infinity raised out of the cluster stage after the time-synchronisation
 operator had already released the snapshot.  The session now refuses
 such a batch whole, before anything is ingested, with an error naming
 the first offending ``(oid, time)``; the same session then takes the
-next, clean batch as if the bad one had never been fed.
-
-Runs without NumPy (list-backed batches); the numpy kernel pair and the
-array-backed check skip themselves there.
+next, clean batch as if the bad one had never been fed.  Per-point
+``feed`` refuses a bad record with the same message.
 """
 
 from __future__ import annotations
@@ -25,20 +23,9 @@ from repro.session import event_to_dict
 
 from tests.state.conftest import BASE_KNOBS, cluster_stream
 
-try:
-    import numpy  # noqa: F401
-
-    HAS_NUMPY = True
-except ModuleNotFoundError:  # pragma: no cover - exercised on numpy-less hosts
-    HAS_NUMPY = False
-
 KERNEL_PAIRS = [
     pytest.param(("python", "python"), id="python-python"),
-    pytest.param(
-        ("numpy", "numpy"),
-        id="numpy-numpy",
-        marks=pytest.mark.skipif(not HAS_NUMPY, reason="needs NumPy"),
-    ),
+    pytest.param(("numpy", "numpy"), id="numpy-numpy"),
 ]
 BAD_VALUES = [math.nan, math.inf, -math.inf]
 
@@ -93,25 +80,41 @@ def test_bad_batch_is_refused_and_the_session_continues(kernels, axis, value):
     assert any(event.kind == "pattern" for event in expected)
 
 
+@pytest.mark.parametrize("kernels", KERNEL_PAIRS)
+@pytest.mark.parametrize("axis", ["x", "y"])
 @pytest.mark.parametrize("value", BAD_VALUES, ids=["nan", "+inf", "-inf"])
-def test_list_backed_batches_are_checked(value):
-    record = StreamRecord(3, 1.0, value, 0, None)
-    batch = RecordBatch([0, 3], [0.0, 1.0], [0.0, value], [0, 0], [0, 0])
-    assert batch.backing == "python"
-    with pytest.raises(ValueError, match=r"\(oid=3, time=0\)"):
-        batch.require_finite()
-    with session_for(("python", "python")) as session:
-        with pytest.raises(ValueError, match=r"\(oid=3, time=0\)"):
-            session.feed(record)  # one list-backed row
-        assert session.records_ingested == 0
+def test_bad_record_is_refused_per_point_and_the_session_continues(
+    kernels, axis, value
+):
+    records = cluster_stream(5, n_times=10, n_objects=8)
+    cut = len(records) // 2
+    bad = spoiled(records[cut], axis, value)
+
+    with session_for(kernels) as clean:
+        expected = [e for record in records for e in clean.feed(record)]
+        expected += clean.finish()
+
+    with pytest.raises(ValueError) as batch_refusal:
+        RecordBatch.from_records([bad]).require_finite()
+    with session_for(kernels) as session:
+        got = [e for record in records[:cut] for e in session.feed(record)]
+        ingested, memory = session.records_ingested, session.state_memory()
+        with pytest.raises(ValueError, match="non-finite") as refused:
+            session.feed(bad)
+        assert str(refused.value) == str(batch_refusal.value)
+        assert session.records_ingested == ingested
+        assert session.state_memory() == memory
+        got += [e for record in records[cut:] for e in session.feed(record)]
+        got += session.finish()
+
+    assert as_dicts(got) == as_dicts(expected)
+    assert any(event.kind == "pattern" for event in expected)
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="array backing needs NumPy")
 def test_array_backed_batches_are_checked():
     batch = RecordBatch.from_columns(
         [1, 2, 3], [0.0, math.inf, math.nan], [0.0, 0.0, 0.0], [4, 5, 6]
     )
-    assert batch.backing == "numpy"
     with pytest.raises(ValueError, match=r"\(oid=2, time=5\)"):
         batch.require_finite()
     RecordBatch.from_columns([1], [1e308], [-1e308], [0]).require_finite()

@@ -26,8 +26,6 @@ from repro.enumeration.partition import PartitionRouter
 from repro.model.constraints import PatternConstraints
 from repro.model.snapshot import ClusterSnapshot
 
-np = pytest.importorskip("numpy", reason="the numpy enumeration kernel needs NumPy")
-
 CONSTRAINTS = PatternConstraints(m=3, k=4, l=2, g=2)
 
 

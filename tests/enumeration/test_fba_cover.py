@@ -47,7 +47,6 @@ from repro.enumeration import growth
 from repro.enumeration.base import PatternCollector
 from repro.enumeration.kernels import (
     make_enumeration_kernel,
-    numpy_available,
     numpy_kernel,
 )
 from repro.enumeration.partition import PartitionRouter
@@ -56,15 +55,11 @@ from repro.model.snapshot import ClusterSnapshot
 from repro.state import decode_payload, encode_payload
 
 EXAMPLES = int(os.environ.get("FBA_COVER_EXAMPLES", "40"))
-KERNELS = ("python", "numpy") if numpy_available() else ("python",)
+KERNELS = ("python", "numpy")
 PATHS = ("enumerator",) + KERNELS
 WIDE = PatternConstraints(m=3, k=44, l=4, g=3)  # eta 67: two bitmap words
 REAL_COVER = growth.WindowCover
 REAL_FBA_WINDOWS = numpy_kernel._FBAWindows
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="the numpy enumeration kernel needs NumPy"
-)
 
 
 class NoCover(REAL_COVER):
@@ -359,7 +354,6 @@ PROPERTIES = {
     "checkpoint": check_checkpoint,
     "partial window": check_partial_window,
 }
-NEEDS_NUMPY = {"kernels agree"}
 
 
 def run_property(name, examples=EXAMPLES, **extra):
@@ -381,13 +375,7 @@ def run_property(name, examples=EXAMPLES, **extra):
     prop()
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        pytest.param(name, marks=needs_numpy) if name in NEEDS_NUMPY else name
-        for name in sorted(PROPERTIES)
-    ],
-)
+@pytest.mark.parametrize("name", sorted(PROPERTIES))
 def test_cover_property(name):
     run_property(name)
 
@@ -539,7 +527,6 @@ def mutant_module(module, replacements):
     return mutant
 
 
-@needs_numpy
 @pytest.mark.parametrize("defect", sorted(MUTANTS))
 def test_seeded_defect_is_caught(defect):
     target, replacements, catchers = MUTANTS[defect]

@@ -42,7 +42,6 @@ from repro.enumeration.bitstring import (
 from repro.enumeration.fba import FBAEnumerator
 from repro.enumeration.kernels import (
     make_enumeration_kernel,
-    numpy_available,
     numpy_kernel,
 )
 from repro.enumeration.vba import VBAEnumerator
@@ -56,7 +55,7 @@ from tests.enumeration.reference_growth import (
 
 EXAMPLES = int(os.environ.get("GROWTH_DIFF_EXAMPLES", "60"))
 ANCHOR = 0
-KERNELS = ("python", "numpy") if numpy_available() else ("python",)
+KERNELS = ("python", "numpy")
 
 
 @contextmanager

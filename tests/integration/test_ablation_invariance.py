@@ -62,8 +62,6 @@ def test_lemma_and_index_switches_invariant(stream_snapshots):
 def test_parallelism_invariant(stream_snapshots, enumerator, enumeration_kernel):
     """Fan-out changes nothing, not even the order: the ordered
     ``(time, pattern)`` detections match the default (one subtask)."""
-    if enumeration_kernel == "numpy":
-        pytest.importorskip("numpy")
     kernels = dict(enumerator=enumerator, enumeration_kernel=enumeration_kernel)
     reference = run_pipeline(stream_snapshots, **kernels).detections
     assert reference

@@ -159,8 +159,6 @@ class TestProcessBackendEquivalence:
     def test_event_streams_identical(
         self, small_dataset, clustering_kernel, enumeration_kernel
     ):
-        if "numpy" in (clustering_kernel, enumeration_kernel):
-            pytest.importorskip("numpy")
         configs = {
             backend: make_config(
                 small_dataset,

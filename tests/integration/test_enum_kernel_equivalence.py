@@ -12,8 +12,6 @@ import itertools
 
 import pytest
 
-pytest.importorskip("numpy", reason="the numpy kernels need NumPy")
-
 from repro.core.config import ICPEConfig
 from repro.core.detector import CoMovementDetector
 from repro.core.icpe import ICPEPipeline

@@ -11,8 +11,6 @@ import itertools
 
 import pytest
 
-pytest.importorskip("numpy", reason="the numpy kernel needs NumPy")
-
 from repro.core.config import ICPEConfig
 from repro.core.detector import CoMovementDetector
 from repro.core.icpe import ICPEPipeline

@@ -9,9 +9,6 @@ the RJC clusterer, over random inputs, all metrics and the edge cases.
 import random
 
 import pytest
-
-pytest.importorskip("numpy", reason="the numpy kernel needs NumPy")
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +16,7 @@ from repro.cluster.reference import reference_dbscan
 from repro.cluster.rjc import ClusteringConfig, RJCClusterer
 from repro.geometry.distance import get_metric
 from repro.kernels import KERNELS, make_kernel
-from repro.kernels.numpy_kernel import NumpyKernel, numpy_available
+from repro.kernels.numpy_kernel import NumpyKernel
 from repro.model.snapshot import Snapshot
 
 
@@ -267,20 +264,6 @@ class TestRegistry:
         assert NumpyKernel(1.0, 2, metric_name="manhattan").metric_name == "l1"
         assert NumpyKernel(1.0, 2, metric_name="Euclidean").metric_name == "l2"
         assert NumpyKernel(1.0, 2, metric_name="chebyshev").metric_name == "linf"
-
-    def test_numpy_available_here(self):
-        assert numpy_available()
-
-    def test_missing_numpy_is_a_clear_error(self, monkeypatch):
-        """The optional-dependency contract: without NumPy the module
-        imports, availability reports False, and constructing the kernel
-        raises a clear RuntimeError (not a NameError deep in the code)."""
-        import repro.kernels.numpy_kernel as module
-
-        monkeypatch.setattr(module, "np", None)
-        assert not module.numpy_available()
-        with pytest.raises(RuntimeError, match="requires NumPy"):
-            module.NumpyKernel(epsilon=1.0, min_pts=2)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):

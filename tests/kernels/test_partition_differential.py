@@ -34,22 +34,21 @@ import types
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
-np = pytest.importorskip("numpy", reason="the numpy kernels need NumPy")
-
-from repro import PatternConfirmed, PatternConstraints, open_session  # noqa: E402
-from repro.core import operators  # noqa: E402
-from repro.core.operators import KernelClusterOperator  # noqa: E402
-from repro.enumeration import partition  # noqa: E402
-from repro.geometry.rect import pruning_epsilon  # noqa: E402
-from repro.kernels import numpy_kernel  # noqa: E402
-from repro.kernels.numpy_kernel import NumpyKernel  # noqa: E402
-from repro.model.batch import PartitionBatch, RecordBatch, SnapshotBatch  # noqa: E402
-from repro.model.records import StreamRecord  # noqa: E402
-from tests.kernels import reference_partition as ref  # noqa: E402
+from repro import PatternConfirmed, PatternConstraints, open_session
+from repro.core import operators
+from repro.core.operators import KernelClusterOperator
+from repro.enumeration import partition
+from repro.geometry.rect import pruning_epsilon
+from repro.kernels import numpy_kernel
+from repro.kernels.numpy_kernel import NumpyKernel
+from repro.model.batch import PartitionBatch, RecordBatch, SnapshotBatch
+from repro.model.records import StreamRecord
+from tests.kernels import reference_partition as ref
 
 EXAMPLES = int(os.environ.get("PARTITION_DIFF_EXAMPLES", "25"))
 METRICS = ("l1", "l2", "linf")

@@ -1,5 +1,6 @@
 """Columnar batch types: RecordBatch and SnapshotBatch (PR 5)."""
 
+import numpy as np
 import pytest
 
 from repro.model.batch import NO_LAST_TIME, RecordBatch, SnapshotBatch
@@ -42,12 +43,6 @@ class TestRecordBatchConstruction:
             StreamRecord(oid=3, x=1.5, y=2.5, time=2, last_time=1),
         ]
 
-    def test_single_is_list_backed_one_row(self):
-        batch = RecordBatch.single(RECORDS[0])
-        assert len(batch) == 1
-        assert batch.backing == "python"
-        assert batch.to_records() == [RECORDS[0]]
-
     def test_unequal_columns_rejected(self):
         with pytest.raises(ValueError, match="equal lengths"):
             RecordBatch([1], [0.0, 1.0], [0.0], [1], [NO_LAST_TIME])
@@ -70,9 +65,7 @@ class TestRecordBatchViews:
         assert view.to_records() == RECORDS[1:3]
 
     def test_slice_is_zero_copy_on_numpy_backing(self):
-        pytest.importorskip("numpy")
         batch = RecordBatch.from_records(RECORDS)
-        assert batch.backing == "numpy"
         view = batch[1:3]
         # A NumPy slice is a view over the parent buffer, not a copy.
         assert view.oids.base is batch.oids
@@ -90,13 +83,6 @@ class TestRecordBatchViews:
     def test_min_time_of_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             RecordBatch.from_records([]).min_time()
-
-    def test_column_lists_are_plain_lists(self):
-        batch = RecordBatch.from_records(RECORDS)
-        oids, xs, ys, times, lasts = batch.column_lists()
-        assert oids == [3, 1, 3, 1]
-        assert times == [1, 1, 2, 3]
-        assert lasts[0] == NO_LAST_TIME
 
     def test_repr_names_backing(self):
         assert "n=4" in repr(RecordBatch.from_records(RECORDS))
@@ -137,3 +123,82 @@ class TestSnapshotBatch:
     def test_unequal_columns_rejected(self):
         with pytest.raises(ValueError, match="equal lengths"):
             SnapshotBatch(1, [1, 2], [0.0], [0.0, 1.0])
+
+
+RECORD_DTYPES = ("int64", "float64", "float64", "int64", "int64")
+
+
+def record_columns(batch):
+    return (batch.oids, batch.xs, batch.ys, batch.times, batch.last_times)
+
+
+class TestColumnsAreArrays:
+    """Whatever the input sequences, batches hold int64 / float64 arrays."""
+
+    LISTS = ([3, 1], [1, 0.5], [2, 0.25], [1, 1], [NO_LAST_TIME, 7])
+
+    def assert_record_batch(self, batch, expected):
+        for column, dtype, want in zip(
+            record_columns(batch), RECORD_DTYPES, record_columns(expected)
+        ):
+            assert isinstance(column, np.ndarray)
+            assert column.dtype == np.dtype(dtype)
+            assert np.array_equal(column, want)
+        assert batch.to_records() == expected.to_records()
+
+    def test_record_batch_from_lists_equals_array_built(self):
+        arrays = RecordBatch(
+            *(
+                np.array(values, dtype=dtype)
+                for values, dtype in zip(self.LISTS, RECORD_DTYPES)
+            )
+        )
+        self.assert_record_batch(RecordBatch(*self.LISTS), arrays)
+        oids, xs, ys, times, lasts = self.LISTS
+        from_columns = RecordBatch.from_columns(
+            oids, xs, ys, times, [None, 7]
+        )
+        self.assert_record_batch(from_columns, arrays)
+        self.assert_record_batch(
+            RecordBatch.from_columns(
+                oids, xs, ys, times, [NO_LAST_TIME, 7]
+            ),
+            arrays,
+        )
+
+    def test_right_dtype_arrays_are_not_copied(self):
+        columns = [
+            np.array(values, dtype=dtype)
+            for values, dtype in zip(self.LISTS, RECORD_DTYPES)
+        ]
+        batch = RecordBatch(*columns)
+        assert all(
+            got is given for got, given in zip(record_columns(batch), columns)
+        )
+        snapshot = SnapshotBatch(1, *columns[:3])
+        assert snapshot.oids is columns[0] and snapshot.xs is columns[1]
+
+    def test_snapshot_batch_from_lists_equals_array_built(self):
+        oids, xs, ys = [5, 9, 5], [1, 2.0, 7.0], [1.0, 2, 7]
+        arrays = SnapshotBatch(
+            3,
+            np.array(oids, dtype=np.int64),
+            np.array(xs, dtype=np.float64),
+            np.array(ys, dtype=np.float64),
+        )
+        for batch in (
+            SnapshotBatch(3, oids, xs, ys),
+            SnapshotBatch.from_rows(3, oids, xs, ys),
+        ):
+            for column, dtype, want in zip(
+                (batch.oids, batch.xs, batch.ys),
+                ("int64", "float64", "float64"),
+                (arrays.oids, arrays.xs, arrays.ys),
+            ):
+                assert isinstance(column, np.ndarray)
+                assert column.dtype == np.dtype(dtype)
+                assert np.array_equal(column, want)
+            assert batch.points() == arrays.points() == [
+                (5, 7.0, 7.0),
+                (9, 2.0, 2.0),
+            ]

@@ -1,10 +1,10 @@
 """Pickle + shared-memory round-trips of the columnar batch types.
 
 The process backend ships batches across worker boundaries two ways:
-array-backed ``SnapshotBatch`` envelopes go through the ``to_shm`` /
+non-empty ``SnapshotBatch`` envelopes go through the ``to_shm`` /
 ``from_shm`` flat codec over a shared segment, everything else (plain
-elements, list-backed or empty batches) rides the command pipe's pickle
-path.  Both transports must be semantically lossless — including the
+elements, partition envelopes, empty batches) rides the command pipe's
+pickle path.  Both transports must be semantically lossless — including the
 ``NO_LAST_TIME`` sentinel and the last-wins oid dedup, which happen
 *before* either codec sees the batch.
 """
@@ -67,7 +67,6 @@ class TestPickleRoundTrip:
     @given(record_batches())
     def test_record_batch(self, batch):
         clone = pickle.loads(pickle.dumps(batch))
-        assert clone.backing == batch.backing
         assert_record_batches_equal(batch, clone)
 
     @settings(max_examples=60, deadline=None)
@@ -75,17 +74,6 @@ class TestPickleRoundTrip:
     def test_snapshot_batch(self, batch):
         clone = pickle.loads(pickle.dumps(batch))
         assert_snapshot_batches_equal(batch, clone)
-
-    def test_list_backed_record_batch(self):
-        from repro.model.records import StreamRecord
-
-        batch = RecordBatch.single(
-            StreamRecord(oid=7, x=1.0, y=2.0, time=3, last_time=None)
-        )
-        assert batch.backing == "python"
-        clone = pickle.loads(pickle.dumps(batch))
-        assert clone.backing == "python"
-        assert_record_batches_equal(batch, clone)
 
     def test_last_time_sentinel_survives(self):
         batch = RecordBatch.from_columns(
@@ -104,7 +92,6 @@ class TestShmRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(record_batches())
     def test_record_batch(self, batch):
-        pytest.importorskip("numpy")
         buffer = bytearray(batch.shm_nbytes())
         meta = batch.to_shm(buffer)
         assert meta["kind"] == "record" and meta["n"] == len(batch)
@@ -113,7 +100,6 @@ class TestShmRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(snapshot_batches())
     def test_snapshot_batch(self, batch):
-        pytest.importorskip("numpy")
         buffer = bytearray(batch.shm_nbytes())
         meta = batch.to_shm(buffer)
         assert meta["kind"] == "snapshot" and meta["time"] == batch.time
@@ -122,7 +108,6 @@ class TestShmRoundTrip:
         )
 
     def test_empty_batches(self):
-        pytest.importorskip("numpy")
         record = RecordBatch.from_columns([], [], [], [])
         snapshot = SnapshotBatch.from_rows(9, [], [], [])
         for batch, cls in ((record, RecordBatch), (snapshot, SnapshotBatch)):
@@ -132,13 +117,11 @@ class TestShmRoundTrip:
             assert len(clone) == 0
 
     def test_offset_must_be_aligned(self):
-        pytest.importorskip("numpy")
         batch = SnapshotBatch.from_rows(1, [1], [0.0], [0.0])
         with pytest.raises(ValueError, match="8-byte aligned"):
             batch.to_shm(bytearray(batch.shm_nbytes() + 4), offset=4)
 
     def test_nonzero_offset(self):
-        pytest.importorskip("numpy")
         batch = SnapshotBatch.from_rows(2, [4, 5], [1.0, 2.0], [3.0, 4.0])
         buffer = bytearray(16 + batch.shm_nbytes())
         meta = batch.to_shm(buffer, offset=16)
@@ -147,19 +130,7 @@ class TestShmRoundTrip:
             batch, SnapshotBatch.from_shm(buffer, meta)
         )
 
-    def test_list_backed_is_rejected(self):
-        from repro.model.records import StreamRecord
-
-        batch = RecordBatch.single(
-            StreamRecord(oid=1, x=0.0, y=0.0, time=1, last_time=None)
-        )
-        with pytest.raises(ValueError, match="list-backed"):
-            batch.shm_nbytes()
-        with pytest.raises(ValueError, match="list-backed"):
-            batch.to_shm(bytearray(64))
-
     def test_reader_views_are_read_only(self):
-        pytest.importorskip("numpy")
         batch = SnapshotBatch.from_rows(3, [1, 2], [0.5, 1.5], [2.5, 3.5])
         buffer = bytearray(batch.shm_nbytes())
         clone = SnapshotBatch.from_shm(buffer, batch.to_shm(buffer))
@@ -167,7 +138,6 @@ class TestShmRoundTrip:
             clone.oids[0] = 99
 
     def test_wrong_descriptor_kind_rejected(self):
-        pytest.importorskip("numpy")
         batch = SnapshotBatch.from_rows(1, [1], [0.0], [0.0])
         buffer = bytearray(batch.shm_nbytes())
         meta = batch.to_shm(buffer)
@@ -177,7 +147,6 @@ class TestShmRoundTrip:
     def test_dedup_happens_before_codec(self):
         """Last-wins oid dedup is a construction-time invariant, so what
         crosses the segment is already the deduped column set."""
-        pytest.importorskip("numpy")
         batch = SnapshotBatch.from_rows(
             5, [1, 2, 1], [0.0, 1.0, 9.0], [0.0, 1.0, 9.0]
         )

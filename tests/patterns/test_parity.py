@@ -90,7 +90,6 @@ class TestBackendParity:
         assert process == serial
 
     def test_numpy_kernels_match_python(self):
-        pytest.importorskip("numpy", reason="the numpy kernels need NumPy")
         python = run_session(drift_stream(), pattern_family="predictive")
         numpy = run_session(
             drift_stream(),

@@ -92,16 +92,16 @@ class TestRegistryBasics:
 
 class TestCapabilities:
     def test_flags_roundtrip(self):
-        caps = PluginCapabilities(requires_numpy=True)
-        assert caps.flags()["requires_numpy"] is True
+        caps = PluginCapabilities(requires_bitmap_enumeration=True)
+        assert caps.flags()["requires_bitmap_enumeration"] is True
         assert caps.flags()["supports_ablation"] is True
 
     def test_summary_markers(self):
         assert PluginCapabilities().summary_markers() == "-"
         markers = PluginCapabilities(
-            requires_numpy=True, requires_bitmap_enumeration=True
+            supports_ablation=False, requires_bitmap_enumeration=True
         ).summary_markers()
-        assert "requires-numpy" in markers and "needs-bitmap" in markers
+        assert "no-ablation" in markers and "needs-bitmap" in markers
 
     def test_bitmap_pairing_enforced(self):
         kernel = make_spec(

@@ -54,7 +54,6 @@ from repro.core import icpe, operators
 from repro.core.operators import BatchedEnumerateOperator
 from repro.enumeration.kernels import (
     make_enumeration_kernel,
-    numpy_available,
     numpy_kernel,
 )
 from repro.enumeration.partition import PartitionRouter
@@ -68,12 +67,7 @@ from repro.streaming.dataflow import KeyedStage, StageRuntime
 from tests.state.conftest import BASE_KNOBS, cluster_stream
 from tests.state.fixtures import make_fanout_fixtures as fixtures
 
-pytestmark = [
-    pytest.mark.checkpoint,
-    pytest.mark.skipif(
-        not numpy_available(), reason="the numpy enumeration kernel needs NumPy"
-    ),
-]
+pytestmark = pytest.mark.checkpoint
 
 EXAMPLES = int(os.environ.get("FANOUT_RESTORE_EXAMPLES", "25"))
 PROCESS_EXAMPLES = int(os.environ.get("FANOUT_RESTORE_PROCESS_EXAMPLES", "2"))

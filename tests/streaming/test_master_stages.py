@@ -41,12 +41,6 @@ KERNELS = {
 }
 
 
-def kernels(name: str) -> dict:
-    if name == "numpy":
-        pytest.importorskip("numpy")
-    return KERNELS[name]
-
-
 @contextmanager
 def recorded_sends():
     """Every ``(worker, message)`` the master sends, while active."""
@@ -92,7 +86,7 @@ def test_no_run_or_finish_reaches_a_worker_for_one_subtask_stages(
 ):
     with recorded_sends() as sent:
         events, session = drive(
-            records, backend="process", parallel_workers=2, **kernels(kernel)
+            records, backend="process", parallel_workers=2, **KERNELS[kernel]
         )
         backend = session.pipeline.job.backend
         events.extend(session.finish())
@@ -115,7 +109,7 @@ def run_to_end(records, **knobs) -> list[dict]:
 def test_one_worker_runs_the_whole_graph_in_the_master(records, kernel):
     with recorded_sends() as sent:
         events, session = drive(
-            records, backend="process", parallel_workers=1, **kernels(kernel)
+            records, backend="process", parallel_workers=1, **KERNELS[kernel]
         )
         session.checkpoint()
         events.extend(session.finish())
@@ -125,7 +119,7 @@ def test_one_worker_runs_the_whole_graph_in_the_master(records, kernel):
     )
     assert sent == []
     assert [event_to_dict(e) for e in events] == run_to_end(
-        records, backend="serial", **kernels(kernel)
+        records, backend="serial", **KERNELS[kernel]
     )
 
 
@@ -139,9 +133,9 @@ def cluster_reads(pipeline) -> dict:
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_cluster_state_is_read_from_the_master(records, kernel):
-    _, serial = drive(records, backend="serial", **kernels(kernel))
+    _, serial = drive(records, backend="serial", **KERNELS[kernel])
     _, process = drive(
-        records, backend="process", parallel_workers=2, **kernels(kernel)
+        records, backend="process", parallel_workers=2, **KERNELS[kernel]
     )
     try:
         cluster_runtime = next(
@@ -177,7 +171,7 @@ def test_cluster_state_is_read_from_the_master(records, kernel):
 @pytest.mark.parametrize("victim", [0, 1])
 def test_killed_worker_raises_on_the_next_snapshot(kernel, victim):
     session = open_session(
-        backend="process", parallel_workers=2, **BASE_KNOBS, **kernels(kernel)
+        backend="process", parallel_workers=2, **BASE_KNOBS, **KERNELS[kernel]
     )
     pipeline = session.pipeline
     try:
@@ -198,14 +192,14 @@ def test_killed_worker_raises_on_the_next_snapshot(kernel, victim):
 def test_python_kernels_on_process_equal_serial_event_for_event(
     records, workers
 ):
-    serial = run_to_end(records, backend="serial", **kernels("python"))
+    serial = run_to_end(records, backend="serial", **KERNELS["python"])
     assert any(event["kind"] == "pattern" for event in serial)
     assert (
         run_to_end(
             records,
             backend="process",
             parallel_workers=workers,
-            **kernels("python"),
+            **KERNELS["python"],
         )
         == serial
     )
@@ -229,7 +223,7 @@ def test_checkpoint_bytes_do_not_depend_on_where_the_stage_ran(
                 records[:cut],
                 backend="process",
                 parallel_workers=2,
-                **kernels(kernel),
+                **KERNELS[kernel],
             )
             try:
                 return session.checkpoint().operator_states

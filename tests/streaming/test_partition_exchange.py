@@ -25,20 +25,18 @@ from unittest import mock
 
 import pytest
 
-np = pytest.importorskip("numpy", reason="partition envelopes need NumPy")
-
-from repro.core.operators import (  # noqa: E402
+from repro.core.operators import (
     EnumerateOperator,
     KernelClusterOperator,
     make_enumerator_factory,
 )
-from repro.core.config import ICPEConfig  # noqa: E402
-from repro.enumeration.partition import PartitionRouter  # noqa: E402
-from repro.kernels.numpy_kernel import NumpyKernel  # noqa: E402
-from repro.model.batch import PartitionBatch, SnapshotBatch  # noqa: E402
-from repro.model.constraints import PatternConstraints  # noqa: E402
-from repro.model.snapshot import ClusterSnapshot  # noqa: E402
-from repro.streaming.dataflow import KeyedStage, StageRuntime  # noqa: E402
+from repro.core.config import ICPEConfig
+from repro.enumeration.partition import PartitionRouter
+from repro.kernels.numpy_kernel import NumpyKernel
+from repro.model.batch import PartitionBatch, SnapshotBatch
+from repro.model.constraints import PatternConstraints
+from repro.model.snapshot import ClusterSnapshot
+from repro.streaming.dataflow import KeyedStage, StageRuntime
 
 
 def records_of(seed: int, time: int = 4) -> list[tuple]:

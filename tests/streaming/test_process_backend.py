@@ -136,7 +136,6 @@ class TestExchangeCodec:
         return allocate, buffers
 
     def test_array_batches_become_envelopes(self):
-        pytest.importorskip("numpy")
         allocate, buffers = self.allocator()
         batch = SnapshotBatch.from_rows(4, [1, 2], [0.0, 1.0], [2.0, 3.0])
         encoded = encode_exchange_elements(["plain", batch], allocate)

@@ -32,6 +32,7 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
+from repro.model.batch import PartitionBatch
 from repro.model.pattern import CoMovementPattern
 from repro.model.timeseq import TimeSequence
 from repro.streaming import dataflow
@@ -42,13 +43,6 @@ from repro.streaming.dataflow import (
 )
 
 EXAMPLES = int(os.environ.get("REPLY_CODEC_EXAMPLES", "25"))
-
-try:
-    import numpy  # noqa: F401
-
-    from repro.model.batch import PartitionBatch
-except ImportError:  # pragma: no cover - numpy-less host
-    PartitionBatch = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,7 +67,7 @@ def through_pipe(codec, outputs: list) -> list:
 
 
 def comparable(element):
-    if PartitionBatch is not None and type(element) is PartitionBatch:
+    if type(element) is PartitionBatch:
         return (element.time, element.anchors.tolist(), element.keys.tolist())
     return element
 
@@ -123,17 +117,14 @@ def outputs(draw, only_patterns: bool = False) -> list:
             st.builds(TaggedPattern, object_sets, times, st.text(max_size=3)),
             st.tuples(ids, ids, st.frozensets(ids, max_size=4)),
             st.one_of(st.none(), st.integers(), st.text(max_size=4)),
+            st.builds(
+                lambda time, pairs: PartitionBatch.from_pairs(
+                    time, sorted(pairs.items())
+                ),
+                ids,
+                st.dictionaries(ids, st.lists(ids, max_size=3), max_size=3),
+            ),
         ]
-        if PartitionBatch is not None:
-            kinds.append(
-                st.builds(
-                    lambda time, pairs: PartitionBatch.from_pairs(
-                        time, sorted(pairs.items())
-                    ),
-                    ids,
-                    st.dictionaries(ids, st.lists(ids, max_size=3), max_size=3),
-                )
-            )
     return draw(st.lists(st.one_of(*kinds), max_size=24))
 
 

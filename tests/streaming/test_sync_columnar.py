@@ -1,42 +1,33 @@
 """Array time synchronisation vs the reference chain walk, call for call.
 
-``TimeSyncOperator`` has two representations (see ``streaming/sync.py``):
-the array pass that runs wherever NumPy is importable and the
-row-at-a-time chain walk.  A batched rewrite of a stateful operator must
-be *proven* invariant under batch boundaries, so this suite drives both
-over the same hostile streams — bounded disorder, duplicate ``(oid,
-time)`` re-reports, gaps, trajectories born mid-stream, ``last_time=None``
-on a live chain, lost records that block a chain for good, TTL eviction
-with reappearance, stale records — cut into arbitrary calls (per-point
-``feed``, one-row batches of either backing, odd-sized batches, the whole
-remainder at once), swaps their checkpoints at a random cut, and
-requires the same emitted rows in the same order, the same metrics and
-the same errors after every single call.
+``TimeSyncOperator`` (``streaming/sync.py``) releases whole batches with
+one array pass; ``reference_sync.py`` keeps the row-at-a-time chain walk
+it replaced.  A batched rewrite of a stateful operator must be *proven*
+invariant under batch boundaries, so this suite drives both over the
+same hostile streams — bounded disorder, duplicate ``(oid, time)``
+re-reports, gaps, trajectories born mid-stream, ``last_time=None`` on a
+live chain, lost records that block a chain for good, TTL eviction with
+reappearance, stale records — cut into arbitrary calls (per-point
+``feed``, one-row batches, odd-sized batches, the whole remainder at
+once), swaps their checkpoints at a random cut, and requires the same
+emitted rows in the same order, the same metrics and the same errors
+after every single call.
 """
 
 import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-np = pytest.importorskip("numpy", reason="the array representation needs NumPy")
-
 from repro.data.dataset import link_last_times
-from repro.model import batch as batch_module
 from repro.model.batch import RecordBatch, SnapshotBatch
 from repro.model.records import StreamRecord
 from repro.state import decode_payload, encode_payload
 from repro.streaming.shuffle import bounded_shuffle
-from repro.streaming.sync import (
-    TimeSyncOperator,
-    _ArraySync,
-    _ChainWalkSync,
-)
+from repro.streaming.sync import TimeSyncOperator
+from tests.streaming.reference_sync import _ChainWalkSync
 
 #: Tier-1 keeps the property short; the acceptance run sets
 #: ``SYNC_DIFF_EXAMPLES=500`` (or more).
@@ -99,9 +90,6 @@ def cut_into_calls(rng: random.Random, stream: list[StreamRecord]) -> list:
         if roll < 0.25:
             calls.append(("feed", stream[i]))
             i += 1
-        elif roll < 0.35:
-            calls.append(("batch", RecordBatch.single(stream[i])))
-            i += 1
         elif roll < 0.45:
             calls.append(("batch", RecordBatch.from_records(stream[i : i + 1])))
             i += 1
@@ -145,7 +133,7 @@ def call(operator, kind, payload):
 
 def swap_checkpoints(array, walk):
     """Restore each side from the *other* representation's checkpoint."""
-    into_array = _ArraySync(array.max_delay, array.trajectory_ttl)
+    into_array = TimeSyncOperator(array.max_delay, array.trajectory_ttl)
     into_array.restore_state(
         decode_payload(encode_payload(walk.snapshot_state())[1])
     )
@@ -161,7 +149,8 @@ def run_differential(seed: int, max_delay: int, ttl_slack: int | None) -> int:
     ttl = None if ttl_slack is None else max_delay + ttl_slack
     calls = cut_into_calls(rng, hostile_stream(rng, max_delay))
     swap_at = rng.randrange(len(calls) + 1)
-    array, walk = _ArraySync(max_delay, ttl), _ChainWalkSync(max_delay, ttl)
+    array = TimeSyncOperator(max_delay, ttl)
+    walk = _ChainWalkSync(max_delay, ttl)
     emitted = 0
     for index, (kind, payload) in enumerate(calls):
         if index == swap_at:
@@ -221,7 +210,7 @@ class TestCallForCallAgreement:
             ]
         )
         records.sort(key=lambda r: r.time + rng.random() * max_delay)
-        array, walk = _ArraySync(max_delay), _ChainWalkSync(max_delay)
+        array, walk = TimeSyncOperator(max_delay), _ChainWalkSync(max_delay)
         snapshots = 0
         for batch in RecordBatch.pack(records, 997):
             got = rows_of(array.feed_batch(batch))
@@ -233,37 +222,16 @@ class TestCallForCallAgreement:
         assert snapshots + len(got) == 80
 
 
-class TestRepresentationChoice:
-    def test_constructor_builds_the_array_pass_on_a_numpy_host(self):
-        operator = TimeSyncOperator(max_delay=2, trajectory_ttl=5)
-        assert type(operator) is _ArraySync
-        assert isinstance(_ChainWalkSync(2, 5), TimeSyncOperator)
-        with pytest.raises(ValueError, match="trajectory_ttl"):
-            _ArraySync(max_delay=2, trajectory_ttl=2)
-
-    def test_numpy_less_interpreter_runs_the_walk(self):
-        """Nothing else in tier-1 runs without NumPy: block the import in
-        a child interpreter and require the same session events."""
-        runs = {}
-        for numpy in ("block", "free"):
-            child = subprocess.run(
-                [sys.executable, "-c", _NUMPY_LESS_SESSION, numpy],
-                capture_output=True,
-                text=True,
-                env={**os.environ, "PYTHONPATH": _SRC},
-                timeout=120,
-            )
-            assert child.returncode == 0, child.stderr
-            runs[numpy] = child.stdout.partition("\n")
-        assert runs["block"][0] == "_ChainWalkSync"
-        assert runs["free"][0] == "_ArraySync"
-        events = runs["block"][2]
-        assert events == runs["free"][2]
-        assert events.count("WatermarkAdvanced") == 20
+class TestOperatorContract:
+    def test_both_operators_refuse_a_ttl_within_max_delay(self):
+        for operator in (TimeSyncOperator, _ChainWalkSync):
+            operator(max_delay=2, trajectory_ttl=5)
+            with pytest.raises(ValueError, match="trajectory_ttl"):
+                operator(max_delay=2, trajectory_ttl=2)
 
     def test_array_batches_never_unbox(self, monkeypatch):
-        """No ``column_lists()`` and no Python dedup walk behind
-        ``feed_batch`` on array-backed batches — duplicates included."""
+        """No boxed record is built behind ``feed_batch`` — duplicates
+        included."""
 
         def unreachable(*_args, **_kwargs):
             raise AssertionError("row-at-a-time code reached from the array pass")
@@ -275,57 +243,15 @@ class TestRepresentationChoice:
         expected = _ChainWalkSync(2)
         keys = [(r.oid, r.time) for r in stream]
         assert len(set(keys)) < len(keys), "the stream must re-report a row"
-        want = [
-            rows_of(expected.feed_batch(batch))
-            for batch in RecordBatch.pack(stream, 7)
-        ]
+        batches = list(RecordBatch.pack(stream, 7))
+        want = [rows_of(expected.feed_batch(batch)) for batch in batches]
         want.append(rows_of(expected.flush(columnar=True)))
-        monkeypatch.setattr(RecordBatch, "column_lists", unreachable)
-        monkeypatch.setattr(batch_module, "_dedup_last_wins", unreachable)
+        monkeypatch.setattr(RecordBatch, "record_at", unreachable)
+        monkeypatch.setattr(RecordBatch, "__iter__", unreachable)
         operator = TimeSyncOperator(2)
-        got = [
-            rows_of(operator.feed_batch(batch))
-            for batch in RecordBatch.pack(stream, 7)
-        ]
+        got = [rows_of(operator.feed_batch(batch)) for batch in batches]
         got.append(rows_of(operator.flush(columnar=True)))
         assert got == want
-
-
-_SRC = str(Path(__file__).resolve().parents[2] / "src")
-
-#: A whole ``Session`` run (disorder, TTL, batches then per-point feeds,
-#: default python kernels) printing the operator class and every event.
-_NUMPY_LESS_SESSION = """
-import random, sys
-if sys.argv[1] == "block":
-    class Blocker:
-        def find_spec(self, name, path=None, target=None):
-            if name.partition(".")[0] == "numpy":
-                raise ModuleNotFoundError(f"No module named {name!r}", name=name)
-    sys.meta_path.insert(0, Blocker())
-from repro import PatternConstraints, open_session
-from repro.data.taxi import TaxiConfig, generate_taxi
-from repro.model.batch import RecordBatch
-dataset = generate_taxi(TaxiConfig(n_objects=40, horizon=20, seed=11,
-                                   group_fraction=0.5, group_size=(4, 6)))
-rng = random.Random(3)
-records = sorted(dataset.records, key=lambda r: r.time + rng.random() * 2)
-session = open_session(
-    epsilon=dataset.resolve_percentage(0.06),
-    cell_width=dataset.resolve_percentage(1.6), min_pts=3,
-    constraints=PatternConstraints(m=3, k=5, l=2, g=2),
-    max_delay=2, trajectory_ttl=6)
-events = []
-for batch in RecordBatch.pack(records[:400], 64):
-    events.extend(session.feed_batch(batch))
-for record in records[400:]:
-    events.extend(session.feed(record))
-events.extend(session.finish())
-session.close()
-assert ("numpy" in sys.modules) == (sys.argv[1] == "free")
-print(type(session._sync).__name__)
-print("\\n".join(map(repr, events)))
-"""
 
 
 #: What ``snapshot_state()`` returned before the array representation
@@ -346,7 +272,7 @@ PRE_ARRAY_PAYLOAD = {
 }
 
 
-@pytest.mark.parametrize("representation", [_ArraySync, _ChainWalkSync])
+@pytest.mark.parametrize("representation", [TimeSyncOperator, _ChainWalkSync])
 def test_pre_array_checkpoint_restores(representation):
     operator = representation(max_delay=1)
     operator.restore_state(PRE_ARRAY_PAYLOAD)
