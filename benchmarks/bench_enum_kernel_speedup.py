@@ -76,7 +76,7 @@ def test_enumeration_kernel_speedup(
     assert numpy_point.speedup_vs_python > 1.0, points
 
 
-@pytest.mark.parametrize("backend", ["serial", "parallel"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 def test_pipeline_enum_kernel_equivalence(benchmark, datasets_dense, backend):
     dataset = datasets_dense["Taxi"]
     config = detection_config(
@@ -87,7 +87,7 @@ def test_pipeline_enum_kernel_equivalence(benchmark, datasets_dense, backend):
         DEFAULT_GRID_PCT,
         MIN_PTS,
         backend=backend,
-        parallel_workers=4 if backend == "parallel" else None,
+        parallel_workers=2 if backend == "process" else None,
     )
 
     def run():

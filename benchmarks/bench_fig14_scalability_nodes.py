@@ -7,8 +7,7 @@ cost model (per-subtask busy times are N-independent).
 
 The process-backend section measures the same scaling question with
 *real* shared-nothing workers instead of the cost model: serial vs
-parallel-threads vs process pools of growing size over a
-distributed-shape workload (see :mod:`repro.bench.process_workload`),
+process pools of growing size over a distributed-shape workload (see :mod:`repro.bench.process_workload`),
 plus a full-ICPE serial ≡ process equivalence run.  Results land in
 ``benchmarks/results/fig14_process_speedup.txt``.
 """
@@ -176,8 +175,8 @@ def test_fig14_process_report(benchmark):
         text = format_table(
             _process_results,
             title=(
-                "Fig. 14 (measured): serial vs parallel threads vs "
-                "shared-nothing process pools"
+                "Fig. 14 (measured): serial vs shared-nothing process "
+                "pools"
             ),
         )
         text += "\n\n" + format_table(
@@ -200,12 +199,12 @@ def test_fig14_process_report(benchmark):
             f"{available_cpu_count()} usable CPU core(s).  The workload "
             "is the distributed-shape synthetic stage pair from "
             "repro.bench.process_workload (GIL-releasing CPU kernel + "
-            "exchange stall per subtask per unit, as in "
-            "backend_speedup.txt): the speedup comes from the pools "
+            "exchange stall per subtask per unit): the speedup comes "
+            "from the pools "
             "overlapping per-subtask stalls, which is what scaling out "
             "buys on exchange-bound stages regardless of core count.  "
-            "Worker spawn/warm-up is excluded (happens at compile "
-            "time); per-subtask busy times cross the process boundary "
+            "Worker spawn is excluded (happens at bind_graph, before "
+            "the timer); per-subtask busy times cross the process boundary "
             "in the StageWork ledger.  The pure-Python full-ICPE run "
             "gains nothing on this host and is included for output "
             "equality only."

@@ -61,7 +61,7 @@ def test_clustering_kernel_speedup(benchmark, datasets, dataset_name):
     assert numpy_point.speedup_vs_python > 1.0, points
 
 
-@pytest.mark.parametrize("backend", ["serial", "parallel"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 def test_pipeline_kernel_equivalence(benchmark, datasets, backend):
     dataset = datasets["Taxi"]
     config = detection_config(
@@ -72,7 +72,7 @@ def test_pipeline_kernel_equivalence(benchmark, datasets, backend):
         DEFAULT_GRID_PCT,
         MIN_PTS,
         backend=backend,
-        parallel_workers=4 if backend == "parallel" else None,
+        parallel_workers=2 if backend == "process" else None,
     )
 
     def run():

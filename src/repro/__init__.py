@@ -53,7 +53,7 @@ from repro.model import (
     Trajectory,
 )
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 #: Names resolved lazily by ``__getattr__`` (heavyweight core / session /
 #: registry machinery), mapped to their home modules.

@@ -3,23 +3,17 @@
 Each figure/table of the paper's evaluation (Section 7) has a runner here
 and a regenerating module under ``benchmarks/``; ``EXPERIMENTS.md`` records
 paper-vs-measured outcomes.  Beyond the paper's simulated-cluster sweeps,
-:mod:`repro.bench.backend_workload` and the backend-comparison runner
-measure *real* wall-clock scalability of the parallel execution backend.
+:mod:`repro.bench.process_workload` and the backend-comparison runner
+measure *real* wall-clock scalability of the process execution backend.
 """
 
 from repro.bench.params import BenchParams, PAPER_TABLE3, SCALED_TABLE3
-from repro.bench.backend_workload import (
-    BackendSweepPoint,
-    build_workload_job,
-    run_backend_sweep,
-)
 from repro.bench.harness import (
     BackendPoint,
     ClusteringPoint,
     DetectionPoint,
     EnumerationPoint,
     average_detection_delay,
-    build_clustering_job,
     build_clustering_runtimes,
     clustering_join_settings,
     earliest_confirmable,
@@ -34,7 +28,6 @@ from repro.bench.sparkline import series_block, sparkline
 
 __all__ = [
     "BackendPoint",
-    "BackendSweepPoint",
     "BenchParams",
     "ClusteringPoint",
     "DetectionPoint",
@@ -42,14 +35,11 @@ __all__ = [
     "PAPER_TABLE3",
     "SCALED_TABLE3",
     "average_detection_delay",
-    "build_clustering_job",
     "build_clustering_runtimes",
-    "build_workload_job",
     "clustering_join_settings",
     "earliest_confirmable",
     "format_table",
     "run_backend_comparison",
-    "run_backend_sweep",
     "run_clustering_point",
     "run_detection_point",
     "run_enumeration_point",

@@ -40,7 +40,7 @@ from repro.model.snapshot import ClusterSnapshot
 from repro.model.timeseq import TimeSequence
 from repro.streaming.cluster import ClusterModel, ClusterRun
 from repro.streaming.dataflow import StageRuntime
-from repro.streaming.environment import Job, StreamEnvironment
+from repro.streaming.runtime import execute_unit
 
 CLUSTERING_METHODS = ("RJC", "SRJ", "GDC")
 ENUMERATORS = ("B", "F", "V")
@@ -182,25 +182,23 @@ def clustering_join_settings(
     raise ValueError(f"unknown clustering method {method!r}")
 
 
-def build_clustering_job(
+def build_clustering_runtimes(
     method: str,
     epsilon: float,
     cell_width: float,
     min_pts: int,
     allocate_parallelism: int = 8,
     query_parallelism: int = 16,
-    backend=None,
-) -> Job:
-    """The clustering phase of the job graph for one method.
+) -> list[StageRuntime]:
+    """The clustering phase of the job graph for one method, instantiated.
 
     Described through the same :func:`describe_clustering_stages` helper
-    the full ICPE pipeline uses — the bench provably measures the
-    pipeline's topology — and compiled onto ``backend`` (default serial).
+    the full ICPE pipeline uses, so the bench provably measures the
+    pipeline's topology; run with :func:`execute_unit` on the serial
+    backend.
     """
     settings = clustering_join_settings(method, epsilon, cell_width)
-    env = StreamEnvironment()
-    describe_clustering_stages(
-        env.source(),
+    stages = describe_clustering_stages(
         epsilon=epsilon,
         cell_width=settings["cell_width"],
         min_pts=min_pts,
@@ -213,26 +211,7 @@ def build_clustering_job(
         allocate_parallelism=allocate_parallelism,
         query_parallelism=query_parallelism,
     )
-    return env.compile(backend=backend)
-
-
-def build_clustering_runtimes(
-    method: str,
-    epsilon: float,
-    cell_width: float,
-    min_pts: int,
-    allocate_parallelism: int = 8,
-    query_parallelism: int = 16,
-) -> list[StageRuntime]:
-    """Legacy view: the instantiated runtimes of :func:`build_clustering_job`."""
-    return build_clustering_job(
-        method,
-        epsilon,
-        cell_width,
-        min_pts,
-        allocate_parallelism=allocate_parallelism,
-        query_parallelism=query_parallelism,
-    ).runtimes
+    return [StageRuntime(stage) for stage in stages]
 
 
 def run_clustering_point(
@@ -251,12 +230,14 @@ def run_clustering_point(
     """
     epsilon = dataset.resolve_percentage(epsilon_pct)
     cell_width = dataset.resolve_percentage(grid_pct)
-    job = build_clustering_job(method, epsilon, cell_width, min_pts)
+    runtimes = build_clustering_runtimes(method, epsilon, cell_width, min_pts)
     run = ClusterRun(model=ClusterModel(n_nodes=n_nodes))
     for snapshot in dataset.snapshots():
-        _outputs, works = job.run(snapshot.points(), ctx=snapshot.time)
+        _outputs, works = execute_unit(
+            runtimes, snapshot.points(), ctx=snapshot.time
+        )
         run.record(works)
-    cluster_operator = job.runtimes[-1].subtasks[0]
+    cluster_operator = runtimes[-1].subtasks[0]
     return ClusteringPoint(
         method=method,
         epsilon_pct=epsilon_pct,

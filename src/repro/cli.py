@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     detect.add_argument(
         "--workers", type=int, default=None,
-        help="worker-pool size for --backend parallel/process",
+        help="worker-pool size for --backend process",
     )
     detect.add_argument(
         "--kernel", choices=registry.names("clustering_kernel"),

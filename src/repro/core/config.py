@@ -34,8 +34,8 @@ class ICPEConfig:
         enumerate_parallelism: subtasks of the enumeration stage (anchor
             trajectories hashed onto these).  For all three, ``None``
             (the default) follows the backend: one subtask on
-            ``serial``, one per worker on ``parallel`` and ``process``
-            — physical fan-out matches the hardware that runs it.
+            ``serial``, one per worker on ``process`` — physical
+            fan-out matches the hardware that runs it.
             Explicit ints fix the topology, for sweeps and ablations
             (the Fig. 14 node sweep passes the paper's 8/16/16).  The
             results are identical at every fan-out, and a checkpoint
@@ -53,13 +53,14 @@ class ICPEConfig:
         vba_candidate_retention: optional eviction horizon for VBA's
             global candidate list (None = paper semantics, keep all).
         backend: execution backend running the job graph — ``"serial"``
-            (sequential, deterministic, default), ``"parallel"``
-            (thread-pool concurrency; identical results, measured
-            wall-clock busy times) or ``"process"`` (shared-nothing
-            worker processes with shared-memory columnar exchanges;
-            identical results, no GIL contention between subtasks).
-        parallel_workers: worker-pool size for the parallel and process
-            backends (``None`` = one worker per usable core, at least 4).
+            (sequential, deterministic, default) or ``"process"``
+            (shared-nothing worker processes with shared-memory columnar
+            exchanges; identical results, no GIL contention between
+            subtasks).
+        parallel_workers: worker-pool size cap for the process backend
+            (``None`` = one worker per usable core, at least 4); the
+            pool spawns no more workers than its widest multi-subtask
+            stage has subtasks.
         clustering_kernel: snapshot-clustering kernel strategy —
             ``"python"`` (the reference object path, default) or
             ``"numpy"`` (vectorized array kernel; identical cluster and

@@ -1,12 +1,13 @@
 """The ICPE pipeline: Indexed Clustering and Pattern Enumeration (Fig. 3).
 
-``ICPEPipeline`` describes the four-stage topology through the fluent
-:class:`~repro.streaming.environment.StreamEnvironment` builder — the same
-path any user dataflow takes — compiles it onto the configured execution
-backend (serial, parallel or process), and executes it per snapshot,
-collecting
-per-stage busy times, the simulated distributed latency/throughput (via
-the cluster cost model) and the deduplicated pattern results.
+:func:`icpe_stages` describes the four-stage job graph as a list of
+:class:`~repro.streaming.dataflow.KeyedStage` descriptions.
+``ICPEPipeline`` builds one :class:`~repro.streaming.dataflow.
+StageRuntime` per stage, binds the same description to the configured
+execution backend (serial or process), and executes it per snapshot,
+collecting per-stage busy times, the simulated distributed
+latency/throughput (via the cluster cost model) and the deduplicated
+pattern results.
 """
 
 from __future__ import annotations
@@ -32,12 +33,21 @@ from repro.model.batch import SnapshotBatch
 from repro.model.pattern import CoMovementPattern
 from repro.model.snapshot import ClusterSnapshot, Snapshot
 from repro.streaming.cluster import ClusterModel
-from repro.streaming.dataflow import SpanRecord, StageRuntime, StageWork
+from repro.streaming.dataflow import (
+    KeyedStage,
+    SpanRecord,
+    StageRuntime,
+    StageWork,
+)
 from repro.state.codec import decode_payload, encode_payload
-from repro.streaming.environment import DataStream, Job, StreamEnvironment
 from repro.streaming.hashing import stable_hash
 from repro.streaming.metrics import LatencyThroughputMeter, SnapshotTiming
-from repro.streaming.runtime import GraphSpec, resolve_backend
+from repro.streaming.runtime import (
+    GraphSpec,
+    execute_finish,
+    execute_unit,
+    resolve_backend,
+)
 
 #: Stage-parallelism fields whose ``None`` means "follow the backend".
 FAN_OUT_FIELDS = (
@@ -48,7 +58,6 @@ FAN_OUT_FIELDS = (
 
 
 def describe_clustering_stages(
-    stream: DataStream,
     *,
     epsilon: float,
     cell_width: float,
@@ -64,15 +73,15 @@ def describe_clustering_stages(
     rtree_fanout: int = 16,
     kernel: str = "python",
     metric_name: str = "l1",
-) -> DataStream:
-    """Append the clustering phase of the ICPE job graph to a stream.
+) -> list[KeyedStage]:
+    """The clustering phase of the ICPE job graph, as stage descriptions.
 
     With the default ``python`` kernel, the three reference stages —
     GridAllocate keyed by trajectory id, GridQuery keyed by grid cell, and
     the single-subtask GridSync/DBSCAN collector — are described here
-    once, shared by :meth:`ICPEPipeline.build_environment` and the bench
-    harness's clustering-only sweeps (Figs. 10-11), so both provably
-    execute the same topology.
+    once, shared by :func:`icpe_stages` and the bench harness's
+    clustering-only sweeps (Figs. 10-11), so both provably execute the
+    same topology.
 
     With a vectorized kernel (``"numpy"``), the whole phase collapses
     into one :class:`~repro.core.operators.KernelClusterOperator` stage
@@ -84,24 +93,26 @@ def describe_clustering_stages(
     """
     if kernel != "python":
         kernel_name = kernel
-        return stream.process(
-            lambda: KernelClusterOperator(
-                make_kernel(
-                    kernel_name,
-                    epsilon=epsilon,
-                    min_pts=min_pts,
-                    cell_width=cell_width,
-                    metric_name=metric_name,
-                    lemma1=lemma1,
-                    lemma2=lemma2,
-                    local_index=local_index,
-                    rtree_fanout=rtree_fanout,
+        return [
+            KeyedStage(
+                name="cluster",
+                operator_factory=lambda: KernelClusterOperator(
+                    make_kernel(
+                        kernel_name,
+                        epsilon=epsilon,
+                        min_pts=min_pts,
+                        cell_width=cell_width,
+                        metric_name=metric_name,
+                        lemma1=lemma1,
+                        lemma2=lemma2,
+                        local_index=local_index,
+                        rtree_fanout=rtree_fanout,
+                    ),
+                    significance=significance,
                 ),
-                significance=significance,
-            ),
-            parallelism=1,
-            name="cluster",
-        )
+                parallelism=1,
+            )
+        ]
     joiner_factory = lambda: QueryOperator(
         CellJoiner(
             epsilon=epsilon,
@@ -112,29 +123,33 @@ def describe_clustering_stages(
             rtree_fanout=rtree_fanout,
         )
     )
-    return (
-        stream
-        .key_by(lambda element: element[0], name="allocate")  # trajectory id
-        .process(
-            lambda: AllocateOperator(cell_width, epsilon, lemma1=lemma1),
+    return [
+        KeyedStage(
+            name="allocate",
+            operator_factory=lambda: AllocateOperator(
+                cell_width, epsilon, lemma1=lemma1
+            ),
             parallelism=allocate_parallelism,
-        )
-        .key_by(lambda go: go.key, name="query")  # grid cell
-        .process(joiner_factory, parallelism=query_parallelism)
-        .process(
-            lambda: ClusterOperator(
+            key_fn=lambda element: element[0],  # trajectory id
+        ),
+        KeyedStage(
+            name="query",
+            operator_factory=joiner_factory,
+            parallelism=query_parallelism,
+            key_fn=lambda go: go.key,  # grid cell
+        ),
+        KeyedStage(
+            name="cluster",
+            operator_factory=lambda: ClusterOperator(
                 min_pts=min_pts, significance=significance, dedup=dedup
             ),
             parallelism=1,
-            name="cluster",
-        )
-    )
+        ),
+    ]
 
 
-def describe_enumeration_stage(
-    stream: DataStream, config: ICPEConfig
-) -> DataStream:
-    """Append the enumeration phase (PED) of the ICPE job graph.
+def describe_enumeration_stage(config: ICPEConfig) -> KeyedStage:
+    """The enumeration phase (PED) of the ICPE job graph.
 
     With the default ``python`` enumeration kernel, the stage hosts one
     BA / FBA / VBA state machine per anchor
@@ -147,15 +162,11 @@ def describe_enumeration_stage(
     both strategies, so the kernel choice composes with either execution
     backend and either clustering kernel.
     """
-    keyed = stream.key_by(lambda record: record[1], name="enumerate")
     if config.enumeration_kernel == "python":
         enumerator_factory = make_enumerator_factory(config)
-        return keyed.process(
-            lambda: EnumerateOperator(enumerator_factory),
-            parallelism=config.enumerate_parallelism,
-        )
-    return keyed.process(
-        lambda: BatchedEnumerateOperator(
+        factory = lambda: EnumerateOperator(enumerator_factory)
+    else:
+        factory = lambda: BatchedEnumerateOperator(
             make_enumeration_kernel(
                 config.enumeration_kernel,
                 enumerator=config.enumerator,
@@ -163,8 +174,12 @@ def describe_enumeration_stage(
                 ba_max_partition_size=config.ba_max_partition_size,
                 vba_candidate_retention=config.vba_candidate_retention,
             )
-        ),
+        )
+    return KeyedStage(
+        name="enumerate",
+        operator_factory=factory,
         parallelism=config.enumerate_parallelism,
+        key_fn=lambda record: record[1],  # anchor id
     )
 
 
@@ -184,17 +199,42 @@ def resolve_fan_out(config: ICPEConfig, workers: int) -> ICPEConfig:
     return replace(config, **unresolved) if unresolved else config
 
 
-def build_icpe_graph(config: ICPEConfig):
-    """The ICPE job graph for a config (module-level, hence picklable).
+def icpe_stages(config: ICPEConfig) -> list[KeyedStage]:
+    """The ICPE job graph (Fig. 3) for a config, as stage descriptions.
 
-    The builder behind the :class:`~repro.streaming.runtime.GraphSpec`
-    every pipeline binds to its backend: process-isolated backends pickle
-    ``(build_icpe_graph, (config,))`` to each worker, which calls it after
-    spawn to instantiate its own operator state — the config is a frozen
-    plain-data dataclass, so the spec crosses the process boundary even
-    though the stage factories themselves are closures.
+    Four stages — GridAllocate keyed by trajectory id (``allocate``),
+    GridQuery keyed by grid cell (``query``), the single-subtask
+    GridSync/DBSCAN collector (``cluster``) and enumeration keyed by
+    anchor id (``enumerate``); a vectorized clustering kernel folds the
+    first three into one ``cluster`` stage.  Stage parallelisms still
+    ``None`` here get one subtask.  The stage names are the ``(stage,
+    subtask)`` keys of checkpointed operator state.
+
+    Module-level, hence picklable: it is the builder behind the
+    :class:`~repro.streaming.runtime.GraphSpec` every pipeline binds to
+    its backend.  The process backend pickles ``(icpe_stages,
+    (config,))`` to each worker, which calls it after spawn to build its
+    own operator state — the config is a frozen plain-data dataclass, so
+    the spec crosses the process boundary even though the stage
+    factories themselves are closures.
     """
-    return ICPEPipeline.build_environment(config).graph()
+    cfg = resolve_fan_out(config, 1)
+    return describe_clustering_stages(
+        epsilon=cfg.epsilon,
+        cell_width=cfg.cell_width,
+        min_pts=cfg.min_pts,
+        significance=cfg.constraints.m,
+        metric=cfg.clustering_config().join_config().metric,
+        lemma1=cfg.lemma1,
+        lemma2=cfg.lemma2,
+        local_index=cfg.local_index,
+        dedup=not (cfg.lemma1 and cfg.lemma2),
+        allocate_parallelism=cfg.allocate_parallelism,
+        query_parallelism=cfg.query_parallelism,
+        rtree_fanout=cfg.rtree_fanout,
+        kernel=cfg.clustering_kernel,
+        metric_name=cfg.metric_name,
+    ) + [describe_enumeration_stage(cfg)]
 
 
 def _patterns_by_anchor(outputs: list[Any]) -> list[CoMovementPattern]:
@@ -258,18 +298,21 @@ class ICPEPipeline:
         self.keep_works = keep_works
         self.works_history: list[list[StageWork]] = []
         self._cluster_model: ClusterModel = config.cluster
-        self._backend = resolve_backend(
+        #: The execution backend; the pipeline created it from the
+        #: config, so it owns and closes it.
+        self.backend = resolve_backend(
             config.backend, max_workers=config.parallel_workers
         )
-        #: The config the job graph is built from — the caller's, with
+        #: The config the stages are built from — the caller's, with
         #: ``None`` stage parallelisms resolved once against the backend
         #: so the local runtimes and every process worker agree.
-        self.config = config = resolve_fan_out(config, self._backend.workers)
-        self._job: Job = self.build_environment(config).compile(
-            backend=self._backend,
-            graph_spec=GraphSpec(build_icpe_graph, (config,)),
-        )
-        self._runtimes = self._job.runtimes
+        self.config = config = resolve_fan_out(config, self.backend.workers)
+        stages = icpe_stages(config)
+        # The process backend rebuilds operator state per worker from
+        # the spec; the serial backend ignores the offer.
+        self.backend.bind_graph(GraphSpec(icpe_stages, (config,)))
+        #: One runtime per stage, in pipeline order.
+        self.runtimes = [StageRuntime(stage) for stage in stages]
         self._finished = False
         self._last_time: int | None = None
         #: Incremental-capture cache: last seen digest and encoded payload
@@ -292,45 +335,10 @@ class ICPEPipeline:
         # backend runs in this process, so this is the live operator.
         self._cluster_operator: ClusterOperator | KernelClusterOperator = next(
             subtask
-            for runtime in self._runtimes
+            for runtime in self.runtimes
             for subtask in runtime.subtasks
             if isinstance(subtask, (ClusterOperator, KernelClusterOperator))
         )
-
-    @staticmethod
-    def build_environment(config: ICPEConfig) -> StreamEnvironment:
-        """Describe the ICPE job graph (Fig. 3) on a stream environment.
-
-        The four stages — GridAllocate keyed by trajectory id, GridQuery
-        keyed by grid cell, the single-subtask GridSync/DBSCAN collector,
-        and enumeration keyed by anchor id — are built through the same
-        fluent API any user topology uses, so the pipeline and ad-hoc
-        environments share one :class:`JobGraph` construction path.
-        Stage parallelisms still ``None`` here get one subtask.
-        """
-        cfg = resolve_fan_out(config, 1)
-        env = StreamEnvironment()
-        describe_enumeration_stage(
-            describe_clustering_stages(
-                env.source(),
-                epsilon=cfg.epsilon,
-                cell_width=cfg.cell_width,
-                min_pts=cfg.min_pts,
-                significance=cfg.constraints.m,
-                metric=cfg.clustering_config().join_config().metric,
-                lemma1=cfg.lemma1,
-                lemma2=cfg.lemma2,
-                local_index=cfg.local_index,
-                dedup=not (cfg.lemma1 and cfg.lemma2),
-                allocate_parallelism=cfg.allocate_parallelism,
-                query_parallelism=cfg.query_parallelism,
-                rtree_fanout=cfg.rtree_fanout,
-                kernel=cfg.clustering_kernel,
-                metric_name=cfg.metric_name,
-            ),
-            cfg,
-        )
-        return env
 
     # ------------------------------------------------------------------ drive
 
@@ -355,12 +363,14 @@ class ICPEPipeline:
             )
         self._last_time = snapshot.time
         if isinstance(snapshot, SnapshotBatch) and getattr(
-            self._backend, "supports_batch_ingest", False
+            self.backend, "supports_batch_ingest", False
         ):
             elements: list = [snapshot]
         else:
             elements = snapshot.points()
-        outputs, works = self._job.run(elements, ctx=snapshot.time)
+        outputs, works = execute_unit(
+            self.runtimes, elements, snapshot.time, self.backend
+        )
         self.last_spans = self._drain_spans()
         fresh_count = self.collector.offer(
             snapshot.time, _patterns_by_anchor(outputs)
@@ -373,7 +383,7 @@ class ICPEPipeline:
         if self._finished:
             return []
         self._finished = True
-        outputs, _works = self._job.finish()
+        outputs, _works = execute_finish(self.runtimes, self.backend)
         self.last_spans = self._drain_spans()
         self.close()
         time = self._last_time if self._last_time is not None else 0
@@ -381,13 +391,13 @@ class ICPEPipeline:
         return self.collector.latest(fresh_count)
 
     def close(self) -> None:
-        """Release backend resources (the parallel worker pool).
+        """Release backend resources (the process worker pool).
 
         The pipeline created its backend from the config, so it owns it
         and closes it directly.  Idempotent; called automatically by
         :meth:`finish`, and by the bench harness when a run aborts early.
         """
-        self._backend.close()
+        self.backend.close()
 
     def run(self, snapshots: Iterable[Snapshot]) -> PatternCollector:
         """Convenience: process a bounded snapshot stream to completion."""
@@ -402,13 +412,12 @@ class ICPEPipeline:
         """Collect the unit's spans from every stage, canonically ordered.
 
         Stage order, then subtask index, with unit spans before finish
-        spans.  The parallel backend appends spans in thread-completion
-        order and the process backend in worker-reply order; sorting the
-        per-stage drain makes the stream identical to the serial
-        backend's by construction.
+        spans.  The process backend appends spans in worker-reply order;
+        sorting the per-stage drain makes the stream identical to the
+        serial backend's by construction.
         """
         spans: list[SpanRecord] = []
-        for runtime in self._runtimes:
+        for runtime in self.runtimes:
             drained = runtime.drain_spans()
             drained.sort(key=lambda s: (s.subtask, s.kind != "unit"))
             spans.extend(drained)
@@ -471,14 +480,9 @@ class ICPEPipeline:
         return self._cluster_operator.clusters_formed
 
     @property
-    def job(self) -> Job:
-        """The compiled job (graph + backend + runtimes) executing ICPE."""
-        return self._job
-
-    @property
     def backend_name(self) -> str:
         """Name of the execution backend running the job graph."""
-        return self._backend.name
+        return self.backend.name
 
     @property
     def kernel_name(self) -> str:
@@ -507,10 +511,9 @@ class ICPEPipeline:
 
         The union over every enumerate subtask of the objects its open
         FBA windows / unclosed VBA bit strings depend on — the records
-        the pattern-aware shed policy must not drop.  Works under every
-        backend: in-process backends walk the live operator instances,
-        the process backend round-trips a ``protected`` command through
-        the worker reply protocol.  Cached per processed snapshot (the
+        the pattern-aware shed policy must not drop.  Answered by the
+        backend's ``query`` of each subtask's ``protected_oids`` (in the
+        workers on the process backend).  Cached per processed snapshot (the
         set only changes when a snapshot is processed); empty once the
         pipeline has finished.
         """
@@ -523,12 +526,12 @@ class ICPEPipeline:
         ):
             return self._protected_cache[1]
         runtime = next(
-            (r for r in self._runtimes if r.stage.name == "enumerate"), None
+            (r for r in self.runtimes if r.stage.name == "enumerate"), None
         )
         protected: frozenset[int] = frozenset()
         if runtime is not None:
             merged: set[int] = set()
-            for _index, oids in self._backend.collect_protected(runtime):
+            for _index, oids in self.backend.query(runtime, "protected_oids"):
                 merged.update(oids)
             protected = frozenset(merged)
         self._protected_cache = (marker, protected)
@@ -542,10 +545,9 @@ class ICPEPipeline:
         The sorted concatenation over every enumerate subtask of its
         ``(anchor, oid, start, ones, remaining)`` descriptors (see
         :data:`repro.patterns.base.FormingCandidate`) — the prediction
-        scorer's input.  Works under every backend: in-process backends
-        walk the live operator instances, the process backend
-        round-trips a ``forming`` command through the worker reply
-        protocol.  Cached per processed snapshot; empty once the
+        scorer's input.  Answered by the backend's ``query`` of each
+        subtask's ``forming_candidates`` (in the workers on the process
+        backend).  Cached per processed snapshot; empty once the
         pipeline has finished.  Anchors never collide across subtasks,
         so the sorted merge is backend-invariant.
         """
@@ -558,12 +560,14 @@ class ICPEPipeline:
         ):
             return self._forming_cache[1]
         runtime = next(
-            (r for r in self._runtimes if r.stage.name == "enumerate"), None
+            (r for r in self.runtimes if r.stage.name == "enumerate"), None
         )
         forming: tuple[tuple[int, int, int, int, int], ...] = ()
         if runtime is not None:
             merged: list[tuple[int, int, int, int, int]] = []
-            for _index, descriptors in self._backend.collect_forming(runtime):
+            for _index, descriptors in self.backend.query(
+                runtime, "forming_candidates"
+            ):
                 merged.extend(descriptors)
             forming = tuple(sorted(merged))
         self._forming_cache = (marker, forming)
@@ -574,7 +578,7 @@ class ICPEPipeline:
     @property
     def supports_checkpoint(self) -> bool:
         """Whether the configured backend can capture operator state."""
-        return bool(getattr(self._backend, "supports_checkpoint", False))
+        return bool(getattr(self.backend, "supports_checkpoint", False))
 
     def collect_operator_states(
         self,
@@ -590,22 +594,21 @@ class ICPEPipeline:
         """
         if not self.supports_checkpoint:
             raise RuntimeError(
-                f"backend {self._backend.name!r} does not support "
+                f"backend {self.backend.name!r} does not support "
                 "checkpointing (supports_checkpoint is False)"
             )
         if self._finished:
             raise RuntimeError("pipeline already finished")
         states: dict[tuple[str, int], bytes] = {}
         captured = reused = 0
-        for runtime in self._runtimes:
+        for runtime in self.runtimes:
             stage = runtime.stage.name
-            known = {
-                index: digest
-                for (name, index), digest in self._state_digests.items()
-                if name == stage
-            }
-            for index, digest, data in self._backend.collect_states(
-                runtime, known
+            known = [
+                (self._state_digests.get((stage, index)),)
+                for index in range(len(runtime.subtasks))
+            ]
+            for index, (digest, data) in self.backend.query(
+                runtime, "capture_state", known
             ):
                 key = (stage, index)
                 if data is None:
@@ -632,13 +635,13 @@ class ICPEPipeline:
         """
         if not self.supports_checkpoint:
             raise RuntimeError(
-                f"backend {self._backend.name!r} does not support "
+                f"backend {self.backend.name!r} does not support "
                 "checkpointing (supports_checkpoint is False)"
             )
         by_stage: dict[str, list[tuple[int, bytes]]] = {}
         for (stage, index), data in states.items():
             by_stage.setdefault(stage, []).append((index, data))
-        known_stages = {runtime.stage.name for runtime in self._runtimes}
+        known_stages = {runtime.stage.name for runtime in self.runtimes}
         unknown = sorted(set(by_stage) - known_stages)
         if unknown:
             raise ValueError(
@@ -646,13 +649,16 @@ class ICPEPipeline:
                 f"not part of this pipeline ({sorted(known_stages)}); was "
                 "it taken under a different kernel configuration?"
             )
-        for runtime in self._runtimes:
+        for runtime in self.runtimes:
             payloads = by_stage.get(runtime.stage.name)
             if not payloads:
                 continue
             if runtime.stage.name == "enumerate":
                 payloads = _repartition_by_anchor(runtime, payloads)
-            self._backend.restore_states(runtime, sorted(payloads))
+            args: list[tuple | None] = [None] * len(runtime.subtasks)
+            for index, data in payloads:
+                args[index] = (data,)
+            self.backend.query(runtime, "restore_encoded", args)
         self._protected_cache = None
         self._forming_cache = None
         self._state_digests.clear()
@@ -669,9 +675,9 @@ class ICPEPipeline:
         """
         metrics: dict[str, dict[str, int]] = {}
         if self.supports_checkpoint and not self._finished:
-            for runtime in self._runtimes:
+            for runtime in self.runtimes:
                 merged: dict[str, int] = {}
-                for _index, sub in self._backend.collect_metrics(runtime):
+                for _index, sub in self.backend.query(runtime, "state_metrics"):
                     for key, value in sub.items():
                         merged[key] = merged.get(key, 0) + value
                 if merged:

@@ -8,7 +8,7 @@ when the family declares :attr:`PatternFamily.needs_forming_state`) and
 the snapshot's freshly confirmed patterns, and returns the extra typed
 events the family contributes to the stream.  Because families never
 touch worker-side state directly, one implementation runs bit-identically
-on the serial, parallel and process backends.
+on the serial and process backends.
 
 Families implement the OperatorState contract (``snapshot_state`` /
 ``restore_state`` / ``state_metrics``) so their state rides session

@@ -1,7 +1,7 @@
 """Registration of the built-in strategies on a plugin registry.
 
 Every strategy PRs 1-3 introduced ad hoc is re-registered here through
-the one typed extension point: the three execution backends
+the one typed extension point: the two execution backends
 (``streaming/runtime/``), both clustering kernels (``kernels/``), both
 enumeration kernels (``enumeration/kernels/``), the three enumerators
 (baseline / FBA / VBA), the shed policies (``shedding/``) and the
@@ -46,13 +46,6 @@ def _serial_backend(max_workers: int | None = None):
     from repro.streaming.runtime.serial import SerialBackend
 
     return SerialBackend()
-
-
-def _parallel_backend(max_workers: int | None = None):
-    """The worker-pool backend with batched keyed exchanges."""
-    from repro.streaming.runtime.parallel import ParallelBackend
-
-    return ParallelBackend(max_workers=max_workers)
 
 
 def _process_backend(max_workers: int | None = None):
@@ -244,19 +237,7 @@ BUILTIN_SPECS: tuple[PluginSpec, ...] = (
             supports_checkpoint=True,
             exports_telemetry=True,
         ),
-        summary="sequential in-thread execution (deterministic reference)",
-        source="builtin",
-    ),
-    PluginSpec(
-        kind="backend",
-        name="parallel",
-        factory=_parallel_backend,
-        capabilities=PluginCapabilities(
-            supports_batch_ingest=True,
-            supports_checkpoint=True,
-            exports_telemetry=True,
-        ),
-        summary="worker-pool execution with batched keyed exchanges",
+        summary="sequential in-process execution (deterministic reference)",
         source="builtin",
     ),
     PluginSpec(

@@ -52,8 +52,8 @@ class PluginCapabilities:
             instead of receiving it from the caller.  Drivers use this
             to know the backend needs ``bind_graph()`` before running.
         supports_checkpoint: the execution backend can capture and
-            restore its operators' state through the
-            ``collect_states`` / ``restore_states`` surface, making
+            restore its operators' state through the ``query`` surface
+            (``capture_state`` / ``restore_encoded``), making
             ``Session.checkpoint()`` available on top of it.  Every
             built-in backend declares it (the process backend drains its
             workers through the synchronous reply protocol).

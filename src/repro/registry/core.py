@@ -185,7 +185,7 @@ class PluginRegistry:
         bucket = self._specs.get(kind, {})
         spec = bucket.get(name)
         if spec is None:
-            known = tuple(bucket) or ("<none registered>",)
+            known = list(bucket) or ["<none registered>"]
             raise UnknownPluginError(
                 f"unknown {kind.replace('_', ' ')} {name!r} "
                 f"(plugin kind {kind!r}); registered: {known}"

@@ -86,7 +86,7 @@ def open_session(
         session = open_session(
             epsilon=10.0, cell_width=30.0, min_pts=3,
             constraints=PatternConstraints(m=3, k=4, l=2, g=2),
-            backend="parallel",
+            backend="process",
         )
 
     ``track_convoys`` enables the live convoy view; ``sinks`` subscribe

@@ -9,7 +9,7 @@ strategy-plugin selections, sinks, live-tracking — and materialises an
         SessionBuilder()
         .epsilon(10.0).cell_width(30.0).min_pts(3)
         .constraints(m=3, k=4, l=2, g=2)
-        .backend("parallel", workers=4)
+        .backend("process", workers=4)
         .clustering_kernel("numpy")
         .track_convoys()
         .sink(print)
@@ -107,9 +107,8 @@ class SessionBuilder:
     ) -> "SessionBuilder":
         """Select the execution-backend plugin (and worker-pool size).
 
-        Built-in names: ``serial`` / ``parallel`` (threads) /
-        ``process`` (shared-nothing worker processes); ``workers`` sizes
-        the parallel and process pools.  Omitting ``workers`` leaves any
+        Built-in names: ``serial`` / ``process`` (shared-nothing worker
+        processes); ``workers`` sizes the process pool.  Omitting ``workers`` leaves any
         previously configured pool size untouched (e.g. one seeded from
         a base config).
         """

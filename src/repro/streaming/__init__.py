@@ -14,19 +14,13 @@ bottom-up:
 * :mod:`repro.streaming.hashing` — the salt-free CRC32 key hash that
   makes keyed routing reproducible across interpreter runs and identical
   between execution backends;
-* :mod:`repro.streaming.runtime` — the pluggable execution runtime: the
-  unified :class:`~repro.streaming.runtime.graph.JobGraph` topology
-  description, the :class:`~repro.streaming.runtime.base.ExecutionBackend`
-  contract, and the two shipped backends —
+* :mod:`repro.streaming.runtime` — the execution runtime: the
+  :class:`~repro.streaming.runtime.base.ExecutionBackend` contract, the
+  stage drivers, and the two shipped backends —
   :class:`~repro.streaming.runtime.serial.SerialBackend` (sequential,
   deterministic, default) and
-  :class:`~repro.streaming.runtime.parallel.ParallelBackend` (worker-pool
-  concurrency with batched keyed exchanges and measured wall-clock busy
-  times);
-* :mod:`repro.streaming.environment` — the fluent builder
-  (:class:`StreamEnvironment`) that describes a topology once and compiles
-  it onto any backend any number of times, yielding independent
-  :class:`Job` instances;
+  :class:`~repro.streaming.runtime.process.ProcessBackend`
+  (shared-nothing worker processes with shared-memory exchanges);
 * :mod:`repro.streaming.cluster` — the N-node cost model turning busy
   times into the latency/throughput metrics of Section 7 (Figs. 10-15);
 * :mod:`repro.streaming.shuffle` — bounded out-of-order delivery
@@ -34,19 +28,12 @@ bottom-up:
 """
 
 from repro.streaming.cluster import ClusterModel, StageCost
-from repro.streaming.dataflow import (
-    KeyedStage,
-    Operator,
-    StageRuntime,
-    Topology,
-)
-from repro.streaming.environment import Job, StreamEnvironment
+from repro.streaming.dataflow import KeyedStage, Operator, StageRuntime
 from repro.streaming.hashing import canonical_encode, stable_hash
 from repro.streaming.metrics import LatencyThroughputMeter, SnapshotTiming
 from repro.streaming.runtime import (
     ExecutionBackend,
-    JobGraph,
-    ParallelBackend,
+    ProcessBackend,
     SerialBackend,
     resolve_backend,
 )
@@ -56,19 +43,15 @@ from repro.streaming.sync import TimeSyncOperator
 __all__ = [
     "ClusterModel",
     "ExecutionBackend",
-    "Job",
-    "JobGraph",
     "KeyedStage",
     "LatencyThroughputMeter",
     "Operator",
-    "ParallelBackend",
+    "ProcessBackend",
     "SerialBackend",
     "SnapshotTiming",
     "StageCost",
     "StageRuntime",
-    "StreamEnvironment",
     "TimeSyncOperator",
-    "Topology",
     "bounded_shuffle",
     "canonical_encode",
     "resolve_backend",

@@ -1,18 +1,19 @@
-"""Operators, keyed stages and the staged-topology primitives.
+"""Operators, keyed stages and the stage runtime.
 
 A miniature of Flink's programming model sufficient for ICPE's job graph
-(Fig. 3 / Fig. 5): a topology is a list of *stages*, each stage has a
+(Fig. 3 / Fig. 5): the pipeline is a list of *stages*, each stage has a
 number of parallel *subtasks* hosting one operator instance each, and
 records travel between stages through *keyed exchanges* (a stable hash of
 the key modulo the downstream parallelism — Flink's key-group routing).
 
 This module holds the primitives: :class:`Operator`, :class:`KeyedStage`
 and :class:`StageRuntime` (instantiated subtasks plus routing).  *How* a
-stage's subtasks execute — sequentially in the calling thread, or
-concurrently on a worker pool — is the province of the execution backends
-in :mod:`repro.streaming.runtime`; both backends consume the same
-``partition`` / ``run_subtask`` / ``finish_subtask`` operations defined
-here, so routing and per-subtask semantics are identical by construction.
+stage's subtasks execute — in the calling process, or in a pool of worker
+processes — is the province of the execution backends in
+:mod:`repro.streaming.runtime`; both consume the same ``partition`` /
+``run_subtask`` / ``finish_subtask`` operations defined here, and answer
+control queries through :meth:`StageRuntime.query`, so routing,
+per-subtask semantics and state capture are identical by construction.
 
 The drivers execute one *unit of work* (for ICPE: one snapshot) at a time,
 measuring the busy time every subtask spends, which the cluster cost model
@@ -26,12 +27,13 @@ from __future__ import annotations
 
 import time as _time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from repro.model.batch import ENVELOPES, PartitionBatch, SnapshotBatch
 from repro.model.pattern import CoMovementPattern
+from repro.state.codec import decode_payload, encode_payload
 from repro.streaming.hashing import stable_hash
 
 _from_sorted = CoMovementPattern._from_sorted
@@ -106,16 +108,25 @@ class Operator(ABC):
         """
         return {}
 
+    def capture_state(
+        self, known_digest: str | None = None
+    ) -> tuple[str, bytes | None] | None:
+        """Encode :meth:`snapshot_state` for a checkpoint.
 
-class FnOperator(Operator):
-    """Adapter turning a plain function into a flat-map operator."""
+        Returns ``(digest, payload_bytes)``, or ``None`` for a stateless
+        operator.  When ``known_digest`` equals the digest, the bytes are
+        ``None``: the caller already holds them (incremental capture), so
+        an unchanged payload never crosses a process boundary.
+        """
+        payload = self.snapshot_state()
+        if payload is None:
+            return None
+        digest, data = encode_payload(payload)
+        return digest, None if digest == known_digest else data
 
-    def __init__(self, fn: Callable[[Any], Iterable[Any]]):
-        self._fn = fn
-
-    def process(self, element: Any) -> Iterable[Any]:
-        """Delegate to the wrapped function."""
-        return self._fn(element)
+    def restore_encoded(self, data: bytes) -> None:
+        """Adopt payload bytes made by :meth:`capture_state`."""
+        self.restore_state(decode_payload(data))
 
 
 _ENVELOPE_TYPES = frozenset(ENVELOPES)
@@ -357,8 +368,9 @@ class StageWork:
 
     ``wall_seconds`` is the real elapsed time the stage took under the
     executing backend — for the serial backend this approximates the sum
-    of the busy times, for the parallel backend it is the overlapped
-    elapsed time (the quantity backend-scalability benchmarks compare).
+    of the busy times, for the process backend it is the overlapped
+    elapsed time of the workers (the quantity backend-scalability
+    benchmarks compare).
     """
 
     name: str
@@ -393,10 +405,9 @@ class StageRuntime:
         # unbounded on a live stream, so the cache stops admitting new
         # entries at a fixed cap — past it, misses just recompute.
         self._route_cache: dict[Any, int] = {}
-        #: Span buffer: every subtask invocation appends one record here
-        #: (appends under the GIL, so concurrent subtask threads are
-        #: safe).  Drivers drain it per unit of work; a driver that never
-        #: drains hits the admission cap and only ``spans_dropped`` grows.
+        #: Span buffer: every subtask invocation appends one record here.
+        #: Drivers drain it per unit of work; a driver that never drains
+        #: hits the admission cap and only ``spans_dropped`` grows.
         self.spans: list[SpanRecord] = []
         self.spans_dropped = 0
 
@@ -462,7 +473,7 @@ class StageRuntime:
 
         The whole batch is exchanged at once — one bucket handoff per
         subtask per unit of work, not one per element — which is what lets
-        a parallel backend hand each worker its full bucket up front.
+        the process backend hand each worker its full bucket up front.
         Columnar envelopes (:data:`~repro.model.batch.ENVELOPES`) are
         split into at most one sub-envelope per destination subtask (the
         batch-shaped keyed exchange) instead of being unboxed into rows.
@@ -541,6 +552,30 @@ class StageRuntime:
         )
         return outputs, busy
 
+    def query(
+        self, method: str, tasks: Iterable[tuple[int, tuple]]
+    ) -> list[tuple[int, Any]]:
+        """Call a named operator method on some subtasks (a control query).
+
+        ``tasks`` holds ``(subtask_index, args)`` pairs.  Answers come
+        back as ``(subtask_index, answer)`` in task order; subtasks that
+        answer ``None`` are left out.  Raises :class:`RuntimeError`
+        naming the stage when an operator has no such method.
+        """
+        answers: list[tuple[int, Any]] = []
+        for index, args in tasks:
+            subtask = self.subtasks[index]
+            call = getattr(subtask, method, None)
+            if call is None:
+                raise RuntimeError(
+                    f"stage {self.stage.name!r}: {type(subtask).__name__} "
+                    f"has no query method {method!r}"
+                )
+            answer = call(*args)
+            if answer is not None:
+                answers.append((index, answer))
+        return answers
+
     def run(
         self, elements: Sequence[Any], ctx: Any = None
     ) -> tuple[list[Any], StageWork]:
@@ -583,58 +618,3 @@ class StageRuntime:
             wall_seconds=_time.perf_counter() - started,
         )
         return outputs, work
-
-
-@dataclass(slots=True)
-class Topology:
-    """A linear chain of keyed stages (legacy builder).
-
-    Retained as a thin convenience over the unified
-    :class:`~repro.streaming.runtime.graph.JobGraph`; new code should
-    describe dataflows through
-    :class:`~repro.streaming.environment.StreamEnvironment` and compile
-    them onto an execution backend.
-    """
-
-    stages: list[KeyedStage] = field(default_factory=list)
-
-    def add(self, stage: KeyedStage) -> "Topology":
-        """Append a stage and return the topology (chainable)."""
-        self.stages.append(stage)
-        return self
-
-    def to_graph(self):
-        """The equivalent :class:`~repro.streaming.runtime.graph.JobGraph`."""
-        from repro.streaming.runtime.graph import JobGraph
-
-        return JobGraph(list(self.stages))
-
-    def build(self) -> list[StageRuntime]:
-        """Instantiate the runtimes of every stage."""
-        return [StageRuntime(stage) for stage in self.stages]
-
-
-def run_unit(
-    runtimes: Sequence[StageRuntime],
-    elements: Sequence[Any],
-    ctx: Any = None,
-    backend: Any = None,
-) -> tuple[list[Any], list[StageWork]]:
-    """Push one unit of work (e.g. one snapshot) through every stage.
-
-    ``backend`` selects the execution backend; ``None`` means the serial
-    backend (the historical semantics of this function).
-    """
-    from repro.streaming.runtime.base import execute_unit
-
-    return execute_unit(runtimes, elements, ctx=ctx, backend=backend)
-
-
-def finish_all(
-    runtimes: Sequence[StageRuntime],
-    backend: Any = None,
-) -> tuple[list[Any], list[StageWork]]:
-    """Flush stage state at end of stream, cascading outputs downstream."""
-    from repro.streaming.runtime.base import execute_finish
-
-    return execute_finish(runtimes, backend=backend)

@@ -1,26 +1,24 @@
-"""Pluggable execution runtime for the staged dataflow.
+"""Pluggable execution runtime for the ICPE stage list.
 
-The runtime package separates *what* a job computes (the
-:class:`~repro.streaming.runtime.graph.JobGraph` of keyed stages) from
-*how* its subtasks execute (an
+The runtime package separates *what* a job computes (a list of
+:class:`~repro.streaming.dataflow.KeyedStage` descriptions, built into
+:class:`~repro.streaming.dataflow.StageRuntime` instances) from *how*
+its subtasks execute (an
 :class:`~repro.streaming.runtime.base.ExecutionBackend`):
 
-* :mod:`repro.streaming.runtime.graph` — the unified topology
-  description shared by ``ICPEPipeline`` and ``StreamEnvironment``;
-* :mod:`repro.streaming.runtime.base` — the backend contract plus the
-  backend-generic unit/finish drivers and :func:`resolve_backend`;
+* :mod:`repro.streaming.runtime.base` — the backend contract (run,
+  finish, one ``query`` for control traffic), the picklable
+  :class:`~repro.streaming.runtime.base.GraphSpec`, the unit/finish
+  drivers and :func:`resolve_backend`;
 * :mod:`repro.streaming.runtime.serial` — sequential reference
   execution (default);
-* :mod:`repro.streaming.runtime.parallel` — concurrent subtask
-  execution on a worker pool (threads) with batched keyed exchanges and
-  measured wall-clock busy times;
 * :mod:`repro.streaming.runtime.process` — shared-nothing worker
-  *processes* rebuilding operator state from a picklable
+  *processes* rebuilding operator state from a
   :class:`~repro.streaming.runtime.base.GraphSpec`, with columnar
   envelopes shipped through pooled ``multiprocessing.shared_memory``
   segments (:mod:`repro.streaming.runtime.shm`).
 
-All backends drive stages through the same partition/run-subtask
+Both backends drive stages through the same partition/run-subtask
 operations and concatenate outputs in subtask-index order, so the emitted
 element sequence — and therefore every detected pattern — is identical
 across backends.
@@ -35,13 +33,11 @@ from repro.streaming.runtime.base import (
     execute_unit,
     resolve_backend,
 )
-from repro.streaming.runtime.graph import JobGraph
-from repro.streaming.runtime.parallel import (
-    ParallelBackend,
+from repro.streaming.runtime.process import (
+    ProcessBackend,
     available_cpu_count,
     default_worker_count,
 )
-from repro.streaming.runtime.process import ProcessBackend
 from repro.streaming.runtime.serial import SerialBackend
 from repro.streaming.runtime.shm import SegmentPool
 
@@ -49,8 +45,6 @@ __all__ = [
     "BACKENDS",
     "ExecutionBackend",
     "GraphSpec",
-    "JobGraph",
-    "ParallelBackend",
     "ProcessBackend",
     "SegmentPool",
     "SerialBackend",

@@ -4,14 +4,11 @@ An :class:`ExecutionBackend` decides *how* one stage's subtasks execute for
 one unit of work — the dataflow semantics (keyed routing, per-subtask
 state, batch triggers) are fixed by
 :class:`~repro.streaming.dataflow.StageRuntime` and shared by every
-backend.  Three implementations ship:
+backend.  Two implementations ship:
 
 * :class:`~repro.streaming.runtime.serial.SerialBackend` — subtasks run
-  sequentially in the calling thread (deterministic, zero overhead, the
+  sequentially in the calling process (deterministic, zero overhead, the
   default);
-* :class:`~repro.streaming.runtime.parallel.ParallelBackend` — subtasks of
-  a stage run concurrently on a worker pool with real wall-clock
-  measurement.
 * :class:`~repro.streaming.runtime.process.ProcessBackend` — subtasks of
   multi-subtask stages run in a shared-nothing pool of persistent worker
   processes (a single-subtask stage runs in the caller); columnar
@@ -21,10 +18,13 @@ backend.  Three implementations ship:
   :class:`GraphSpec` — the recipe each worker uses to rebuild its own
   operator instances — bound via :meth:`ExecutionBackend.bind_graph`.
 
+Control traffic (state capture and restore, memory metrics, the
+shed-protected and forming sets) is one operation,
+:meth:`ExecutionBackend.query`: call a named operator method on each
+subtask and gather the answers.
+
 The drivers :func:`execute_unit` and :func:`execute_finish` chain stages
-together and are what :class:`~repro.streaming.environment.Job` and the
-legacy :func:`~repro.streaming.dataflow.run_unit` /
-:func:`~repro.streaming.dataflow.finish_all` entry points delegate to.
+together; the ICPE pipeline and the bench harness both run through them.
 """
 
 from __future__ import annotations
@@ -33,50 +33,41 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from repro.streaming.dataflow import StageRuntime, StageWork, count_elements
+from repro.streaming.dataflow import (
+    KeyedStage,
+    StageRuntime,
+    StageWork,
+    count_elements,
+)
 
-BACKENDS = ("serial", "parallel", "process")
+BACKENDS = ("serial", "process")
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class GraphSpec:
-    """A picklable recipe for rebuilding a job graph in another process.
+    """A picklable recipe for rebuilding a stage list in another process.
 
-    Operator factories are closures (the fluent builder wraps them in
-    lambdas), so a compiled :class:`~repro.streaming.runtime.graph.
-    JobGraph` cannot cross a process boundary.  What *can* cross is the
-    way the graph was described: a module-level builder callable plus
-    plain-data arguments.  Each worker of a process backend calls
-    ``builder(*args, **kwargs)`` after spawn and instantiates its own
-    operator state from the result — the shared-nothing contract.
+    Operator factories are closures, so a list of
+    :class:`~repro.streaming.dataflow.KeyedStage` cannot cross a process
+    boundary.  What *can* cross is the way the stages were described: a
+    module-level builder callable plus plain-data arguments.  Each worker
+    of a process backend calls ``builder(*args, **kwargs)`` after spawn
+    and instantiates its own operator state from the result — the
+    shared-nothing contract.
 
     ``builder`` must be importable by qualified name (a module-level
     function or a staticmethod on an importable class — not a lambda or
-    a local closure), and ``args`` / ``kwargs`` must pickle.  It may
-    return a :class:`JobGraph`, a
-    :class:`~repro.streaming.environment.StreamEnvironment`, or a
-    legacy :class:`~repro.streaming.dataflow.Topology`.
+    a local closure), must return a list of ``KeyedStage`` descriptions,
+    and ``args`` / ``kwargs`` must pickle.
     """
 
-    builder: Callable[..., Any]
+    builder: Callable[..., list[KeyedStage]]
     args: tuple = ()
     kwargs: dict = field(default_factory=dict)
 
-    def build(self):
-        """Run the builder and normalise its result to a ``JobGraph``."""
-        from repro.streaming.runtime.graph import JobGraph
-
-        described = self.builder(*self.args, **self.kwargs)
-        if isinstance(described, JobGraph):
-            return described
-        if hasattr(described, "graph"):  # StreamEnvironment
-            return described.graph()
-        if hasattr(described, "to_graph"):  # legacy Topology
-            return described.to_graph()
-        raise TypeError(
-            f"GraphSpec builder must return a JobGraph, StreamEnvironment "
-            f"or Topology, got {type(described).__name__}"
-        )
+    def build(self) -> list[KeyedStage]:
+        """Run the builder: stage descriptions, no operator instances."""
+        return self.builder(*self.args, **self.kwargs)
 
 
 class ExecutionBackend(ABC):
@@ -108,12 +99,12 @@ class ExecutionBackend(ABC):
     #: in the caller on every built-in backend.
     supports_process_isolation: bool = False
 
-    #: Whether the backend can capture and restore operator state via
-    #: :meth:`collect_states` / :meth:`restore_states`.  The in-process
-    #: defaults below walk ``runtime.subtasks`` directly and are correct
-    #: for any backend whose operator instances live in the calling
-    #: process; process-isolated backends must route the calls through
-    #: their worker protocol instead.  Conservative default for
+    #: Whether the backend can capture and restore operator state through
+    #: :meth:`query` (``capture_state`` / ``restore_encoded``).  The
+    #: in-process default walks ``runtime.subtasks`` directly and is
+    #: correct for any backend whose operator instances live in the
+    #: calling process; process-isolated backends must route the query
+    #: through their worker protocol instead.  Conservative default for
     #: third-party backends: sessions refuse ``checkpoint()`` unless the
     #: backend opts in.
     supports_checkpoint: bool = False
@@ -131,9 +122,9 @@ class ExecutionBackend(ABC):
     def bind_graph(self, spec: GraphSpec) -> None:
         """Offer the backend a picklable description of the job graph.
 
-        Drivers that know how their graph was described (the ICPE
-        pipeline, ``StreamEnvironment.compile(graph_spec=...)``) call
-        this before running.  In-process backends ignore it — their
+        Drivers that know how their stages were described (the ICPE
+        pipeline, the process sweep of the bench harness) call this
+        before running.  In-process backends ignore it — their
         subtask state arrives fully built inside each
         :class:`StageRuntime` — while process-isolated backends use it
         to rebuild operator state inside every worker.
@@ -158,95 +149,23 @@ class ExecutionBackend(ABC):
     ) -> tuple[list[Any], StageWork]:
         """Flush one stage's subtask state at end of stream."""
 
-    def collect_states(
+    def query(
         self,
         runtime: StageRuntime,
-        known_digests: dict[int, str] | None = None,
-    ) -> list[tuple[int, str, bytes | None]]:
-        """Capture the stage's operator state for a checkpoint.
+        method: str,
+        per_subtask_args: Sequence[tuple | None] | None = None,
+    ) -> list[tuple[int, Any]]:
+        """Call operator ``method`` on each subtask of one stage.
 
-        Returns one ``(subtask_index, digest, payload_bytes)`` triple per
-        *stateful* subtask (operators whose ``snapshot_state()`` returns
-        ``None`` are skipped).  When ``known_digests`` maps a subtask
-        index to the digest the caller already holds, an unchanged
-        operator answers with ``payload_bytes = None`` — the incremental
-        capture contract: the caller reuses its cached bytes.
+        ``per_subtask_args`` holds one argument tuple per subtask (``None``
+        skips that subtask); omitted, every subtask is called with no
+        arguments.  Returns ``(subtask_index, answer)`` pairs in subtask
+        order, leaving out ``None`` answers (see
+        :meth:`~repro.streaming.dataflow.StageRuntime.query`).  This
+        default walks the operator instances in the calling process;
+        process-isolated backends route the call through their workers.
         """
-        from repro.state.codec import encode_payload
-
-        known = known_digests or {}
-        entries: list[tuple[int, str, bytes | None]] = []
-        for index, subtask in enumerate(runtime.subtasks):
-            payload = subtask.snapshot_state()
-            if payload is None:
-                continue
-            digest, data = encode_payload(payload)
-            entries.append(
-                (index, digest, None if known.get(index) == digest else data)
-            )
-        return entries
-
-    def restore_states(
-        self, runtime: StageRuntime, payloads: Sequence[tuple[int, bytes]]
-    ) -> None:
-        """Restore previously captured state into the stage's subtasks."""
-        from repro.state.codec import decode_payload
-
-        for index, data in payloads:
-            runtime.subtasks[index].restore_state(decode_payload(data))
-
-    def collect_metrics(
-        self, runtime: StageRuntime
-    ) -> list[tuple[int, dict[str, int]]]:
-        """Gather per-subtask memory-accounting metrics for one stage."""
-        entries: list[tuple[int, dict[str, int]]] = []
-        for index, subtask in enumerate(runtime.subtasks):
-            metrics = subtask.state_metrics()
-            if metrics:
-                entries.append((index, metrics))
-        return entries
-
-    def collect_protected(
-        self, runtime: StageRuntime
-    ) -> list[tuple[int, frozenset[int]]]:
-        """Gather per-subtask shed-protected oid sets for one stage.
-
-        Walks the in-process operator instances; subtasks without a
-        ``protected_oids`` method (non-enumeration operators) are
-        skipped, as are empty sets.  Process-isolated backends route
-        this through their worker protocol instead, exactly like
-        :meth:`collect_metrics`.
-        """
-        entries: list[tuple[int, frozenset[int]]] = []
-        for index, subtask in enumerate(runtime.subtasks):
-            query = getattr(subtask, "protected_oids", None)
-            if query is None:
-                continue
-            protected = query()
-            if protected:
-                entries.append((index, protected))
-        return entries
-
-    def collect_forming(
-        self, runtime: StageRuntime
-    ) -> list[tuple[int, tuple[tuple[int, int, int, int, int], ...]]]:
-        """Gather per-subtask forming-candidate descriptors for one stage.
-
-        Walks the in-process operator instances; subtasks without a
-        ``forming_candidates`` method (non-enumeration operators) are
-        skipped, as are empty results.  Process-isolated backends route
-        this through their worker protocol instead, exactly like
-        :meth:`collect_protected`.
-        """
-        entries: list[tuple[int, tuple]] = []
-        for index, subtask in enumerate(runtime.subtasks):
-            query = getattr(subtask, "forming_candidates", None)
-            if query is None:
-                continue
-            forming = query()
-            if forming:
-                entries.append((index, forming))
-        return entries
+        return runtime.query(method, _subtask_tasks(runtime, per_subtask_args))
 
     def close(self) -> None:
         """Release any resources the backend holds (idempotent)."""
@@ -258,6 +177,19 @@ class ExecutionBackend(ABC):
     def __exit__(self, *exc_info: Any) -> None:
         """Context-manager exit: release resources."""
         self.close()
+
+
+def _subtask_tasks(
+    runtime: StageRuntime, per_subtask_args: Sequence[tuple | None] | None
+) -> list[tuple[int, tuple]]:
+    """``(subtask_index, args)`` pairs for a query, skipped subtasks out."""
+    if per_subtask_args is None:
+        return [(index, ()) for index in range(len(runtime.subtasks))]
+    return [
+        (index, args)
+        for index, args in enumerate(per_subtask_args)
+        if args is not None
+    ]
 
 
 def _default_backend() -> ExecutionBackend:
@@ -274,7 +206,7 @@ def resolve_backend(
 
     ``None`` yields a :class:`SerialBackend`.  An
     :class:`ExecutionBackend` instance passes through unchanged.  Every
-    name — including ``"serial"`` and ``"parallel"`` — resolves through
+    name — including ``"serial"`` and ``"process"`` — resolves through
     the plugin registry (kind ``"backend"``), so third-party backends
     registered via the ``repro.plugins`` entry-point group (and even
     replacements of the built-in names) run the job graph without any
@@ -292,7 +224,7 @@ def resolve_backend(
     except UnknownPluginError:
         raise ValueError(
             f"unknown execution backend {backend!r}; registered: "
-            f"{registry.names('backend')}"
+            f"{list(registry.names('backend'))}"
         ) from None
     return spec.create(max_workers=max_workers)
 

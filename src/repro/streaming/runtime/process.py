@@ -13,21 +13,20 @@ A stage with a single subtask (ICPE's ``cluster`` stage, or every stage
 when the fan-out is one) runs in the master on its master-side runtime,
 exactly as the serial backend runs it: the master would wait for that
 subtask and re-route its outputs anyway, so a worker would add only a
-pipe round trip.  Control queries (state capture and restore, metrics,
-protected and forming sets) for such a stage read the master-side
-operator too.
+pipe round trip.  Control queries for such a stage read the master-side
+operator too.  The pool is sized to the widest multi-subtask stage (at
+most ``max_workers``), so a graph whose stages all have one subtask
+spawns no worker at all.
 
 Because operator state cannot be shipped across a process boundary, the
 backend must be handed a picklable :class:`~repro.streaming.runtime.base.
 GraphSpec` via :meth:`ProcessBackend.bind_graph` before it runs; every
-worker rebuilds the full job graph from the spec after spawn and keeps
-its own operator instances.  Drivers that route work through the backend
-(the ICPE pipeline, ``StreamEnvironment.compile(graph_spec=...)``) do
-this automatically.
+worker rebuilds the full stage list from the spec after spawn and keeps
+its own operator instances.  The ICPE pipeline does this automatically.
 
 The keyed exchange stays on the master: elements are bucketed once per
 stage with the shared :meth:`StageRuntime.partition` (identical routing
-to every other backend), and each worker receives its subtasks' complete
+to the serial backend), and each worker receives its subtasks' complete
 buckets up front.  Non-empty :class:`~repro.model.batch.SnapshotBatch`
 envelopes do not travel through the command pipe — their columns are
 written into pooled ``multiprocessing.shared_memory`` segments
@@ -40,16 +39,22 @@ patterns in a subtask's outputs travels as one
 :class:`~repro.streaming.dataflow.PatternColumns` token (object tuples
 and time sequences as two lists) and is rebuilt in the master.
 
+The worker protocol has four commands: ``run`` and ``finish`` execute a
+stage's subtasks, ``query`` calls a named operator method on them (state
+capture and restore, memory metrics, protected and forming sets — see
+:meth:`ExecutionBackend.query`), and ``close`` ends the worker.
+
 Outputs are concatenated in subtask-index order, exactly like the serial
-and parallel backends, so the emitted element sequence — and every
-detected pattern — is identical by construction.  Worker crashes surface
-as a clean :class:`RuntimeError` carrying the exit code; :meth:`close`
-drains and joins the pool and unlinks every pooled segment.
+backend, so the emitted element sequence — and every detected pattern —
+is identical by construction.  Worker crashes surface as a clean
+:class:`RuntimeError` carrying the exit code; :meth:`close` drains and
+joins the pool and unlinks every pooled segment.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time as _time
 import traceback
 from multiprocessing import shared_memory
@@ -64,13 +69,52 @@ from repro.streaming.dataflow import (
     encode_exchange_elements,
     encode_pattern_runs,
 )
-from repro.state.codec import decode_payload, encode_payload
-from repro.streaming.runtime.base import ExecutionBackend, GraphSpec
-from repro.streaming.runtime.parallel import default_worker_count
+from repro.streaming.runtime.base import (
+    ExecutionBackend,
+    GraphSpec,
+    _subtask_tasks,
+)
 from repro.streaming.runtime.shm import SegmentPool
 
 #: Seconds to wait for a worker to exit voluntarily on close.
 _JOIN_TIMEOUT = 5.0
+
+
+def available_cpu_count() -> int:
+    """CPUs this process may actually run on (affinity-aware).
+
+    ``os.cpu_count()`` reports the host's cores, which over-provisions
+    worker pools inside cgroup/affinity-limited containers (a 4-CPU
+    quota on a 64-core host would get 32 workers).  Prefer, in order:
+    ``os.process_cpu_count()`` (Python 3.13+, respects affinity and
+    ``PYTHON_CPU_COUNT``), ``os.sched_getaffinity`` (Linux), and only
+    then the raw core count.
+    """
+    process_cpu_count = getattr(os, "process_cpu_count", None)
+    if process_cpu_count is not None:
+        counted = process_cpu_count()
+        if counted:
+            return counted
+    if hasattr(os, "sched_getaffinity"):
+        try:
+            affinity = len(os.sched_getaffinity(0))
+        except OSError:  # pragma: no cover - exotic platforms only
+            affinity = 0
+        if affinity:
+            return affinity
+    return os.cpu_count() or 1
+
+
+def default_worker_count() -> int:
+    """Worker-pool size when none is requested: every usable core, at
+    least 4.
+
+    At least 4 so that stalls still overlap on small machines; capped at
+    32 so a wide stage on a huge host does not explode the worker count.
+    "Usable" is the affinity-aware :func:`available_cpu_count`, not the
+    raw core count.
+    """
+    return max(4, min(32, available_cpu_count()))
 
 
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
@@ -97,13 +141,10 @@ class _WorkerState:
     """Everything one worker process owns (worker side)."""
 
     def __init__(self, spec: GraphSpec):
-        self.runtimes = spec.build().build_runtimes()
+        self.runtimes = [StageRuntime(stage) for stage in spec.build()]
         #: Segments currently attached; close is retried after every
         #: message until no exported view keeps the mapping alive.
         self.attached: dict[str, shared_memory.SharedMemory] = {}
-
-    def stage_names(self) -> list[str]:
-        return [runtime.stage.name for runtime in self.runtimes]
 
     def attach(self, name: str):
         segment = self.attached.get(name)
@@ -142,73 +183,6 @@ class _WorkerState:
             )
         return results
 
-    def collect_states(self, stage_index: int, tasks) -> list[tuple]:
-        """Serve a ``state`` command: capture this worker's subtask state.
-
-        ``tasks`` is ``[(subtask_index, known_digest | None), ...]``;
-        replies ``(subtask_index, digest, payload_bytes | None)`` per
-        stateful subtask, with ``None`` bytes when the digest matches
-        what the master already holds (incremental capture).
-        """
-        runtime = self.runtimes[stage_index]
-        results = []
-        for subtask_index, known_digest in tasks:
-            payload = runtime.subtasks[subtask_index].snapshot_state()
-            if payload is None:
-                continue
-            digest, data = encode_payload(payload)
-            results.append(
-                (subtask_index, digest, None if digest == known_digest else data)
-            )
-        return results
-
-    def restore_states(self, stage_index: int, tasks) -> list[tuple]:
-        """Serve a ``restore`` command: adopt checkpointed subtask state."""
-        runtime = self.runtimes[stage_index]
-        for subtask_index, data in tasks:
-            runtime.subtasks[subtask_index].restore_state(decode_payload(data))
-        return []
-
-    def collect_metrics(self, stage_index: int, indices) -> list[tuple]:
-        """Serve a ``metrics`` command: per-subtask memory accounting."""
-        runtime = self.runtimes[stage_index]
-        results = []
-        for subtask_index in indices:
-            metrics = runtime.subtasks[subtask_index].state_metrics()
-            if metrics:
-                results.append((subtask_index, metrics))
-        return results
-
-    def collect_protected(self, stage_index: int, indices) -> list[tuple]:
-        """Serve a ``protected`` command: per-subtask shed-protected oids."""
-        runtime = self.runtimes[stage_index]
-        results = []
-        for subtask_index in indices:
-            query = getattr(
-                runtime.subtasks[subtask_index], "protected_oids", None
-            )
-            if query is None:
-                continue
-            protected = query()
-            if protected:
-                results.append((subtask_index, protected))
-        return results
-
-    def collect_forming(self, stage_index: int, indices) -> list[tuple]:
-        """Serve a ``forming`` command: per-subtask forming descriptors."""
-        runtime = self.runtimes[stage_index]
-        results = []
-        for subtask_index in indices:
-            query = getattr(
-                runtime.subtasks[subtask_index], "forming_candidates", None
-            )
-            if query is None:
-                continue
-            forming = query()
-            if forming:
-                results.append((subtask_index, forming))
-        return results
-
     def sweep_attached(self) -> list[str]:
         """Detach every segment no live view still aliases.
 
@@ -239,12 +213,12 @@ class _WorkerState:
 
 
 def _worker_main(conn, spec: GraphSpec, worker_index: int) -> None:
-    """Entry point of one worker process: build the graph, serve the pipe.
+    """Entry point of one worker process: build the stages, serve the pipe.
 
-    Replies ``("ready", stage_names)`` after a successful build, then
-    answers ``run`` / ``finish`` / ``state`` / ``restore`` / ``metrics``
-    / ``protected`` / ``forming`` commands with ``("ok", results, released_segments)`` until a
-    ``close`` command (or a dropped pipe) ends the loop.  Any exception travels back as ``("error",
+    Replies ``("ready",)`` after a successful build, then answers ``run``
+    / ``finish`` / ``query`` commands with ``("ok", results,
+    released_segments)`` until a ``close`` command (or a dropped pipe)
+    ends the loop.  Any exception travels back as ``("error",
     traceback)`` instead of killing the worker.
     """
     try:
@@ -253,7 +227,7 @@ def _worker_main(conn, spec: GraphSpec, worker_index: int) -> None:
         conn.send(("error", traceback.format_exc()))
         conn.close()
         return
-    conn.send(("ready", state.stage_names()))
+    conn.send(("ready",))
     while True:
         try:
             message = conn.recv()
@@ -271,21 +245,9 @@ def _worker_main(conn, spec: GraphSpec, worker_index: int) -> None:
             elif op == "finish":
                 _, stage_index, indices = message
                 results = state.finish(stage_index, indices)
-            elif op == "state":
-                _, stage_index, tasks = message
-                results = state.collect_states(stage_index, tasks)
-            elif op == "restore":
-                _, stage_index, tasks = message
-                results = state.restore_states(stage_index, tasks)
-            elif op == "metrics":
-                _, stage_index, indices = message
-                results = state.collect_metrics(stage_index, indices)
-            elif op == "protected":
-                _, stage_index, indices = message
-                results = state.collect_protected(stage_index, indices)
-            elif op == "forming":
-                _, stage_index, indices = message
-                results = state.collect_forming(stage_index, indices)
+            elif op == "query":
+                _, stage_index, method, tasks = message
+                results = state.runtimes[stage_index].query(method, tasks)
             else:
                 raise ValueError(f"unknown worker command {op!r}")
         except BaseException:
@@ -299,15 +261,16 @@ class ProcessBackend(ExecutionBackend):
     """Shared-nothing subtask execution on a pool of worker processes.
 
     Attributes:
-        max_workers: pool size; ``None`` picks
-            :func:`~repro.streaming.runtime.parallel.default_worker_count`
-            (affinity-aware).  Stages with fewer subtasks than workers
-            leave workers idle for that stage; stages with more give
-            each worker several subtasks.  A stage with one subtask runs
-            in the master, so with ``max_workers=1`` (``parallel_workers
-            =1``) and the fan-out following the backend, every stage has
-            one subtask and the whole graph runs in the master, like the
-            serial backend; the one worker is still spawned and idles.
+        max_workers: pool-size cap; ``None`` picks
+            :func:`default_worker_count` (affinity-aware).  The pool
+            spawned at :meth:`bind_graph` has one worker per subtask of
+            the widest multi-subtask stage, capped at ``max_workers``;
+            a stage with more subtasks than workers gives each worker
+            several.  A stage with one subtask runs in the master, so
+            with ``max_workers=1`` (``parallel_workers=1``) and the
+            fan-out following the backend, every stage has one subtask,
+            the whole graph runs in the master like the serial backend,
+            and no worker is spawned.
     """
 
     name = "process"
@@ -330,50 +293,54 @@ class ProcessBackend(ExecutionBackend):
 
     @property
     def workers(self) -> int:
-        """The effective worker-pool size."""
+        """The worker-pool size cap (what ``None`` fan-outs resolve to)."""
         return self.max_workers or default_worker_count()
 
     # ---------------------------------------------------------------- lifecycle
 
     def bind_graph(self, spec: GraphSpec) -> None:
-        """Bind the job description and warm the worker pool up eagerly.
+        """Bind the stage description and spawn the worker pool eagerly.
 
         Spawning interpreters is the expensive part of this backend, so
         it happens here — at pipeline-construction time — rather than on
         the first unit of work; steady-state ``run_stage`` calls never
-        pay it.
-        """
-        if self._closed:
-            raise RuntimeError("process backend already closed")
-        if self._processes:
-            raise RuntimeError(
-                "process backend already bound to a graph; use one "
-                "ProcessBackend instance per job graph"
-            )
-        self._spec = spec
-        self.warm_up()
-
-    def warm_up(self) -> None:
-        """Spawn the workers and wait for every graph rebuild (idempotent).
+        pay it.  The master reads the stage names and parallelisms from
+        ``spec.build()``, which describes the stages without building
+        any operator, and spawns ``min(workers, widest multi-subtask
+        stage)`` workers — none when every stage has one subtask.
 
         Uses the ``spawn`` start method unconditionally — fork would
         duplicate the master's thread and lock state, and the paper's
         deployment model (independent task-manager JVMs) is spawn-shaped
-        anyway.  Raises ``RuntimeError`` if any worker fails to rebuild
-        the graph, or if the graph's stage names are not unique (names
-        are the master↔worker stage addressing scheme).
+        anyway.  Raises ``RuntimeError`` if the stage names are not
+        unique (names are the master↔worker stage addressing scheme) or
+        if any worker fails to rebuild the stages.
         """
-        if self._processes:
-            return
-        if self._spec is None:
+        if self._closed:
+            raise RuntimeError("process backend already closed")
+        if self._spec is not None:
             raise RuntimeError(
-                "process backend has no job graph; call "
-                "bind_graph(GraphSpec(builder, args)) first — the ICPE "
-                "pipeline and StreamEnvironment.compile(graph_spec=...) "
-                "do this automatically"
+                "process backend already bound to a graph; use one "
+                "ProcessBackend instance per job graph"
             )
+        stages = spec.build()
+        names = [stage.name for stage in stages]
+        if len(set(names)) != len(names):
+            raise RuntimeError(
+                f"process backend needs unique stage names, got {names}"
+            )
+        self._spec = spec
+        self._stage_index = {name: i for i, name in enumerate(names)}
+        widest = max(
+            (stage.parallelism for stage in stages if stage.parallelism > 1),
+            default=0,
+        )
+        self._spawn(min(self.workers, widest))
+
+    def _spawn(self, count: int) -> None:
+        """Start ``count`` workers and wait for every stage rebuild."""
         ctx = multiprocessing.get_context("spawn")
-        for index in range(self.workers):
+        for index in range(count):
             parent_conn, child_conn = ctx.Pipe()
             process = ctx.Process(
                 target=_worker_main,
@@ -385,22 +352,13 @@ class ProcessBackend(ExecutionBackend):
             child_conn.close()
             self._processes.append(process)
             self._conns.append(parent_conn)
-        names: list[str] | None = None
-        for index in range(self.workers):
+        for index in range(count):
             reply = self._recv(index)
             if reply[0] != "ready":
                 self.close()
                 raise RuntimeError(
                     f"worker {index} failed to build the job graph:\n{reply[1]}"
                 )
-            names = reply[1]
-        assert names is not None
-        if len(set(names)) != len(names):
-            self.close()
-            raise RuntimeError(
-                f"process backend needs unique stage names, got {names}"
-            )
-        self._stage_index = {name: i for i, name in enumerate(names)}
 
     def close(self) -> None:
         """Drain and join every worker, unlink every segment (idempotent)."""
@@ -450,7 +408,7 @@ class ProcessBackend(ExecutionBackend):
             ) from None
 
     def _stage_address(self, runtime: StageRuntime) -> int:
-        if not self._processes:
+        if self._spec is None or self._closed:
             raise RuntimeError(
                 "process backend is not running; bind_graph() a GraphSpec "
                 "before executing stages"
@@ -473,29 +431,26 @@ class ProcessBackend(ExecutionBackend):
         self._stage_address(runtime)
         return len(runtime.subtasks) == 1
 
-    def _dispatch(
+    def _round_trip(
         self,
         runtime: StageRuntime,
+        what: str,
         build_message,
         per_worker_tasks: list[list],
-        elements_in: int,
-        started: float,
-    ) -> tuple[list[Any], StageWork]:
-        """Send one command to every involved worker, merge the replies.
+    ) -> list[tuple]:
+        """Send one command to every involved worker, gather the replies.
 
-        All sends go out before the first receive so workers overlap;
-        outputs are reassembled in subtask-index order regardless of
-        which worker produced them.
+        All sends go out before the first receive so workers overlap.
+        Returns every worker's result entries, in worker order.  The
+        segments the workers released are settled before a worker's
+        failure is raised.
         """
         involved = [
             worker for worker, tasks in enumerate(per_worker_tasks) if tasks
         ]
         for worker in involved:
             self._send(worker, build_message(per_worker_tasks[worker]))
-        parallelism = len(runtime.subtasks)
-        by_subtask: list[list[Any] | None] = [None] * parallelism
-        busy = [0.0] * parallelism
-        spans_by_subtask: list[list | None] = [None] * parallelism
+        entries: list[tuple] = []
         released: set[str] = set()
         failure: str | None = None
         for worker in involved:
@@ -503,17 +458,36 @@ class ProcessBackend(ExecutionBackend):
             if reply[0] == "error":
                 failure = failure or reply[1]
                 continue
-            for subtask_index, outputs, seconds, spans in reply[1]:
-                by_subtask[subtask_index] = decode_pattern_runs(outputs)
-                busy[subtask_index] = seconds
-                spans_by_subtask[subtask_index] = spans
+            entries.extend(reply[1])
             released.update(reply[2])
         self._settle_segments(released)
         if failure is not None:
             raise RuntimeError(
-                f"process-backend worker failed in stage "
-                f"{runtime.stage.name!r}:\n{failure}"
+                f"process-backend worker failed handling {what!r} for "
+                f"stage {runtime.stage.name!r}:\n{failure}"
             )
+        return entries
+
+    def _dispatch(
+        self,
+        runtime: StageRuntime,
+        what: str,
+        build_message,
+        per_worker_tasks: list[list],
+        elements_in: int,
+        started: float,
+    ) -> tuple[list[Any], StageWork]:
+        """Run or finish a stage in its workers; outputs in subtask order."""
+        parallelism = len(runtime.subtasks)
+        by_subtask: list[list[Any] | None] = [None] * parallelism
+        busy = [0.0] * parallelism
+        spans_by_subtask: list[list | None] = [None] * parallelism
+        for subtask_index, outputs, seconds, spans in self._round_trip(
+            runtime, what, build_message, per_worker_tasks
+        ):
+            by_subtask[subtask_index] = decode_pattern_runs(outputs)
+            busy[subtask_index] = seconds
+            spans_by_subtask[subtask_index] = spans
         outputs: list[Any] = []
         for out in by_subtask:
             if out:
@@ -585,6 +559,7 @@ class ProcessBackend(ExecutionBackend):
             )
         return self._dispatch(
             runtime,
+            "run",
             lambda tasks: ("run", stage_index, ctx, tasks),
             per_worker_tasks,
             elements_in=count_elements(elements),
@@ -601,114 +576,46 @@ class ProcessBackend(ExecutionBackend):
         stage_index = self._stage_address(runtime)
         workers = len(self._conns)
         self._outstanding = []
-        per_worker_tasks: list[list] = [[] for _ in range(workers)]
-        for subtask_index in range(len(runtime.subtasks)):
-            per_worker_tasks[subtask_index % workers].append(subtask_index)
+        parallelism = len(runtime.subtasks)
         return self._dispatch(
             runtime,
+            "finish",
             lambda indices: ("finish", stage_index, indices),
-            per_worker_tasks,
+            [list(range(w, parallelism, workers)) for w in range(workers)],
             elements_in=0,
             started=started,
         )
 
     # ---------------------------------------------------------------- state
 
-    def _control(
-        self, runtime: StageRuntime, op: str, per_subtask_args: list
-    ) -> list[tuple]:
-        """Round-trip one state command (``state``/``restore``/``metrics``).
+    def query(
+        self,
+        runtime: StageRuntime,
+        method: str,
+        per_subtask_args: Sequence[tuple | None] | None = None,
+    ) -> list[tuple[int, Any]]:
+        """Call ``method`` on each subtask inside its owning worker.
 
-        ``per_subtask_args`` carries one entry per subtask, routed to the
-        subtask's owning worker (``i % workers``, same as execution).
-        The pipe protocol is synchronous request/reply, so by the time
-        every involved worker has answered, the pool is drained — no
-        stage work can be in flight concurrently with a state command.
-        Replies are merged in subtask-index order.
+        A one-subtask stage answers in the master.  Otherwise each
+        ``(subtask_index, args)`` task goes to the subtask's owning
+        worker (``i % workers``, same as execution).  The pipe protocol
+        is synchronous request/reply, so by the time every involved
+        worker has answered, the pool is drained — no stage work can be
+        in flight concurrently with a query.  Replies are merged in
+        subtask-index order.
         """
+        if self._in_master(runtime):
+            return super().query(runtime, method, per_subtask_args)
         stage_index = self._stage_address(runtime)
         workers = len(self._conns)
         per_worker_tasks: list[list] = [[] for _ in range(workers)]
-        for subtask_index, item in enumerate(per_subtask_args):
-            if item is None:
-                continue
-            per_worker_tasks[subtask_index % workers].append(item)
-        involved = [
-            worker for worker, tasks in enumerate(per_worker_tasks) if tasks
-        ]
-        for worker in involved:
-            self._send(worker, (op, stage_index, per_worker_tasks[worker]))
-        merged: list[tuple] = []
-        failure: str | None = None
-        for worker in involved:
-            reply = self._recv(worker)
-            if reply[0] == "error":
-                failure = failure or reply[1]
-                continue
-            merged.extend(reply[1])
-            self._pool_release_late(reply[2])
-        if failure is not None:
-            raise RuntimeError(
-                f"process-backend worker failed handling {op!r} for stage "
-                f"{runtime.stage.name!r}:\n{failure}"
-            )
+        for task in _subtask_tasks(runtime, per_subtask_args):
+            per_worker_tasks[task[0] % workers].append(task)
+        merged = self._round_trip(
+            runtime,
+            method,
+            lambda tasks: ("query", stage_index, method, tasks),
+            per_worker_tasks,
+        )
         merged.sort(key=lambda entry: entry[0])
         return merged
-
-    def _pool_release_late(self, released) -> None:
-        """Recycle segments a worker let go of alongside a state reply."""
-        for name in released:
-            self._pool.release(name)
-
-    def collect_states(
-        self,
-        runtime: StageRuntime,
-        known_digests: dict[int, str] | None = None,
-    ) -> list[tuple[int, str, bytes | None]]:
-        """Capture the stage's operator state through the worker protocol."""
-        if self._in_master(runtime):
-            return super().collect_states(runtime, known_digests)
-        known = known_digests or {}
-        args = [
-            (index, known.get(index))
-            for index in range(len(runtime.subtasks))
-        ]
-        return self._control(runtime, "state", args)
-
-    def restore_states(
-        self, runtime: StageRuntime, payloads: Sequence[tuple[int, bytes]]
-    ) -> None:
-        """Restore checkpointed state into each subtask's owning worker."""
-        if self._in_master(runtime):
-            return super().restore_states(runtime, payloads)
-        args: list = [None] * len(runtime.subtasks)
-        for index, data in payloads:
-            args[index] = (index, data)
-        self._control(runtime, "restore", args)
-
-    def collect_metrics(
-        self, runtime: StageRuntime
-    ) -> list[tuple[int, dict[str, int]]]:
-        """Gather per-subtask memory accounting through the worker protocol."""
-        if self._in_master(runtime):
-            return super().collect_metrics(runtime)
-        args = list(range(len(runtime.subtasks)))
-        return self._control(runtime, "metrics", args)
-
-    def collect_protected(
-        self, runtime: StageRuntime
-    ) -> list[tuple[int, frozenset[int]]]:
-        """Gather shed-protected oid sets through the worker protocol."""
-        if self._in_master(runtime):
-            return super().collect_protected(runtime)
-        args = list(range(len(runtime.subtasks)))
-        return self._control(runtime, "protected", args)
-
-    def collect_forming(
-        self, runtime: StageRuntime
-    ) -> list[tuple[int, tuple[tuple[int, int, int, int, int], ...]]]:
-        """Gather forming-candidate descriptors through the worker protocol."""
-        if self._in_master(runtime):
-            return super().collect_forming(runtime)
-        args = list(range(len(runtime.subtasks)))
-        return self._control(runtime, "forming", args)

@@ -135,8 +135,8 @@ class TestBackendRunner:
         points = run_backend_comparison(
             small_dataset, config, parallel_workers=2
         )
-        assert [p.backend for p in points] == ["serial", "parallel", "process"]
-        assert points[0].patterns == points[1].patterns == points[2].patterns
+        assert [p.backend for p in points] == ["serial", "process"]
+        assert points[0].patterns == points[1].patterns
         assert points[0].speedup_vs_serial == 1.0
         assert all(p.wall_seconds > 0 for p in points)
 
@@ -160,20 +160,6 @@ class TestBackendRunner:
         with pytest.raises(ValueError, match="'python' reference kernel"):
             run_kernel_comparison(small_dataset, config, kernels=("numpy",))
 
-    def test_synthetic_sweep_identical_outputs(self):
-        from repro.bench.backend_workload import run_backend_sweep
-
-        points = run_backend_sweep(
-            parallelism=3,
-            batches=2,
-            elements_per_batch=8,
-            cpu_iterations=100,
-            stall_seconds=0.0,
-        )
-        assert points[0].digest == points[1].digest
-        assert points[0].backend == "serial"
-        assert points[1].workers == 3
-
     def test_process_sweep_identical_outputs(self):
         from repro.bench.process_workload import run_process_sweep
 
@@ -185,20 +171,28 @@ class TestBackendRunner:
             stall_seconds=0.0,
             process_workers=(2,),
         )
-        assert [p.backend for p in points] == ["serial", "parallel", "process"]
+        assert [p.backend for p in points] == ["serial", "process"]
         # run_process_sweep itself raises on digest divergence; the
         # single digest here is the belt to that suspenders.
         assert len({p.digest for p in points}) == 1
         for point in points:
             assert set(point.stage_busy_seconds) == {"hash-stall", "fold"}
 
-    def test_clustering_job_through_environment(self, small_dataset):
-        from repro.bench.harness import build_clustering_job
+    def test_clustering_runtimes_follow_pipeline_stages(self, small_dataset):
+        from repro.bench.harness import build_clustering_runtimes
+        from repro.core.icpe import icpe_stages
 
         epsilon = small_dataset.resolve_percentage(0.08)
         cell_width = small_dataset.resolve_percentage(1.6)
-        job = build_clustering_job("RJC", epsilon, cell_width, 3)
-        assert job.stage_names == ["allocate", "query", "cluster"]
+        runtimes = build_clustering_runtimes("RJC", epsilon, cell_width, 3)
+        names = [runtime.stage.name for runtime in runtimes]
+        assert names == ["allocate", "query", "cluster"]
+        config = detection_config(small_dataset, CONSTRAINTS, "F", 0.08, 1.6, 3)
+        pipeline_stages = icpe_stages(config)
+        assert names == [stage.name for stage in pipeline_stages[:3]]
+        assert [len(runtime.subtasks) for runtime in runtimes] == [
+            stage.parallelism for stage in pipeline_stages[:3]
+        ]
 
 
 class TestEnumerationRunner:

@@ -31,7 +31,7 @@ MAX_DELAY = 3
 
 GRID = sorted(
     itertools.product(
-        ("serial", "parallel"), ("python", "numpy"), ("python", "numpy")
+        ("serial", "process"), ("python", "numpy"), ("python", "numpy")
     )
 )
 
@@ -63,6 +63,7 @@ def _config(dataset, backend="serial", clustering="python", enum="python"):
         constraints=CONSTRAINTS,
         max_delay=MAX_DELAY,
         backend=backend,
+        parallel_workers=2 if backend == "process" else None,
         clustering_kernel=clustering,
         enumeration_kernel=enum,
     )
@@ -213,7 +214,7 @@ class TestBatchSizeKnob:
 
 def test_backends_declare_batch_ingest_capability():
     registry = default_registry()
-    for name in ("serial", "parallel"):
+    for name in ("serial", "process"):
         spec = registry.get("backend", name)
         assert spec.capabilities.supports_batch_ingest
         assert "batch-ingest" in spec.capabilities.summary_markers()

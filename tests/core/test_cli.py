@@ -74,7 +74,7 @@ class TestPlugins:
             "backend", "clustering_kernel", "enumeration_kernel", "enumerator"
         ):
             assert kind in output
-        for name in ("serial", "parallel", "fba", "vba", "baseline"):
+        for name in ("serial", "process", "fba", "vba", "baseline"):
             assert name in output
 
     def test_kind_filter(self, capsys):
@@ -137,29 +137,29 @@ class TestDetect:
             assert code == 0
 
     def test_backend_choice(self, workload_csv, capsys):
-        for backend in ("serial", "parallel"):
+        for backend in ("serial", "process"):
             code = main(
                 [
                     "detect",
                     "--input", str(workload_csv),
                     "--m", "3", "--k", "5",
                     "--min-pts", "3",
-                    "--backend", backend,
+                    "--backend", backend, "--workers", "2",
                     "--limit", "3",
                 ]
             )
             assert code == 0
             assert f"backend: {backend}" in capsys.readouterr().out
 
-    def test_backend_parallel_matches_serial(self, workload_csv, capsys):
+    def test_backend_process_matches_serial(self, workload_csv, capsys):
         outputs = {}
-        for backend in ("serial", "parallel"):
+        for backend in ("serial", "process"):
             main(
                 [
                     "detect",
                     "--input", str(workload_csv),
                     "--m", "3", "--k", "5", "--min-pts", "3",
-                    "--backend", backend, "--workers", "3",
+                    "--backend", backend, "--workers", "2",
                     "--limit", "1000",
                 ]
             )
@@ -168,7 +168,22 @@ class TestDetect:
             outputs[backend] = [
                 line for line in out.splitlines() if line.startswith("  {")
             ]
-        assert outputs["serial"] == outputs["parallel"]
+        assert outputs["serial"] == outputs["process"]
+        assert outputs["serial"], "the workload must produce patterns"
+
+    def test_retired_thread_backend_is_refused(self, workload_csv, capsys):
+        with pytest.raises(SystemExit):
+            main(
+                [
+                    "detect",
+                    "--input", str(workload_csv),
+                    "--m", "3", "--k", "5", "--min-pts", "3",
+                    "--backend", "parallel",
+                ]
+            )
+        err = capsys.readouterr().err
+        assert "invalid choice: 'parallel'" in err
+        assert "'serial', 'process'" in err
 
     def test_batch_size_matches_per_point(self, workload_csv, capsys):
         """The columnar reader (--batch-size N) and the per-point path

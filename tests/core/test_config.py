@@ -70,7 +70,7 @@ class TestDerivedConfigs:
         assert make().with_enumerator("vba").enumerator == "vba"
 
     def test_with_backend(self):
-        config = make().with_backend("parallel", parallel_workers=4)
-        assert config.backend == "parallel"
+        config = make().with_backend("process", parallel_workers=4)
+        assert config.backend == "process"
         assert config.parallel_workers == 4
         assert make().backend == "serial"  # original untouched

@@ -24,7 +24,7 @@ from repro.session import open_session
 
 CONSTRAINTS = PatternConstraints(m=3, k=5, l=2, g=2)
 
-BACKENDS = ("serial", "parallel")
+BACKENDS = ("serial", "process")
 CLUSTERING_KERNELS = ("python", "numpy")
 ENUMERATION_KERNELS = ("python", "numpy")
 
@@ -59,6 +59,7 @@ def _config(workload, backend, clustering_kernel, enumeration_kernel):
         min_pts=3,
         constraints=CONSTRAINTS,
         backend=backend,
+        parallel_workers=2 if backend == "process" else None,
         clustering_kernel=clustering_kernel,
         enumeration_kernel=enumeration_kernel,
     )

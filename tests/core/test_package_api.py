@@ -49,6 +49,7 @@ class TestPublicSurface:
         assert callable(drop_records) and callable(jitter_positions)
 
     def test_streaming_reexports(self):
-        from repro.streaming import StreamEnvironment
+        from repro.streaming import ProcessBackend, StageRuntime
 
-        assert StreamEnvironment.__name__ == "StreamEnvironment"
+        assert ProcessBackend.__name__ == "ProcessBackend"
+        assert StageRuntime.__name__ == "StageRuntime"

@@ -287,10 +287,10 @@ class TestBuilder:
             SessionBuilder().constraints(m=3, k=4)
 
     def test_backend_without_workers_preserves_pool_size(self):
-        base = make_config(backend="parallel", parallel_workers=8)
-        config = SessionBuilder(base).backend("parallel").config()
+        base = make_config(backend="process", parallel_workers=8)
+        config = SessionBuilder(base).backend("process").config()
         assert config.parallel_workers == 8  # not reset to None
-        config = SessionBuilder(base).backend("parallel", workers=2).config()
+        config = SessionBuilder(base).backend("process", workers=2).config()
         assert config.parallel_workers == 2
 
     def test_seeded_from_config_with_override(self):

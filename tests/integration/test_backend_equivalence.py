@@ -1,7 +1,7 @@
 """Backend equivalence on end-to-end detection scenarios.
 
-The runtime contract: every execution backend (serial, parallel threads,
-shared-nothing processes) routes every element to the same subtask
+The runtime contract: every execution backend (serial, shared-nothing
+processes) routes every element to the same subtask
 (stable hashing), processes buckets in the same per-subtask order, and
 concatenates outputs in subtask-index order — so the full ICPE pipeline
 must detect the *identical* pattern set, with identical detection times,
@@ -64,18 +64,18 @@ class TestBackendEquivalence:
         serial_detector, serial_patterns = detect(
             dataset, make_config(dataset, enumerator=enumerator)
         )
-        parallel_detector, parallel_patterns = detect(
+        process_detector, process_patterns = detect(
             dataset,
             make_config(
                 dataset,
                 enumerator=enumerator,
-                backend="parallel",
-                parallel_workers=4,
+                backend="process",
+                parallel_workers=2,
             ),
         )
         assert serial_detector.backend_name == "serial"
-        assert parallel_detector.backend_name == "parallel"
-        assert serial_patterns == parallel_patterns
+        assert process_detector.backend_name == "process"
+        assert serial_patterns == process_patterns
         assert len(serial_patterns) > 0  # the scenario must be non-trivial
 
     def test_identical_under_out_of_order_delivery(self, dataset):
@@ -85,14 +85,14 @@ class TestBackendEquivalence:
         _, serial_patterns = detect(
             dataset, make_config(dataset, max_delay=2), records=records
         )
-        _, parallel_patterns = detect(
+        _, process_patterns = detect(
             dataset,
             make_config(
-                dataset, max_delay=2, backend="parallel", parallel_workers=4
+                dataset, max_delay=2, backend="process", parallel_workers=2
             ),
             records=records,
         )
-        assert serial_patterns == parallel_patterns
+        assert serial_patterns == process_patterns
 
     def test_identical_routing_across_backends(self, dataset):
         """One explicit fan-out on both sides, so routing compares
@@ -100,34 +100,34 @@ class TestBackendEquivalence:
         from repro.core.icpe import ICPEPipeline
 
         serial = ICPEPipeline(make_config(dataset, **SHARED_FAN_OUT))
-        parallel = ICPEPipeline(
+        process = ICPEPipeline(
             make_config(
                 dataset,
-                backend="parallel",
-                parallel_workers=4,
+                backend="process",
+                parallel_workers=2,
                 **SHARED_FAN_OUT,
             )
         )
         points = next(iter(dataset.snapshots())).points()
-        for runtime_s, runtime_p in zip(serial.job.runtimes, parallel.job.runtimes):
+        for runtime_s, runtime_p in zip(serial.runtimes, process.runtimes):
             if runtime_s.stage.name != "allocate":
                 continue
             assert [runtime_s.route(p) for p in points] == [
                 runtime_p.route(p) for p in points
             ]
         serial.close()
-        parallel.close()
+        process.close()
 
     def test_second_dataset_generator(self):
         dataset = generate_brinkhoff(
             BrinkhoffConfig(n_objects=50, horizon=20, seed=9)
         )
         _, serial_patterns = detect(dataset, make_config(dataset))
-        _, parallel_patterns = detect(
+        _, process_patterns = detect(
             dataset,
-            make_config(dataset, backend="parallel", parallel_workers=3),
+            make_config(dataset, backend="process", parallel_workers=3),
         )
-        assert serial_patterns == parallel_patterns
+        assert serial_patterns == process_patterns
 
 
 @pytest.fixture(scope="module")
@@ -183,19 +183,20 @@ class TestProcessBackendEquivalence:
         assert serial_result.snapshots == process_result.snapshots
         assert process_result.backend == "process"
 
-    def test_process_parallel_cross_check(self, small_dataset):
-        """The three-way closure: parallel ≡ process on pattern sets."""
-        _, parallel_patterns = detect(
-            small_dataset,
-            make_config(
-                small_dataset, backend="parallel", parallel_workers=3
-            ),
-        )
-        _, process_patterns = detect(
-            small_dataset,
-            make_config(
-                small_dataset, backend="process", parallel_workers=3
-            ),
-        )
-        assert parallel_patterns == process_patterns
-        assert len(process_patterns) > 0
+    def test_worker_count_does_not_change_patterns(self, small_dataset):
+        """Pool size is placement only: 2 and 3 workers over one
+        fan-out detect the same pattern set."""
+        patterns = [
+            detect(
+                small_dataset,
+                make_config(
+                    small_dataset,
+                    backend="process",
+                    parallel_workers=workers,
+                    **SHARED_FAN_OUT,
+                ),
+            )[1]
+            for workers in (2, 3)
+        ]
+        assert patterns[0] == patterns[1]
+        assert len(patterns[0]) > 0

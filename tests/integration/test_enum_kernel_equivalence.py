@@ -3,7 +3,7 @@
 The acceptance contract of the enumeration-kernel strategy: for every
 combination of ``enumeration_kernel`` (python | numpy), ``enumerator``
 (fba | vba), ``clustering_kernel`` (python | numpy) and ``backend``
-(serial | parallel), the full ICPE pipeline must produce the identical
+(serial | process), the full ICPE pipeline must produce the identical
 pattern set.  Same spirit as the clustering-kernel equivalence suite
 that guards the PR-2 strategy axis — this grid is the PED-phase half.
 """
@@ -20,7 +20,7 @@ from repro.model.constraints import PatternConstraints
 
 ENUM_KERNELS = ("python", "numpy")
 CLUSTER_KERNELS = ("python", "numpy")
-BACKENDS = ("serial", "parallel")
+BACKENDS = ("serial", "process")
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +63,7 @@ def test_enum_kernel_grid_identical(dataset, base_config, enumerator):
             base_config.with_enumerator(enumerator)
             .with_enum_kernel(enum_kernel)
             .with_kernel(kernel)
-            .with_backend(backend, 3 if backend == "parallel" else None)
+            .with_backend(backend, 2 if backend == "process" else None)
         )
         outcomes[(enum_kernel, kernel, backend)] = run_pipeline(dataset, config)
     reference = outcomes[("python", "python", "serial")]

@@ -1,9 +1,9 @@
 """Kernel x backend equivalence on the full ICPE pipeline.
 
 The acceptance contract of the kernel strategy: for every combination of
-``clustering_kernel`` (python | numpy) and ``backend`` (serial | parallel),
+``clustering_kernel`` (python | numpy) and ``backend`` (serial | process),
 the pipeline must produce the identical per-snapshot cluster sets *and*
-the identical downstream pattern set.  Same spirit as the serial/parallel
+the identical downstream pattern set.  Same spirit as the serial/process
 equivalence suite that guards the execution runtime.
 """
 
@@ -18,7 +18,7 @@ from repro.data.taxi import TaxiConfig, generate_taxi
 from repro.model.constraints import PatternConstraints
 
 KERNELS = ("python", "numpy")
-BACKENDS = ("serial", "parallel")
+BACKENDS = ("serial", "process")
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +61,7 @@ def test_kernel_backend_grid_identical(dataset, base_config):
     outcomes = {}
     for kernel, backend in itertools.product(KERNELS, BACKENDS):
         config = base_config.with_kernel(kernel).with_backend(
-            backend, 3 if backend == "parallel" else None
+            backend, 2 if backend == "process" else None
         )
         outcomes[(kernel, backend)] = run_pipeline(dataset, config)
     ref_clusters, ref_patterns = outcomes[("python", "serial")]
@@ -72,10 +72,10 @@ def test_kernel_backend_grid_identical(dataset, base_config):
 
 
 def test_detector_reports_kernel_and_backend(dataset, base_config):
-    config = base_config.with_kernel("numpy").with_backend("parallel", 2)
+    config = base_config.with_kernel("numpy").with_backend("process", 2)
     detector = CoMovementDetector(config)
     assert detector.kernel_name == "numpy"
-    assert detector.backend_name == "parallel"
+    assert detector.backend_name == "process"
     detector.feed_many(dataset.records)
     detector.finish()
     assert detector.meter.snapshots > 0
@@ -84,7 +84,10 @@ def test_detector_reports_kernel_and_backend(dataset, base_config):
 def test_numpy_kernel_topology_is_single_cluster_stage(base_config):
     pipeline = ICPEPipeline(base_config.with_kernel("numpy"))
     try:
-        assert pipeline.job.stage_names == ["cluster", "enumerate"]
+        assert [r.stage.name for r in pipeline.runtimes] == [
+            "cluster",
+            "enumerate",
+        ]
         assert pipeline.kernel_name == "numpy"
     finally:
         pipeline.close()
@@ -152,7 +155,7 @@ def test_stranded_core_singleton_kept_identically(base_config):
 def test_python_kernel_topology_unchanged(base_config):
     pipeline = ICPEPipeline(base_config)
     try:
-        assert pipeline.job.stage_names == [
+        assert [r.stage.name for r in pipeline.runtimes] == [
             "allocate",
             "query",
             "cluster",

@@ -1,4 +1,4 @@
-"""Backend telemetry parity: serial ≡ process (and parallel).
+"""Backend telemetry parity: serial ≡ process.
 
 The observability contract across execution backends: where subtasks
 physically run must not change what the telemetry reports.  Spans are
@@ -110,24 +110,6 @@ class TestSerialProcessParity:
         assert scrub_wallclock(
             render_prometheus(process.telemetry.registry)
         ) == scrub_wallclock(render_prometheus(serial.telemetry.registry))
-
-
-class TestSerialParallelParity:
-    def test_counter_totals_match(self):
-        records = cluster_stream(23, n_times=6)
-        serial = run_session(
-            records, observability=True, backend="serial", **SHARED_FAN_OUT
-        )
-        parallel = run_session(
-            records,
-            observability=True,
-            backend="parallel",
-            parallel_workers=4,
-            **SHARED_FAN_OUT,
-        )
-        assert deterministic_view(
-            parallel.telemetry.registry
-        ) == deterministic_view(serial.telemetry.registry)
 
 
 class TestTraceParity:

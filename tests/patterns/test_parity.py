@@ -4,9 +4,9 @@ Families run master-side off state every backend ships identically
 (cluster snapshots, forming descriptors, confirmed patterns), so the
 full event stream — ``PatternConfirmed``, ``ConvoyDelta``,
 ``GroupEvolved``, ``PatternForming``, ``WatermarkAdvanced`` — must be
-**event-for-event identical** on the serial, parallel and
-shared-nothing process backends, for both families, on both
-forming-state enumerators.
+**event-for-event identical** on the serial and shared-nothing
+process backends, for both families, on both forming-state
+enumerators.
 """
 
 from __future__ import annotations
@@ -65,25 +65,14 @@ class TestSerialBehaviour:
 class TestBackendParity:
     @pytest.mark.parametrize("family", ["evolving", "predictive"])
     @pytest.mark.parametrize("enumerator", ["fba", "vba"])
-    def test_parallel_matches_serial(self, family, enumerator):
+    def test_process_matches_serial(self, family, enumerator):
         serial = run_session(
             drift_stream(), pattern_family=family, enumerator=enumerator
         )
-        parallel = run_session(
-            drift_stream(),
-            pattern_family=family,
-            enumerator=enumerator,
-            backend="parallel",
-            parallel_workers=3,
-        )
-        assert parallel == serial
-
-    @pytest.mark.parametrize("family", ["evolving", "predictive"])
-    def test_process_matches_serial(self, family):
-        serial = run_session(drift_stream(), pattern_family=family)
         process = run_session(
             drift_stream(),
             pattern_family=family,
+            enumerator=enumerator,
             backend="process",
             parallel_workers=2,
         )

@@ -146,7 +146,7 @@ class TestBuiltins:
 
     def test_legacy_names_resolve(self):
         registry = default_registry()
-        assert registry.names("backend") == ("serial", "parallel", "process")
+        assert registry.names("backend") == ("serial", "process")
         assert registry.names("clustering_kernel") == ("python", "numpy")
         assert registry.names("enumeration_kernel") == ("python", "numpy")
         assert registry.names("enumerator") == ("baseline", "fba", "vba")

@@ -34,8 +34,8 @@ pytestmark = pytest.mark.shedding
 GRID = [
     ("serial", "python"),
     ("serial", "numpy"),
-    ("parallel", "python"),
-    ("parallel", "numpy"),
+    ("process", "python"),
+    ("process", "numpy"),
 ]
 
 
@@ -49,12 +49,17 @@ class TestRateZeroTransparency:
     def test_events_identical_at_rate_zero(
         self, records, backend, enum_kernel, policy
     ):
+        workers = 2 if backend == "process" else None
         baseline, _ = drive(
-            records, backend=backend, enumeration_kernel=enum_kernel
+            records,
+            backend=backend,
+            parallel_workers=workers,
+            enumeration_kernel=enum_kernel,
         )
         shedded, result = drive(
             records,
             backend=backend,
+            parallel_workers=workers,
             enumeration_kernel=enum_kernel,
             shed_policy=policy,
             shed_rate=0.0,

@@ -46,7 +46,7 @@ CRASH_SCRIPT = textwrap.dedent(
         session.checkpoint().save(r"{checkpoint_path}")
         print("CHECKPOINT_SAVED", flush=True)
 
-        victim = session.pipeline._backend._processes[0]
+        victim = session.pipeline.backend._processes[0]
         assert victim.name.startswith("repro-worker-"), victim.name
         victim.kill()
         victim.join()

@@ -42,6 +42,8 @@ import os
 import random
 import types
 from contextlib import contextmanager
+from copy import copy
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -122,15 +124,44 @@ def calls_as_dicts(calls) -> list[list[dict]]:
 # -------------------------------------------------------------------- fixtures
 
 
-@pytest.mark.parametrize(
+TARGETS = pytest.mark.parametrize(
     "target", [FAN_OUTS["serial"], FAN_OUTS["process"]], ids=["serial", "process"]
 )
+
+
+@TARGETS
 @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
 def test_fixed_fan_out_fixture_restores(name, target):
     checkpoint = Checkpoint.load(fixtures.FIXTURE_DIR / f"{name}.ckpt")
     stages = [stage for stage, _ in checkpoint.operator_states]
     assert checkpoint.config.enumerate_parallelism == 16
     assert stages.count("enumerate") == 16
+    assert_fixture_resumes(name, checkpoint, target)
+
+
+@TARGETS
+def test_fixture_from_the_retired_thread_backend_restores(target):
+    """A checkpoint written on the removed ``parallel`` backend names it
+    in its config; the restore swaps the execution surface, so it still
+    resumes on either remaining backend.
+
+    ``ICPEConfig`` no longer accepts the name, but unpickling builds no
+    config through ``__init__``: the field is set the way loading an old
+    checkpoint file sets it, and the checkpoint goes through bytes.
+    """
+    name = "numpy_vba"
+    checkpoint = Checkpoint.load(fixtures.FIXTURE_DIR / f"{name}.ckpt")
+    config = copy(checkpoint.config)
+    object.__setattr__(config, "backend", "parallel")
+    checkpoint = Checkpoint.from_bytes(
+        replace(checkpoint, config=config).to_bytes()
+    )
+    assert checkpoint.config.backend == "parallel"
+    assert_fixture_resumes(name, checkpoint, target)
+
+
+def assert_fixture_resumes(name, checkpoint, target):
+    """``checkpoint`` resumes under ``target`` with the fixture's events."""
     records = cluster_stream(**fixtures.STREAM)
     assert checkpoint.records_ingested == fixtures.CUT
 

@@ -82,25 +82,6 @@ class TestEveryWatermarkBoundary:
 
 
 class TestOtherBackends:
-    def test_parallel_backend_restart(self):
-        records = cluster_stream(seed=31)
-        kwargs = dict(
-            backend="parallel",
-            parallel_workers=2,
-            clustering_kernel="numpy",
-            enumeration_kernel="numpy",
-        )
-        oracle = run_uninterrupted(records, **kwargs)
-        boundaries = watermark_boundaries(records, **kwargs)
-        for cut in boundaries[:: max(1, len(boundaries) // 3)]:
-            restarted = run_with_restart(
-                records,
-                cut,
-                restore_kwargs=dict(backend="parallel", parallel_workers=2),
-                **kwargs,
-            )
-            assert restarted == oracle, f"diverged at boundary {cut}"
-
     def test_process_backend_restart(self):
         records = cluster_stream(seed=13, n_times=7, n_objects=6)
         kwargs = dict(backend="process", parallel_workers=2)
@@ -114,6 +95,25 @@ class TestOtherBackends:
             **kwargs,
         )
         assert restarted == oracle
+
+    def test_process_backend_restart_numpy_kernels(self):
+        records = cluster_stream(seed=31)
+        kwargs = dict(
+            backend="process",
+            parallel_workers=2,
+            clustering_kernel="numpy",
+            enumeration_kernel="numpy",
+        )
+        oracle = run_uninterrupted(records, **kwargs)
+        boundaries = watermark_boundaries(records, **kwargs)
+        for cut in boundaries[:: max(1, len(boundaries) // 3)]:
+            restarted = run_with_restart(
+                records,
+                cut,
+                restore_kwargs=dict(backend="process", parallel_workers=2),
+                **kwargs,
+            )
+            assert restarted == oracle, f"diverged at boundary {cut}"
 
     def test_checkpoint_migrates_across_backends(self):
         """A process-taken checkpoint restores into a serial session."""
@@ -194,7 +194,7 @@ class TestCheckpointMechanics:
         checkpoint = session.checkpoint()
         session.close()
         restored = open_session(
-            restore=checkpoint, backend="parallel", parallel_workers=2
+            restore=checkpoint, backend="process", parallel_workers=2
         )
         restored.close()
 

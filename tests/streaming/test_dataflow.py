@@ -1,18 +1,15 @@
-"""Dataflow operators / topology driver tests."""
+"""Dataflow operators / stage driver tests."""
 
 import pytest
 
 from repro.model.batch import SnapshotBatch
 from repro.streaming.dataflow import (
-    FnOperator,
     KeyedStage,
     Operator,
     StageRuntime,
-    Topology,
     count_elements,
-    finish_all,
-    run_unit,
 )
+from repro.streaming.runtime import execute_finish, execute_unit
 
 
 class Doubler(Operator):
@@ -160,29 +157,21 @@ class TestStageRuntime:
         ]
 
 
-class TestTopology:
-    def test_run_unit_chains_stages(self):
-        topology = (
-            Topology()
-            .add(KeyedStage("a", Doubler, 2, key_fn=lambda e: e))
-            .add(KeyedStage("b", Doubler, 2, key_fn=lambda e: e))
-        )
-        runtimes = topology.build()
-        outputs, works = run_unit(runtimes, [1, 2], ctx=0)
+class TestDrivers:
+    def test_execute_unit_chains_stages(self):
+        runtimes = [
+            StageRuntime(KeyedStage("a", Doubler, 2, key_fn=lambda e: e)),
+            StageRuntime(KeyedStage("b", Doubler, 2, key_fn=lambda e: e)),
+        ]
+        outputs, works = execute_unit(runtimes, [1, 2], ctx=0)
         assert sorted(outputs) == [4, 8]
         assert [w.name for w in works] == ["a", "b"]
 
-    def test_finish_all_cascades(self):
-        topology = (
-            Topology()
-            .add(KeyedStage("double", Doubler, 1))
-            .add(KeyedStage("sum", Summer, 1))
-        )
-        runtimes = topology.build()
-        run_unit(runtimes, [1, 2, 3], ctx=0)
-        outputs, _ = finish_all(runtimes)
+    def test_execute_finish_cascades(self):
+        runtimes = [
+            StageRuntime(KeyedStage("double", Doubler, 1)),
+            StageRuntime(KeyedStage("sum", Summer, 1)),
+        ]
+        execute_unit(runtimes, [1, 2, 3], ctx=0)
+        outputs, _ = execute_finish(runtimes)
         assert ("final", 12) in outputs
-
-    def test_fn_operator(self):
-        op = FnOperator(lambda x: [x + 1])
-        assert list(op.process(1)) == [2]

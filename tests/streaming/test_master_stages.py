@@ -7,7 +7,8 @@ that runtime.  Held to:
 
 1. **No hop** — no ``run`` / ``finish`` command for a one-subtask stage
    reaches a worker (numpy × numpy, python × python, and with one
-   worker, where every stage has one subtask and no command is sent).
+   worker, where every stage has one subtask, no worker is spawned and
+   no command is sent).
 2. **Live reads** — ``last_cluster_snapshot``, ``average_cluster_size``,
    ``clusters_formed`` and the cluster stage's metrics come from the
    master mid-stream and after ``finish()``, with no pipe traffic, and
@@ -23,6 +24,7 @@ that runtime.  Held to:
 
 from __future__ import annotations
 
+import multiprocessing
 from contextlib import contextmanager
 from unittest import mock
 
@@ -31,9 +33,10 @@ import pytest
 from repro import open_session
 from repro.model.batch import SnapshotBatch
 from repro.session import event_to_dict
+from repro.state import Checkpoint
 from repro.streaming.runtime import ProcessBackend
 
-from tests.state.conftest import BASE_KNOBS, cluster_stream
+from tests.state.conftest import BASE_KNOBS, cluster_stream, run_uninterrupted
 
 KERNELS = {
     "numpy": dict(clustering_kernel="numpy", enumeration_kernel="numpy"),
@@ -88,9 +91,9 @@ def test_no_run_or_finish_reaches_a_worker_for_one_subtask_stages(
         events, session = drive(
             records, backend="process", parallel_workers=2, **KERNELS[kernel]
         )
-        backend = session.pipeline.job.backend
+        backend = session.pipeline.backend
         events.extend(session.finish())
-        runtimes = session.pipeline.job.runtimes
+        runtimes = session.pipeline.runtimes
     single = {r.stage.name for r in runtimes if len(r.subtasks) == 1}
     multi = {r.stage.name for r in runtimes if len(r.subtasks) > 1}
     assert "cluster" in single and "enumerate" in multi
@@ -115,11 +118,42 @@ def test_one_worker_runs_the_whole_graph_in_the_master(records, kernel):
         events.extend(session.finish())
         session.close()
     assert all(
-        len(runtime.subtasks) == 1 for runtime in session.pipeline.job.runtimes
+        len(runtime.subtasks) == 1 for runtime in session.pipeline.runtimes
     )
     assert sent == []
     assert [event_to_dict(e) for e in events] == run_to_end(
         records, backend="serial", **KERNELS[kernel]
+    )
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_one_worker_pool_spawns_no_worker(records, kernel):
+    before = set(multiprocessing.active_children())
+    session = open_session(
+        backend="process", parallel_workers=1, **BASE_KNOBS, **KERNELS[kernel]
+    )
+    try:
+        assert set(multiprocessing.active_children()) - before == set()
+        assert session.pipeline.backend._processes == []
+        cut = len(records) // 2
+        events = []
+        for record in records[:cut]:
+            events.extend(session.feed(record))
+        checkpoint = Checkpoint.from_bytes(session.checkpoint().to_bytes())
+    finally:
+        session.close()
+    restored = open_session(
+        restore=checkpoint, backend="process", parallel_workers=1
+    )
+    try:
+        assert set(multiprocessing.active_children()) - before == set()
+        for record in records[cut:]:
+            events.extend(restored.feed(record))
+        events.extend(restored.finish())
+    finally:
+        restored.close()
+    assert [event_to_dict(e) for e in events] == run_uninterrupted(
+        records, **KERNELS[kernel]
     )
 
 
@@ -139,12 +173,12 @@ def test_cluster_state_is_read_from_the_master(records, kernel):
     )
     try:
         cluster_runtime = next(
-            r for r in process.pipeline.job.runtimes if r.stage.name == "cluster"
+            r for r in process.pipeline.runtimes if r.stage.name == "cluster"
         )
         with recorded_sends() as sent:
             mid = cluster_reads(process.pipeline)
-            metrics = process.pipeline.job.backend.collect_metrics(
-                cluster_runtime
+            metrics = process.pipeline.backend.query(
+                cluster_runtime, "state_metrics"
             )
         assert sent == []
         assert mid == cluster_reads(serial.pipeline)
@@ -179,7 +213,7 @@ def test_killed_worker_raises_on_the_next_snapshot(kernel, victim):
             time, [1, 2, 3], [0.0, 1.0, 2.0], [0.0, 0.0, 0.0]
         )
         pipeline.process_snapshot(batch(1))
-        process = pipeline.job.backend._processes[victim]
+        process = pipeline.backend._processes[victim]
         process.kill()
         process.join(timeout=10)
         with pytest.raises(RuntimeError, match="died unexpectedly"):

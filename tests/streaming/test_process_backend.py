@@ -4,7 +4,8 @@ End-to-end pattern equality lives in
 ``tests/integration/test_backend_equivalence.py``; this module covers the
 mechanics — the shared-memory segment pool, the picklable
 :class:`GraphSpec` contract, the exchange envelope codec, and the
-explicit worker lifecycle (warm-up, crash surfacing, idempotent close).
+explicit worker lifecycle (spawn at bind, crash surfacing, idempotent
+close).
 """
 
 import os
@@ -12,24 +13,23 @@ import os
 import pytest
 
 from repro.core.config import ICPEConfig
-from repro.core.icpe import ICPEPipeline, build_icpe_graph
+from repro.core.icpe import ICPEPipeline, icpe_stages
 from repro.model.batch import SnapshotBatch
 from repro.model.constraints import PatternConstraints
 from repro.streaming.dataflow import (
     KeyedStage,
+    Operator,
     ShmEnvelope,
-    Topology,
     decode_exchange_elements,
     encode_exchange_elements,
 )
-from repro.streaming.environment import StreamEnvironment
 from repro.streaming.runtime import (
     GraphSpec,
-    JobGraph,
     ProcessBackend,
     SegmentPool,
     available_cpu_count,
     default_worker_count,
+    execute_unit,
 )
 
 CONSTRAINTS = PatternConstraints(m=2, k=3, l=1, g=2)
@@ -163,39 +163,45 @@ class TestExchangeCodec:
         assert "psm_x" in repr(clone)
 
 
+def _names(stages):
+    return [stage.name for stage in stages]
+
+
 class TestGraphSpec:
-    def test_builds_from_job_graph_builder(self):
-        spec = GraphSpec(_topology_builder)
-        graph = spec.build()
-        assert isinstance(graph, JobGraph)
-        assert graph.stage_names == ["echo"]
+    def test_builds_a_stage_list(self):
+        stages = GraphSpec(_stage_builder).build()
+        assert _names(stages) == ["echo"]
+        assert stages[0].parallelism == 1
 
-    def test_builds_from_environment_builder(self):
-        spec = GraphSpec(_environment_builder)
-        assert spec.build().stage_names == ["sink-0"]
-
-    def test_rejects_non_topology_result(self):
-        with pytest.raises(TypeError, match="GraphSpec builder"):
-            GraphSpec(dict).build()
+    def test_passes_args_and_kwargs_to_the_builder(self):
+        stages = GraphSpec(_stage_builder, ("fold",), {"parallelism": 3}).build()
+        assert _names(stages) == ["fold"]
+        assert stages[0].parallelism == 3
 
     def test_icpe_spec_is_picklable(self):
         import pickle
 
-        spec = GraphSpec(build_icpe_graph, (process_config(),))
+        spec = GraphSpec(icpe_stages, (process_config(),))
         clone = pickle.loads(pickle.dumps(spec))
-        assert clone.build().stage_names == spec.build().stage_names
+        assert _names(clone.build()) == _names(spec.build())
 
 
-def _topology_builder():
-    return Topology(
-        [KeyedStage(name="echo", operator_factory=None, parallelism=1)]
-    )
+def _stage_builder(name="echo", parallelism=1):
+    return [
+        KeyedStage(name=name, operator_factory=None, parallelism=parallelism)
+    ]
 
 
-def _environment_builder():
-    env = StreamEnvironment()
-    env.source().sink(lambda element: None)
-    return env
+def _two_stage_builder(first, second):
+    return [
+        KeyedStage("a", _Echo, first, key_fn=lambda element: element),
+        KeyedStage("b", _Echo, second, key_fn=lambda element: element),
+    ]
+
+
+class _Echo(Operator):
+    def process(self, element):
+        return [element]
 
 
 class TestResourceTrackerHygiene:
@@ -245,15 +251,30 @@ class TestResourceTrackerHygiene:
 class TestProcessBackendLifecycle:
     def test_requires_bound_graph(self):
         backend = ProcessBackend(max_workers=1)
-        with pytest.raises(RuntimeError, match="bind_graph"):
-            backend.warm_up()
-        graph = JobGraph(
-            [KeyedStage(name="s", operator_factory=None, parallelism=1)]
-        )
-        runtime_stub = type("R", (), {"stage": graph.stages[0]})()
-        with pytest.raises(RuntimeError, match="not running"):
+        stage = KeyedStage(name="s", operator_factory=None, parallelism=1)
+        runtime_stub = type("R", (), {"stage": stage})()
+        with pytest.raises(RuntimeError, match="not running.*bind_graph"):
             backend._stage_address(runtime_stub)
         backend.close()
+
+    def test_rejects_duplicate_stage_names(self):
+        backend = ProcessBackend(max_workers=2)
+        doubled = lambda: _stage_builder("s") + _stage_builder("s")  # noqa: E731
+        with pytest.raises(RuntimeError, match="unique stage names"):
+            backend.bind_graph(GraphSpec(doubled))
+        assert backend._processes == []
+        backend.close()
+
+    def test_pool_is_sized_to_the_widest_multi_subtask_stage(self):
+        for parallelisms, spawned in (((1, 1), 0), ((1, 2), 2), ((3, 5), 4)):
+            backend = ProcessBackend(max_workers=4)
+            try:
+                backend.bind_graph(
+                    GraphSpec(_two_stage_builder, parallelisms)
+                )
+                assert len(backend._processes) == spawned
+            finally:
+                backend.close()
 
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError, match="max_workers"):
@@ -277,10 +298,9 @@ class TestProcessBackendLifecycle:
     def test_rebinding_is_rejected(self):
         pipeline = ICPEPipeline(process_config())
         try:
-            backend = pipeline.job.backend
             with pytest.raises(RuntimeError, match="already bound"):
-                backend.bind_graph(
-                    GraphSpec(build_icpe_graph, (process_config(),))
+                pipeline.backend.bind_graph(
+                    GraphSpec(icpe_stages, (process_config(),))
                 )
         finally:
             pipeline.close()
@@ -291,14 +311,16 @@ class TestProcessBackendLifecycle:
             # Strings route fine (key_fn takes element[0]) but explode
             # inside the worker's AllocateOperator arithmetic.
             with pytest.raises(RuntimeError, match="allocate"):
-                pipeline.job.run([("a", "b", "c")], ctx=1)
+                execute_unit(
+                    pipeline.runtimes, [("a", "b", "c")], 1, pipeline.backend
+                )
         finally:
             pipeline.close()
 
     def test_worker_crash_is_a_clean_runtime_error(self):
         pipeline = ICPEPipeline(process_config())
         try:
-            backend = pipeline.job.backend
+            backend = pipeline.backend
             backend._processes[0].terminate()
             backend._processes[0].join(timeout=10)
             with pytest.raises(RuntimeError, match="died unexpectedly"):
@@ -312,14 +334,15 @@ class TestProcessBackendLifecycle:
         pipeline = ICPEPipeline(process_config())
         pipeline.close()
         pipeline.close()
-        backend = pipeline.job.backend
         with pytest.raises(RuntimeError, match="closed"):
-            backend.bind_graph(GraphSpec(build_icpe_graph, (process_config(),)))
+            pipeline.backend.bind_graph(
+                GraphSpec(icpe_stages, (process_config(),))
+            )
 
     def test_segments_are_recycled_across_snapshots(self):
         pipeline = ICPEPipeline(process_config())
         try:
-            backend = pipeline.job.backend
+            backend = pipeline.backend
 
             def snapshot(time):
                 return SnapshotBatch.from_rows(

@@ -1,12 +1,11 @@
-"""Execution-runtime tests: stable hashing, backends, job graph."""
+"""Execution-runtime tests: backend resolution and the control query."""
 
 import pytest
 
 from repro.streaming.dataflow import KeyedStage, Operator, StageRuntime
-from repro.streaming.hashing import canonical_encode, stable_hash
 from repro.streaming.runtime import (
-    JobGraph,
-    ParallelBackend,
+    GraphSpec,
+    ProcessBackend,
     SerialBackend,
     execute_finish,
     execute_unit,
@@ -32,58 +31,38 @@ class KeyCounter(Operator):
     def finish(self):
         yield ("final", self.index, sum(self.counts.values()))
 
+    def snapshot_state(self):
+        return dict(self.counts) or None
 
-def counting_runtimes():
-    return [
-        StageRuntime(
-            KeyedStage("count", KeyCounter, parallelism=4, key_fn=lambda e: e)
-        )
-    ]
+    def restore_state(self, payload):
+        self.counts = dict(payload)
+
+    def total(self, scale=1):
+        return sum(self.counts.values()) * scale or None
 
 
-class TestStableHash:
-    def test_known_values(self):
-        # CRC32 of the canonical encoding: fixed forever, salt-free.
-        # A regression here silently reshuffles every keyed exchange.
-        assert stable_hash(7) == 3755447108
-        assert stable_hash("cell") == 3730155690
-        assert stable_hash((3, 4)) == 388982493
-        assert stable_hash(None) == 2091617636
-        assert stable_hash(True) == 3227850783
-        assert stable_hash(2.5) == 1814260614
+def counting_stages():
+    return [KeyedStage("count", KeyCounter, parallelism=4, key_fn=lambda e: e)]
 
-    def test_set_order_independent(self):
-        assert stable_hash(frozenset({1, 2})) == stable_hash(frozenset({2, 1}))
-        assert stable_hash({1, 2}) == stable_hash(frozenset({1, 2}))
 
-    def test_type_tags_distinguish(self):
-        assert stable_hash(1) != stable_hash("1")
-        assert stable_hash(1) != stable_hash(1.0)
-        assert stable_hash(True) != stable_hash(1)
-        # Lists and tuples deliberately share the sequence tag.
-        assert stable_hash((1, 2)) == stable_hash([1, 2])
+def counting_runtime():
+    return StageRuntime(counting_stages()[0])
 
-    def test_length_prefix_prevents_concat_collisions(self):
-        assert canonical_encode(("a,", "b")) != canonical_encode(("a", ",b"))
-        assert stable_hash(("ab", "c")) != stable_hash(("a", "bc"))
 
-    def test_routing_is_stable_and_in_range(self):
-        stage = KeyedStage("s", KeyCounter, parallelism=5, key_fn=lambda e: e)
-        runtime = StageRuntime(stage)
-        for element in range(100):
-            index = runtime.route(element)
-            assert 0 <= index < 5
-            assert index == stable_hash(element) % 5
+def bound_process_backend(max_workers=2):
+    backend = ProcessBackend(max_workers=max_workers)
+    backend.bind_graph(GraphSpec(counting_stages))
+    return backend
 
 
 class TestBackends:
     def test_resolve(self):
         assert isinstance(resolve_backend(None), SerialBackend)
         assert isinstance(resolve_backend("serial"), SerialBackend)
-        parallel = resolve_backend("parallel", max_workers=2)
-        assert isinstance(parallel, ParallelBackend)
-        assert parallel.workers == 2
-        parallel.close()
+        process = resolve_backend("process", max_workers=2)
+        assert isinstance(process, ProcessBackend)
+        assert process.workers == 2
+        process.close()
         backend = SerialBackend()
         assert resolve_backend(backend) is backend
 
@@ -91,94 +70,127 @@ class TestBackends:
         with pytest.raises(ValueError, match="unknown execution backend"):
             resolve_backend("quantum")
 
-    def test_invalid_worker_count(self):
-        with pytest.raises(ValueError):
-            ParallelBackend(max_workers=0)
-
-    def test_serial_parallel_identical_outputs(self):
+    def test_serial_process_identical_outputs(self):
         elements = [i % 7 for i in range(200)]
         serial_out, serial_works = execute_unit(
-            counting_runtimes(), elements, ctx=1, backend=SerialBackend()
+            [counting_runtime()], elements, ctx=1, backend=SerialBackend()
         )
-        with ParallelBackend(max_workers=4) as backend:
-            parallel_out, parallel_works = execute_unit(
-                counting_runtimes(), elements, ctx=1, backend=backend
+        with bound_process_backend() as backend:
+            process_out, process_works = execute_unit(
+                [counting_runtime()], elements, ctx=1, backend=backend
             )
         # Element-for-element identical, not just set-identical.
-        assert serial_out == parallel_out
+        assert serial_out == process_out
         assert [w.elements_in for w in serial_works] == [
-            w.elements_in for w in parallel_works
+            w.elements_in for w in process_works
         ]
-        assert serial_works[0].parallelism == parallel_works[0].parallelism == 4
+        assert serial_works[0].parallelism == process_works[0].parallelism == 4
 
-    def test_serial_parallel_identical_finish(self):
-        runtimes_a, runtimes_b = counting_runtimes(), counting_runtimes()
+    def test_serial_process_identical_finish(self):
+        serial_runtime, process_runtime = counting_runtime(), counting_runtime()
         elements = list(range(50))
-        execute_unit(runtimes_a, elements, ctx=0, backend=SerialBackend())
-        with ParallelBackend(max_workers=3) as backend:
-            execute_unit(runtimes_b, elements, ctx=0, backend=backend)
-            flushed_parallel, _ = execute_finish(runtimes_b, backend=backend)
-        flushed_serial, _ = execute_finish(runtimes_a, backend=SerialBackend())
-        assert flushed_serial == flushed_parallel
+        execute_unit([serial_runtime], elements, ctx=0, backend=SerialBackend())
+        with bound_process_backend() as backend:
+            execute_unit([process_runtime], elements, ctx=0, backend=backend)
+            flushed_process, _ = execute_finish(
+                [process_runtime], backend=backend
+            )
+        flushed_serial, _ = execute_finish(
+            [serial_runtime], backend=SerialBackend()
+        )
+        assert flushed_serial == flushed_process
 
-    def test_parallel_measures_wall_clock(self):
-        elements = list(range(40))
-        with ParallelBackend(max_workers=4) as backend:
+    def test_process_measures_wall_clock(self):
+        with bound_process_backend() as backend:
             _, works = execute_unit(
-                counting_runtimes(), elements, ctx=0, backend=backend
+                [counting_runtime()], list(range(40)), ctx=0, backend=backend
             )
         work = works[0]
         assert work.wall_seconds > 0
         assert len(work.busy_seconds) == 4
         assert all(b >= 0 for b in work.busy_seconds)
 
-    def test_parallel_close_idempotent_then_rejects_use(self):
-        backend = ParallelBackend(max_workers=2)
-        execute_unit(counting_runtimes(), [1, 2], ctx=0, backend=backend)
+    def test_process_close_idempotent_then_rejects_use(self):
+        backend = bound_process_backend()
+        execute_unit([counting_runtime()], [1, 2], ctx=0, backend=backend)
         backend.close()
         backend.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            execute_unit(counting_runtimes(), [1], ctx=0, backend=backend)
+        with pytest.raises(RuntimeError, match="not running"):
+            execute_unit([counting_runtime()], [1], ctx=0, backend=backend)
 
-    def test_worker_pool_error_propagates(self):
-        class Exploder(Operator):
-            def process(self, element):
-                raise RuntimeError("boom")
-
-        runtimes = [StageRuntime(KeyedStage("x", Exploder, parallelism=2))]
-        with ParallelBackend(max_workers=2) as backend:
-            with pytest.raises(RuntimeError, match="boom"):
-                execute_unit(runtimes, [1], ctx=0, backend=backend)
-
-
-class TestJobGraph:
-    def test_stage_names_and_parallelisms(self):
-        graph = (
-            JobGraph()
-            .add(KeyedStage("a", KeyCounter, 2, key_fn=lambda e: e))
-            .add(KeyedStage("b", KeyCounter, 3, key_fn=lambda e: e))
-        )
-        assert graph.stage_names == ["a", "b"]
-        assert graph.parallelisms == [2, 3]
-
-    def test_build_runtimes_fresh_each_call(self):
-        graph = JobGraph().add(
-            KeyedStage("a", KeyCounter, 1, key_fn=lambda e: e)
-        )
-        first = graph.build_runtimes()
-        second = graph.build_runtimes()
+    def test_runtimes_of_one_stage_list_share_no_operator(self):
+        """Master and workers each build ``[StageRuntime(s) for s in
+        stages]`` from one stage list; no operator may be shared."""
+        stages = counting_stages()
+        first = [StageRuntime(stage) for stage in stages]
+        second = [StageRuntime(stage) for stage in stages]
         assert first[0].subtasks[0] is not second[0].subtasks[0]
+        execute_unit(first, [1, 1, 2], ctx=0)
+        assert SerialBackend().query(second[0], "total") == []
 
-    def test_empty_graph_rejected(self):
-        with pytest.raises(ValueError, match="no stages"):
-            JobGraph().build_runtimes()
+    def test_retired_thread_backend_name_is_refused(self):
+        with pytest.raises(ValueError) as excinfo:
+            resolve_backend("parallel")
+        assert "['serial', 'process']" in str(excinfo.value)
 
-    def test_topology_to_graph(self):
-        from repro.streaming.dataflow import Topology
+    def test_session_on_retired_thread_backend_is_refused(self):
+        from repro import PatternConstraints, open_session
 
-        topology = Topology().add(
-            KeyedStage("only", KeyCounter, 2, key_fn=lambda e: e)
+        with pytest.raises(ValueError) as excinfo:
+            open_session(
+                epsilon=1.0,
+                cell_width=2.0,
+                min_pts=2,
+                constraints=PatternConstraints(m=2, k=2, l=1, g=1),
+                backend="parallel",
+            )
+        assert "['serial', 'process']" in str(excinfo.value)
+
+
+class TestQuery:
+    def test_answers_per_subtask_in_order(self):
+        runtime = counting_runtime()
+        execute_unit([runtime], list(range(40)), ctx=0)
+        answers = SerialBackend().query(runtime, "total")
+        assert [index for index, _ in answers] == [0, 1, 2, 3]
+        assert sum(total for _, total in answers) == 40
+
+    def test_per_subtask_args_and_skips(self):
+        runtime = counting_runtime()
+        execute_unit([runtime], list(range(40)), ctx=0)
+        plain = dict(SerialBackend().query(runtime, "total"))
+        args = [(2,), None, (3,), None]
+        answers = SerialBackend().query(runtime, "total", args)
+        assert answers == [(0, plain[0] * 2), (2, plain[2] * 3)]
+
+    def test_none_answers_are_left_out(self):
+        runtime = counting_runtime()
+        execute_unit([runtime], [0], ctx=0)
+        answers = SerialBackend().query(runtime, "total")
+        assert [index for index, _ in answers] == [runtime.route(0)]
+
+    def test_state_capture_reuses_known_digest(self):
+        runtime = counting_runtime()
+        execute_unit([runtime], list(range(40)), ctx=0)
+        first = SerialBackend().query(runtime, "capture_state")
+        assert all(data is not None for _, (_, data) in first)
+        known = [(digest,) for _, (digest, _) in first]
+        second = SerialBackend().query(runtime, "capture_state", known)
+        assert [d for _, (d, _) in second] == [d for _, (d, _) in first]
+        assert all(data is None for _, (_, data) in second)
+
+    def test_restore_encoded_round_trips(self):
+        source, target = counting_runtime(), counting_runtime()
+        execute_unit([source], list(range(40)), ctx=0)
+        captured = SerialBackend().query(source, "capture_state")
+        args = [None] * 4
+        for index, (_digest, data) in captured:
+            args[index] = (data,)
+        SerialBackend().query(target, "restore_encoded", args)
+        assert SerialBackend().query(target, "total") == SerialBackend().query(
+            source, "total"
         )
-        graph = topology.to_graph()
-        assert isinstance(graph, JobGraph)
-        assert graph.stage_names == ["only"]
+
+    def test_unknown_method_names_the_stage(self):
+        with pytest.raises(RuntimeError, match="stage 'count'"):
+            SerialBackend().query(counting_runtime(), "no_such_method")

@@ -68,9 +68,13 @@ class TestRectRemainder:
 
 class TestOperatorDefaults:
     def test_open_and_end_batch_defaults(self):
-        from repro.streaming.dataflow import FnOperator
+        from repro.streaming.dataflow import Operator
 
-        operator = FnOperator(lambda x: [x])
+        class Echo(Operator):
+            def process(self, element):
+                return [element]
+
+        operator = Echo()
         operator.open(0, 1)  # no-op default
         assert list(operator.end_batch(None)) == []
         assert list(operator.finish()) == []
