@@ -1,12 +1,13 @@
 """The plugin registry: listing, registering and running a custom strategy.
 
-Every strategy axis of the framework — execution backends, clustering
-kernels, enumeration kernels, enumerators — is a plugin on one typed
-registry.  This example (1) lists the registered plugins with their
-capability metadata, (2) registers a custom execution backend at
-runtime (a serial clone that counts the stages it runs), and (3) runs
-a detection session on it purely by *name*, verifying the pattern set
-matches the built-in serial backend.
+The interchangeable strategies of the framework — clustering kernels,
+enumeration kernels, enumerators, shed policies, pattern families — are
+plugins on one typed registry.  This example (1) lists the registered
+plugins with their capability metadata, (2) registers a custom shed
+policy at runtime (one that drops only the records of known noise
+objects and counts the batches it inspects), and (3) runs a detection
+session on it purely by *name*, verifying the pattern set matches a
+session that sheds nothing.
 
 Third-party packages do step (2) without touching any code here, via a
 ``repro.plugins`` entry point — see docs/API.md.
@@ -24,22 +25,23 @@ from repro.registry import (
     default_registry,
     reset_default_registry,
 )
-from repro.streaming.runtime.serial import SerialBackend
+from repro.shedding import ShedPolicy
+
+NOISE = frozenset({100, 101})
 
 
-class CountingBackend(SerialBackend):
-    """A 'third-party' backend: serial semantics plus a stage counter."""
+class NoiseShedPolicy(ShedPolicy):
+    """A 'third-party' policy: drops the records of known noise objects."""
 
-    name = "counting"
+    name = "noise"
 
     def __init__(self) -> None:
-        super().__init__()
-        self.stages_run = 0
+        self.batches_seen = 0
 
-    def run_stage(self, runtime, elements, ctx=None):
-        """Count and delegate to the serial reference execution."""
-        self.stages_run += 1
-        return super().run_stage(runtime, elements, ctx)
+    def select_drops(self, oids, rate, protected):
+        """Indices of every noise record; counts the batches inspected."""
+        self.batches_seen += 1
+        return [index for index, oid in enumerate(oids) if oid in NOISE]
 
 
 def make_stream(horizon: int = 15) -> list[StreamRecord]:
@@ -55,7 +57,7 @@ def make_stream(horizon: int = 15) -> list[StreamRecord]:
                 )
             )
             last[oid] = t
-        for noise in (100, 101):
+        for noise in sorted(NOISE):
             records.append(
                 StreamRecord(
                     noise, 500.0 + 50.0 * noise + 3.0 * t, 900.0,
@@ -78,44 +80,39 @@ def main() -> None:
         f"{numpy_spec.capabilities.summary_markers()}"
     )
 
-    backend_holder: list[CountingBackend] = []
-
-    def factory(max_workers=None):
-        backend = CountingBackend()
-        backend_holder.append(backend)
-        return backend
-
     registry.register(
         PluginSpec(
-            kind="backend",
-            name="counting",
-            factory=factory,
-            summary="serial clone counting executed stages",
+            kind="shed_policy",
+            name="noise",
+            factory=lambda seed=0: NoiseShedPolicy(),
+            summary="drops the records of known noise objects",
         )
     )
-    print("\nRegistered custom backend 'counting'.")
+    print("\nRegistered custom shed policy 'noise'.")
 
     records = make_stream()
     signatures = {}
-    for backend in ("serial", "counting"):
+    for policy in ("none", "noise"):
         with open_session(
             epsilon=1.0,
             cell_width=4.0,
             min_pts=3,
             constraints=PatternConstraints(m=3, k=5, l=2, g=2),
-            backend=backend,
+            shed_policy=policy,
+            shed_rate=0.5,
         ) as session:
             session.feed_many(records)
-        signatures[backend] = {p.objects for p in session.patterns}
+        signatures[policy] = {p.objects for p in session.patterns}
         print(
-            f"  backend={backend:<9} patterns={len(session.patterns)}"
+            f"  shed_policy={policy:<6} patterns={len(session.patterns)} "
+            f"records shed={session.result().shedding['records_shed']}"
         )
     print(
-        f"  custom backend executed {backend_holder[0].stages_run} stage "
-        f"units"
+        f"  custom policy inspected {session.shed_policy.batches_seen} "
+        f"batches"
     )
-    assert signatures["serial"] == signatures["counting"]
-    print("Pattern sets identical across backends: True")
+    assert signatures["none"] == signatures["noise"]
+    print("Pattern sets identical with and without the policy: True")
 
     # Leave the process-wide registry as we found it.
     reset_default_registry()

@@ -19,7 +19,6 @@ from repro import PatternConstraints, open_session
 from repro.bench.process_workload import run_process_sweep
 from repro.core.config import ICPEConfig
 from repro.data.taxi import TaxiConfig, generate_taxi
-from repro.registry import default_registry
 
 
 def make_config(dataset, **overrides) -> ICPEConfig:
@@ -46,11 +45,6 @@ def main() -> None:
     dataset = generate_taxi(TaxiConfig(n_objects=80, horizon=24, seed=7))
     print(f"workload: {len(dataset.records)} records, "
           f"{len(dataset.times)} snapshots\n")
-
-    # The backend is a registry plugin carrying capability markers.
-    spec = default_registry().get("backend", "process")
-    print(f"plugin 'process': {spec.summary}")
-    print(f"  capability markers: {spec.capabilities.summary_markers()}\n")
 
     # Same pipeline, shared-nothing workers: every worker process
     # rebuilds its own operators from a picklable GraphSpec, and the

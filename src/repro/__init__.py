@@ -26,11 +26,11 @@ pack records into a :class:`~repro.model.batch.RecordBatch` (or let
             for event in session.feed_batch(batch):
                 print(event)
 
-Every strategy axis — execution backend, clustering kernel, enumeration
-kernel, enumerator, shed policy, pattern family — is a plugin on
-:func:`repro.registry.
-default_registry`; third-party packages register via the
-``repro.plugins`` entry-point group.  The pre-2.0
+Every strategy axis — clustering kernel, enumeration kernel,
+enumerator, shed policy, pattern family — is a plugin on
+:func:`repro.registry.default_registry`; third-party packages register
+via the ``repro.plugins`` entry-point group.  The execution backend is
+``serial`` or ``process``: one executor with or without a worker pool.  The pre-2.0
 ``CoMovementDetector`` remains available as a deprecation shim.
 
 See ``docs/API.md`` for the session lifecycle and the plugin contract,
@@ -53,7 +53,7 @@ from repro.model import (
     Trajectory,
 )
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 #: Names resolved lazily by ``__getattr__`` (heavyweight core / session /
 #: registry machinery), mapped to their home modules.

@@ -40,7 +40,12 @@ from repro.model.snapshot import ClusterSnapshot
 from repro.model.timeseq import TimeSequence
 from repro.streaming.cluster import ClusterModel, ClusterRun
 from repro.streaming.dataflow import StageRuntime
-from repro.streaming.runtime import execute_unit
+from repro.streaming.runtime import (
+    BACKENDS,
+    GraphSpec,
+    ProcessBackend,
+    execute_unit,
+)
 
 CLUSTERING_METHODS = ("RJC", "SRJ", "GDC")
 ENUMERATORS = ("B", "F", "V")
@@ -55,7 +60,7 @@ def registered_strategy_names(
 
     Reads the plugin registry (so entry-point plugins join sweeps
     automatically) and moves ``reference`` — the row speedups are
-    measured against — to the front when present.  The backend / kernel
+    measured against — to the front when present.  The kernel
     comparison runners use this as their default instead of hardcoded
     name lists.
     """
@@ -195,7 +200,7 @@ def build_clustering_runtimes(
     Described through the same :func:`describe_clustering_stages` helper
     the full ICPE pipeline uses, so the bench provably measures the
     pipeline's topology; run with :func:`execute_unit` on the serial
-    backend.
+    backend (the executor with no worker pool).
     """
     settings = clustering_join_settings(method, epsilon, cell_width)
     stages = describe_clustering_stages(
@@ -231,12 +236,14 @@ def run_clustering_point(
     epsilon = dataset.resolve_percentage(epsilon_pct)
     cell_width = dataset.resolve_percentage(grid_pct)
     runtimes = build_clustering_runtimes(method, epsilon, cell_width, min_pts)
+    stages = [runtime.stage for runtime in runtimes]
     run = ClusterRun(model=ClusterModel(n_nodes=n_nodes))
-    for snapshot in dataset.snapshots():
-        _outputs, works = execute_unit(
-            runtimes, snapshot.points(), ctx=snapshot.time
-        )
-        run.record(works)
+    with ProcessBackend(GraphSpec(lambda: stages)) as backend:
+        for snapshot in dataset.snapshots():
+            _outputs, works = execute_unit(
+                runtimes, snapshot.points(), snapshot.time, backend
+            )
+            run.record(works)
     cluster_operator = runtimes[-1].subtasks[0]
     return ClusteringPoint(
         method=method,
@@ -442,13 +449,13 @@ def run_backend_comparison(
 ) -> list[BackendPoint]:
     """Run the full ICPE pipeline under each backend; measure wall clock.
 
-    ``backends=None`` sweeps every registered, available backend plugin
-    (serial first).  The first backend in ``backends`` is the speedup
-    baseline.  Raises :class:`RuntimeError` if any two backends disagree
-    on the detected pattern set.
+    ``backends=None`` sweeps both backends (serial first).  The first
+    backend in ``backends`` is the speedup baseline.  Raises
+    :class:`RuntimeError` if any two backends disagree on the detected
+    pattern set.
     """
     if backends is None:
-        backends = registered_strategy_names("backend", reference="serial")
+        backends = BACKENDS
     points: list[BackendPoint] = []
     signatures: dict[str, frozenset] = {}
     baseline_wall: float | None = None
@@ -578,13 +585,13 @@ def _run_pipeline_kernel_sweep(
     dataset: TrajectoryDataset,
     config: ICPEConfig,
     kernels: tuple[str, ...],
-    select_kernel,
+    field: str,
     axis: str,
 ) -> list[KernelPoint]:
     """Shared full-pipeline sweep over one kernel strategy axis.
 
-    ``select_kernel(config, name)`` returns the config running under the
-    named strategy; ``axis`` labels the strategy in error messages.  The
+    ``field`` is the ``ICPEConfig`` field naming the strategy; ``axis``
+    labels the strategy in error messages.  The
     ``python`` reference row is required (it anchors the speedups) and
     every variant must reproduce the reference pattern set.
     """
@@ -593,7 +600,7 @@ def _run_pipeline_kernel_sweep(
     runs: list[tuple[str, float, object]] = []
     for name in kernels:
         pipeline, wall = _timed_pipeline_run(
-            dataset, select_kernel(config, name)
+            dataset, replace(config, **{field: name})
         )
         signatures[name] = _pattern_signature(pipeline)
         runs.append((name, wall, pipeline))
@@ -632,7 +639,7 @@ def run_kernel_comparison(
             "clustering_kernel", reference="python"
         )
     return _run_pipeline_kernel_sweep(
-        dataset, config, kernels, ICPEConfig.with_kernel, "kernel"
+        dataset, config, kernels, "clustering_kernel", "kernel"
     )
 
 
@@ -660,7 +667,7 @@ def run_enum_kernel_comparison(
         dataset,
         config,
         kernels,
-        ICPEConfig.with_enum_kernel,
+        "enumeration_kernel",
         "enumeration kernel",
     )
 

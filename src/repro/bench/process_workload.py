@@ -20,13 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 from repro.streaming.dataflow import KeyedStage, Operator, StageRuntime
-from repro.streaming.runtime import (
-    ExecutionBackend,
-    GraphSpec,
-    ProcessBackend,
-    SerialBackend,
-    execute_unit,
-)
+from repro.streaming.runtime import GraphSpec, ProcessBackend, execute_unit
 
 
 class StallingHashOperator(Operator):
@@ -116,7 +110,7 @@ class ProcessSweepPoint:
 
 def _drive(
     runtimes: list[StageRuntime],
-    backend: ExecutionBackend,
+    backend: ProcessBackend,
     batches: int,
     elements_per_batch: int,
 ) -> tuple[float, str, dict[str, float]]:
@@ -149,34 +143,29 @@ def run_process_sweep(
 ) -> list[ProcessSweepPoint]:
     """Measure the serial backend against process pools on one workload.
 
-    Row order: serial (the speedup baseline), then one process row per
-    pool size in ``process_workers``.  Worker spawn and stage rebuild
-    happen at ``bind_graph``, before the timer starts — the sweep
-    measures steady-state execution, not pool start-up.  Raises
+    Row order: serial (the speedup baseline: the executor with no
+    pool), then one process row per pool size in ``process_workers``.
+    Worker spawn and stage rebuild happen when the executor is built,
+    before the timer starts — the sweep measures steady-state
+    execution, not pool start-up.  Raises
     :class:`RuntimeError` if any backend's output stream digest differs
     from serial's.
     """
     args = (parallelism, cpu_iterations, stall_seconds)
     spec = GraphSpec(build_stall_stages, args)
-    runs: list[tuple[str, int, ExecutionBackend]] = [
-        ("serial", 1, SerialBackend())
-    ]
-    runs += [
-        ("process", workers, ProcessBackend(max_workers=workers))
-        for workers in process_workers
+    runs = [("serial", 0)] + [
+        ("process", workers) for workers in process_workers
     ]
     points: list[ProcessSweepPoint] = []
     serial_wall: float | None = None
     serial_digest: str | None = None
-    for name, workers, backend in runs:
-        try:
-            backend.bind_graph(spec)
+    for name, pool in runs:
+        workers = max(pool, 1)
+        with ProcessBackend(spec, pool) as backend:
             runtimes = [StageRuntime(s) for s in build_stall_stages(*args)]
             wall, digest, stage_busy = _drive(
                 runtimes, backend, batches, elements_per_batch
             )
-        finally:
-            backend.close()
         if serial_wall is None:
             serial_wall, serial_digest = wall, digest
         if digest != serial_digest:

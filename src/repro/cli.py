@@ -10,13 +10,12 @@ Usage::
         --m 5 --k 10 --l 2 --g 2 --enumerator fba --maximal-only
     python -m repro.cli plugins
 
-Strategy flags (``--enumerator`` / ``--backend`` / ``--kernel`` /
-``--enum-kernel`` / ``--shed-policy`` / ``--pattern-family``) take
-their choice lists from the
-plugin registry, so
-third-party plugins registered via the ``repro.plugins`` entry-point
-group appear automatically; ``plugins`` lists every registered strategy
-with its capabilities.  ``detect --output json`` streams the session's
+Strategy flags (``--enumerator`` / ``--kernel`` / ``--enum-kernel`` /
+``--shed-policy`` / ``--pattern-family``) take their choice lists from
+the plugin registry, so third-party plugins registered via the
+``repro.plugins`` entry-point group appear automatically; ``plugins``
+lists every registered strategy with its capabilities.  ``--backend``
+is ``serial`` or ``process`` (not a plugin axis).  ``detect --output json`` streams the session's
 typed pattern events as JSON lines (the :class:`~repro.session.sinks.
 JsonlSink` format) instead of the human listing.
 """
@@ -40,6 +39,7 @@ from repro.observability import ObservabilityOptions
 from repro.registry import PLUGIN_KINDS, PluginError, default_registry
 from repro.session import JsonlSink, Session
 from repro.state import Checkpoint, CheckpointError
+from repro.streaming.runtime import BACKENDS
 
 GENERATORS = {
     "brinkhoff": (generate_brinkhoff, BrinkhoffConfig),
@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--enumerator", choices=registry.names("enumerator"), default="fba"
     )
     detect.add_argument(
-        "--backend", choices=registry.names("backend"), default="serial",
+        "--backend", choices=BACKENDS, default="serial",
         help="execution backend running the job graph",
     )
     detect.add_argument(
@@ -273,7 +273,6 @@ def _selection_error(args: argparse.Namespace) -> str | None:
     try:
         default_registry().validate_selection(
             enumerator=args.enumerator,
-            backend=args.backend,
             clustering_kernel=args.kernel,
             enumeration_kernel=args.enum_kernel,
             shed_policy=args.shed_policy,

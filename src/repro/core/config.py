@@ -8,13 +8,14 @@ shape (N nodes of Fig. 14).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.cluster.rjc import ClusteringConfig
 from repro.index.rtree import MIN_MAX_ENTRIES
 from repro.model.constraints import PatternConstraints
 from repro.registry import default_registry
 from repro.streaming.cluster import ClusterModel
+from repro.streaming.runtime.base import BACKENDS
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,11 +53,12 @@ class ICPEConfig:
         ba_max_partition_size: BA's subset-materialisation cap.
         vba_candidate_retention: optional eviction horizon for VBA's
             global candidate list (None = paper semantics, keep all).
-        backend: execution backend running the job graph — ``"serial"``
-            (sequential, deterministic, default) or ``"process"``
-            (shared-nothing worker processes with shared-memory columnar
-            exchanges; identical results, no GIL contention between
-            subtasks).
+        backend: execution backend running the job graph, one of
+            :data:`~repro.streaming.runtime.base.BACKENDS` — ``"serial"``
+            (every stage in this process, deterministic, default) or
+            ``"process"`` (a pool of shared-nothing worker processes with
+            shared-memory columnar exchanges; identical results, no GIL
+            contention between subtasks).  Not a plugin axis.
         parallel_workers: worker-pool size cap for the process backend
             (``None`` = one worker per usable core, at least 4); the
             pool spawns no more workers than its widest multi-subtask
@@ -114,11 +116,9 @@ class ICPEConfig:
             family, in ``[0, 1]`` — forming candidates scoring below it
             are not emitted (0.0 emits every reachable candidate).
 
-    Every strategy field (``enumerator``, ``backend``,
-    ``clustering_kernel``, ``enumeration_kernel``, ``shed_policy``,
-    ``pattern_family``)
-    accepts any name
-    registered on the plugin registry — built-ins or third-party plugins
+    Every strategy field (``enumerator``, ``clustering_kernel``,
+    ``enumeration_kernel``, ``shed_policy``, ``pattern_family``) accepts
+    any name registered on the plugin registry — built-ins or third-party plugins
     discovered via the ``repro.plugins`` entry-point group — and invalid
     cross-axis combinations are rejected declaratively from the
     registered capability metadata.  For a fluent streaming front end
@@ -224,8 +224,12 @@ class ICPEConfig:
         # against the plugin registry: unknown names and invalid
         # capability pairs (e.g. a bitmap-batching enumeration kernel
         # with a non-bitmap enumerator) raise ValueError subclasses.
+        if self.backend not in BACKENDS:
+            raise ValueError(
+                f"unknown backend {self.backend!r}; "
+                f"choose from {list(BACKENDS)}"
+            )
         default_registry().validate_selection(
-            backend=self.backend,
             clustering_kernel=self.clustering_kernel,
             enumeration_kernel=self.enumeration_kernel,
             enumerator=self.enumerator,
@@ -245,59 +249,4 @@ class ICPEConfig:
             lemma2=self.lemma2,
             local_index=self.local_index,
             kernel=self.clustering_kernel,
-        )
-
-    def with_nodes(self, n_nodes: int) -> "ICPEConfig":
-        """Copy with a different simulated cluster size (Fig. 14 sweeps)."""
-        return replace(
-            self,
-            cluster=replace(self.cluster, n_nodes=n_nodes),
-        )
-
-    def with_enumerator(self, enumerator: str) -> "ICPEConfig":
-        """Copy with a different enumeration engine."""
-        return replace(self, enumerator=enumerator)
-
-    def with_backend(
-        self, backend: str, parallel_workers: int | None = None
-    ) -> "ICPEConfig":
-        """Copy with a different execution backend (and pool size)."""
-        return replace(
-            self, backend=backend, parallel_workers=parallel_workers
-        )
-
-    def with_kernel(self, clustering_kernel: str) -> "ICPEConfig":
-        """Copy with a different snapshot-clustering kernel strategy."""
-        return replace(self, clustering_kernel=clustering_kernel)
-
-    def with_enum_kernel(self, enumeration_kernel: str) -> "ICPEConfig":
-        """Copy with a different pattern-enumeration kernel strategy."""
-        return replace(self, enumeration_kernel=enumeration_kernel)
-
-    def with_shedding(
-        self,
-        shed_policy: str,
-        shed_rate: float = 0.0,
-        target_p99_ms: float | None = None,
-    ) -> "ICPEConfig":
-        """Copy with a different load-shedding configuration."""
-        return replace(
-            self,
-            shed_policy=shed_policy,
-            shed_rate=shed_rate,
-            target_p99_ms=target_p99_ms,
-        )
-
-    def with_patterns(
-        self,
-        pattern_family: str,
-        evolving_theta: float = 0.5,
-        prediction_min_probability: float = 0.0,
-    ) -> "ICPEConfig":
-        """Copy with a different pattern-family configuration."""
-        return replace(
-            self,
-            pattern_family=pattern_family,
-            evolving_theta=evolving_theta,
-            prediction_min_probability=prediction_min_probability,
         )

@@ -3,11 +3,11 @@
 :func:`icpe_stages` describes the four-stage job graph as a list of
 :class:`~repro.streaming.dataflow.KeyedStage` descriptions.
 ``ICPEPipeline`` builds one :class:`~repro.streaming.dataflow.
-StageRuntime` per stage, binds the same description to the configured
-execution backend (serial or process), and executes it per snapshot,
-collecting per-stage busy times, the simulated distributed
-latency/throughput (via the cluster cost model) and the deduplicated
-pattern results.
+StageRuntime` per stage, hands the same description to its executor
+(no worker pool on ``serial``, a pool on ``process``), and executes it
+per snapshot, collecting per-stage busy times, the simulated
+distributed latency/throughput (via the cluster cost model) and the
+deduplicated pattern results.
 """
 
 from __future__ import annotations
@@ -44,9 +44,10 @@ from repro.streaming.hashing import stable_hash
 from repro.streaming.metrics import LatencyThroughputMeter, SnapshotTiming
 from repro.streaming.runtime import (
     GraphSpec,
+    ProcessBackend,
+    default_worker_count,
     execute_finish,
     execute_unit,
-    resolve_backend,
 )
 
 #: Stage-parallelism fields whose ``None`` means "follow the backend".
@@ -187,7 +188,7 @@ def resolve_fan_out(config: ICPEConfig, workers: int) -> ICPEConfig:
     """``config`` with every ``None`` stage parallelism set to ``workers``.
 
     The one place a "follow the backend" fan-out becomes a number: the
-    pipeline passes its backend's worker count, so the serial backend
+    pipeline passes its pool size (at least 1), so the serial backend
     runs one subtask per stage and a pool of N workers runs N.
     Explicit ints pass through untouched.
     """
@@ -211,8 +212,8 @@ def icpe_stages(config: ICPEConfig) -> list[KeyedStage]:
     subtask)`` keys of checkpointed operator state.
 
     Module-level, hence picklable: it is the builder behind the
-    :class:`~repro.streaming.runtime.GraphSpec` every pipeline binds to
-    its backend.  The process backend pickles ``(icpe_stages,
+    :class:`~repro.streaming.runtime.GraphSpec` every pipeline hands to
+    its executor.  The process backend pickles ``(icpe_stages,
     (config,))`` to each worker, which calls it after spawn to build its
     own operator state — the config is a frozen plain-data dataclass, so
     the spec crosses the process boundary even though the stage
@@ -298,21 +299,21 @@ class ICPEPipeline:
         self.keep_works = keep_works
         self.works_history: list[list[StageWork]] = []
         self._cluster_model: ClusterModel = config.cluster
-        #: The execution backend; the pipeline created it from the
-        #: config, so it owns and closes it.
-        self.backend = resolve_backend(
-            config.backend, max_workers=config.parallel_workers
-        )
+        workers = 0
+        if config.backend == "process":
+            workers = config.parallel_workers or default_worker_count()
         #: The config the stages are built from — the caller's, with
-        #: ``None`` stage parallelisms resolved once against the backend
-        #: so the local runtimes and every process worker agree.
-        self.config = config = resolve_fan_out(config, self.backend.workers)
-        stages = icpe_stages(config)
-        # The process backend rebuilds operator state per worker from
-        # the spec; the serial backend ignores the offer.
-        self.backend.bind_graph(GraphSpec(icpe_stages, (config,)))
+        #: ``None`` stage parallelisms resolved once against the pool
+        #: size so the local runtimes and every process worker agree.
+        self.config = config = resolve_fan_out(config, max(workers, 1))
+        #: The executor, with no worker pool on ``serial``; the pipeline
+        #: created it from the config, so it owns and closes it.  Its
+        #: workers rebuild operator state from the spec.
+        self.backend = ProcessBackend(
+            GraphSpec(icpe_stages, (config,)), workers
+        )
         #: One runtime per stage, in pipeline order.
-        self.runtimes = [StageRuntime(stage) for stage in stages]
+        self.runtimes = [StageRuntime(stage) for stage in icpe_stages(config)]
         self._finished = False
         self._last_time: int | None = None
         #: Incremental-capture cache: last seen digest and encoded payload
@@ -331,8 +332,8 @@ class ICPEPipeline:
         #: subtask order within each stage — identical on every backend).
         self.last_spans: list[SpanRecord] = []
         # Exposed for the harness: average cluster size (Figs. 12-13).
-        # The cluster stage has one subtask, which every built-in
-        # backend runs in this process, so this is the live operator.
+        # The cluster stage has one subtask, which the executor always
+        # runs in this process, so this is the live operator.
         self._cluster_operator: ClusterOperator | KernelClusterOperator = next(
             subtask
             for runtime in self.runtimes
@@ -350,9 +351,8 @@ class ICPEPipeline:
         Accepts the object form or the columnar
         :class:`~repro.model.batch.SnapshotBatch` of the batch data
         plane; a columnar snapshot enters the job graph as one envelope
-        (split per destination by the keyed exchange) when the execution
-        backend declares batch-ingest support, and as per-row elements
-        otherwise — the pattern output is identical either way.
+        (split per destination by the keyed exchange), the object form
+        as per-row elements — the pattern output is identical either way.
         """
         if self._finished:
             raise RuntimeError("pipeline already finished")
@@ -362,9 +362,7 @@ class ICPEPipeline:
                 f"{snapshot.time} after {self._last_time}"
             )
         self._last_time = snapshot.time
-        if isinstance(snapshot, SnapshotBatch) and getattr(
-            self.backend, "supports_batch_ingest", False
-        ):
+        if isinstance(snapshot, SnapshotBatch):
             elements: list = [snapshot]
         else:
             elements = snapshot.points()
@@ -391,10 +389,10 @@ class ICPEPipeline:
         return self.collector.latest(fresh_count)
 
     def close(self) -> None:
-        """Release backend resources (the process worker pool).
+        """Release the executor's worker pool, if it has one.
 
-        The pipeline created its backend from the config, so it owns it
-        and closes it directly.  Idempotent; called automatically by
+        The pipeline created its executor from the config, so it owns
+        it and closes it directly.  Idempotent; called automatically by
         :meth:`finish`, and by the bench harness when a run aborts early.
         """
         self.backend.close()
@@ -466,8 +464,8 @@ class ICPEPipeline:
         """Mean size of the clusters formed so far (Figs. 12-13 curves).
 
         Works under every backend, also past :meth:`finish`: the
-        single-subtask cluster stage runs in this process on every
-        built-in backend, so its live operator is read directly.
+        single-subtask cluster stage always runs in this process, so its
+        live operator is read directly.
         """
         operator = self._cluster_operator
         if not operator.clusters_formed:
@@ -482,7 +480,7 @@ class ICPEPipeline:
     @property
     def backend_name(self) -> str:
         """Name of the execution backend running the job graph."""
-        return self.backend.name
+        return self.config.backend
 
     @property
     def kernel_name(self) -> str:
@@ -575,11 +573,6 @@ class ICPEPipeline:
 
     # ------------------------------------------------------------- checkpoints
 
-    @property
-    def supports_checkpoint(self) -> bool:
-        """Whether the configured backend can capture operator state."""
-        return bool(getattr(self.backend, "supports_checkpoint", False))
-
     def collect_operator_states(
         self,
     ) -> tuple[dict[tuple[str, int], bytes], int, int]:
@@ -592,11 +585,6 @@ class ICPEPipeline:
         where ``states`` maps ``(stage_name, subtask_index)`` to encoded
         payload bytes.
         """
-        if not self.supports_checkpoint:
-            raise RuntimeError(
-                f"backend {self.backend.name!r} does not support "
-                "checkpointing (supports_checkpoint is False)"
-            )
         if self._finished:
             raise RuntimeError("pipeline already finished")
         states: dict[tuple[str, int], bytes] = {}
@@ -633,11 +621,6 @@ class ICPEPipeline:
         operators, so the first checkpoint taken after a restore reuses
         every still-unchanged payload.
         """
-        if not self.supports_checkpoint:
-            raise RuntimeError(
-                f"backend {self.backend.name!r} does not support "
-                "checkpointing (supports_checkpoint is False)"
-            )
         by_stage: dict[str, list[tuple[int, bytes]]] = {}
         for (stage, index), data in states.items():
             by_stage.setdefault(stage, []).append((index, data))
@@ -670,11 +653,11 @@ class ICPEPipeline:
 
         One entry per stage (subtask metrics summed), plus the
         master-side collector and meter.  Stage metrics require a
-        checkpoint-capable backend and a running job; after
-        :meth:`finish` only the master-side components report.
+        running job; after :meth:`finish` only the master-side
+        components report.
         """
         metrics: dict[str, dict[str, int]] = {}
-        if self.supports_checkpoint and not self._finished:
+        if not self._finished:
             for runtime in self.runtimes:
                 merged: dict[str, int] = {}
                 for _index, sub in self.backend.query(runtime, "state_metrics"):

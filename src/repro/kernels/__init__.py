@@ -78,7 +78,7 @@ def make_kernel(
     likewise has no effect on vectorized kernels: they derive their
     bucket width from epsilon (see ``NumpyKernel.bucket_width``), so
     grid-width sweeps (Fig. 11) only measure kernels whose registered
-    capabilities include ``honours_cell_width``.
+    capabilities include ``supports_ablation``.
 
     Raises:
         ValueError: for an unknown kernel name, or a kernel whose

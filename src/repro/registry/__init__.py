@@ -1,18 +1,19 @@
 """One front door for every strategy axis: the typed plugin registry.
 
-PRs 1-3 reproduced the paper's composability as three separate ad-hoc
-axes — bare strings on ``ICPEConfig`` each with its own literal-set
-validation and special-cased combination checks.  This package replaces
-that with a single capability-aware extension point:
+The interchangeable strategies of the paper's pipeline — clustering
+kernels, enumeration kernels, enumerators — plus the shed policies and
+pattern families are selected by name on ``ICPEConfig`` and resolved
+through one capability-aware extension point (the execution backend is
+not among them: see :data:`repro.streaming.runtime.base.BACKENDS`):
 
 * :mod:`repro.registry.core` — :class:`PluginRegistry` /
   :class:`PluginSpec`, the error hierarchy, and the declarative
   :func:`check_selection` compatibility rule;
 * :mod:`repro.registry.capabilities` — the per-plugin metadata
   (``provides_bitmap_enumeration``, ``supports_ablation``, ...);
-* :mod:`repro.registry.builtin` — re-registration of every existing
-  strategy (backends, clustering kernels, enumeration kernels,
-  enumerators);
+* :mod:`repro.registry.builtin` — registration of every built-in
+  strategy (clustering kernels, enumeration kernels, enumerators, shed
+  policies, pattern families);
 * :mod:`repro.registry.entrypoints` — ``entry_points(group=
   "repro.plugins")`` discovery so third-party packages register
   without touching core.

@@ -1,18 +1,18 @@
 """Registration of the built-in strategies on a plugin registry.
 
-Every strategy PRs 1-3 introduced ad hoc is re-registered here through
-the one typed extension point: the two execution backends
-(``streaming/runtime/``), both clustering kernels (``kernels/``), both
-enumeration kernels (``enumeration/kernels/``), the three enumerators
-(baseline / FBA / VBA), the shed policies (``shedding/``) and the
-pattern families (``patterns/``).  Factories import their modules
-lazily so loading the registry stays cheap and free of import cycles —
-the heavy strategy code is only touched when a plugin is constructed.
+Every strategy is registered here through the one typed extension
+point: both clustering kernels (``kernels/``), both enumeration kernels
+(``enumeration/kernels/``), the three enumerators (baseline / FBA /
+VBA), the shed policies (``shedding/``) and the pattern families
+(``patterns/``).  The execution backend is not a plugin: ``serial``
+and ``process`` are two pool sizes of one executor
+(:data:`~repro.streaming.runtime.base.BACKENDS`).  Factories import
+their modules lazily so loading the registry stays cheap and free of
+import cycles — the heavy strategy code is only touched when a plugin
+is constructed.
 
 Factory signatures per axis (third-party plugins must match):
 
-* ``backend``: ``factory(max_workers: int | None = None)`` returning an
-  :class:`~repro.streaming.runtime.base.ExecutionBackend`;
 * ``clustering_kernel``: ``factory(*, epsilon, min_pts, cell_width,
   metric_name, lemma1, lemma2, local_index, rtree_fanout)`` returning a
   :class:`~repro.kernels.base.ClusteringKernel`;
@@ -37,23 +37,6 @@ from __future__ import annotations
 
 from repro.registry.capabilities import PluginCapabilities
 from repro.registry.core import PluginRegistry, PluginSpec
-
-# ------------------------------------------------------------------ backends
-
-
-def _serial_backend(max_workers: int | None = None):
-    """The sequential reference backend (``max_workers`` is ignored)."""
-    from repro.streaming.runtime.serial import SerialBackend
-
-    return SerialBackend()
-
-
-def _process_backend(max_workers: int | None = None):
-    """The shared-nothing worker-process backend (shm exchanges)."""
-    from repro.streaming.runtime.process import ProcessBackend
-
-    return ProcessBackend(max_workers=max_workers)
-
 
 # ---------------------------------------------------------- clustering kernels
 
@@ -229,31 +212,6 @@ def _predictive_pattern_family(constraints, *, theta: float = 0.5,
 
 BUILTIN_SPECS: tuple[PluginSpec, ...] = (
     PluginSpec(
-        kind="backend",
-        name="serial",
-        factory=_serial_backend,
-        capabilities=PluginCapabilities(
-            supports_batch_ingest=True,
-            supports_checkpoint=True,
-            exports_telemetry=True,
-        ),
-        summary="sequential in-process execution (deterministic reference)",
-        source="builtin",
-    ),
-    PluginSpec(
-        kind="backend",
-        name="process",
-        factory=_process_backend,
-        capabilities=PluginCapabilities(
-            supports_batch_ingest=True,
-            supports_process_isolation=True,
-            supports_checkpoint=True,
-            exports_telemetry=True,
-        ),
-        summary="shared-nothing worker processes, shared-memory exchanges",
-        source="builtin",
-    ),
-    PluginSpec(
         kind="clustering_kernel",
         name="python",
         factory=_python_clustering_kernel,
@@ -265,10 +223,7 @@ BUILTIN_SPECS: tuple[PluginSpec, ...] = (
         kind="clustering_kernel",
         name="numpy",
         factory=_numpy_clustering_kernel,
-        capabilities=PluginCapabilities(
-            supports_ablation=False,
-            honours_cell_width=False,
-        ),
+        capabilities=PluginCapabilities(supports_ablation=False),
         summary="vectorized bucketing + searchsorted join + array DBSCAN",
         source="builtin",
     ),
@@ -338,7 +293,7 @@ BUILTIN_SPECS: tuple[PluginSpec, ...] = (
         kind="shed_policy",
         name="pattern_aware",
         factory=_pattern_aware_shed_policy,
-        capabilities=PluginCapabilities(protects_patterns=True),
+        capabilities=PluginCapabilities(),
         summary="drops only cold records; partial matches are protected",
         source="builtin",
     ),
@@ -354,7 +309,7 @@ BUILTIN_SPECS: tuple[PluginSpec, ...] = (
         kind="pattern_family",
         name="evolving",
         factory=_evolving_pattern_family,
-        capabilities=PluginCapabilities(detects_evolving_groups=True),
+        capabilities=PluginCapabilities(),
         summary="θ-continuous groups with drifting membership (GroupEvolved)",
         source="builtin",
     ),

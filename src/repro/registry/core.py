@@ -3,8 +3,8 @@
 A :class:`PluginSpec` names a strategy (``kind`` + ``name``), carries its
 construction callable and its :class:`~repro.registry.capabilities.
 PluginCapabilities`, and a :class:`PluginRegistry` holds the specs of
-every axis — execution backends, clustering kernels, enumeration
-kernels, enumerators — behind uniform ``register`` / ``get`` / ``names``
+every axis — clustering kernels, enumeration kernels, enumerators, shed
+policies, pattern families — behind uniform ``register`` / ``get`` / ``names``
 operations.  Cross-axis validity (e.g. a bitmap-batching enumeration
 kernel needs a bitmap-providing enumerator) is computed declaratively
 from capability pairs by :func:`check_selection`, replacing the
@@ -23,11 +23,10 @@ from typing import Any, Callable, Iterable
 
 from repro.registry.capabilities import PluginCapabilities
 
-#: The six built-in strategy axes.  Registration is not limited to these
+#: The five built-in strategy axes.  Registration is not limited to these
 #: — a future axis (e.g. pattern sinks, state backends) is just a new
 #: ``kind`` string — but these are the axes ``ICPEConfig`` validates.
 PLUGIN_KINDS = (
-    "backend",
     "clustering_kernel",
     "enumeration_kernel",
     "enumerator",
@@ -103,24 +102,18 @@ def check_selection(selection: dict[str, PluginSpec]) -> None:
     """
     enum_kernel = selection.get("enumeration_kernel")
     enumerator = selection.get("enumerator")
-    if enum_kernel is not None and enumerator is not None:
-        caps = enum_kernel.capabilities
-        if (
-            caps.requires_bitmap_enumeration
-            and not enumerator.capabilities.provides_bitmap_enumeration
-        ):
-            raise PluginCompatibilityError(
-                f"enumeration_kernel {enum_kernel.name!r} batches "
-                f"membership bit strings and requires a bitmap-providing "
-                f"enumerator; enumerator {enumerator.name!r} has no "
-                f"bitmap form — use enumeration_kernel='python'"
-            )
-        allowed = caps.compatible_enumerators
-        if allowed is not None and enumerator.name not in allowed:
-            raise PluginCompatibilityError(
-                f"enumeration_kernel {enum_kernel.name!r} supports "
-                f"enumerators {allowed}; got {enumerator.name!r}"
-            )
+    if (
+        enum_kernel is not None
+        and enumerator is not None
+        and enum_kernel.capabilities.requires_bitmap_enumeration
+        and not enumerator.capabilities.provides_bitmap_enumeration
+    ):
+        raise PluginCompatibilityError(
+            f"enumeration_kernel {enum_kernel.name!r} batches "
+            f"membership bit strings and requires a bitmap-providing "
+            f"enumerator; enumerator {enumerator.name!r} has no "
+            f"bitmap form — use enumeration_kernel='python'"
+        )
     family = selection.get("pattern_family")
     if (
         family is not None
@@ -217,7 +210,7 @@ class PluginRegistry:
     def validate_selection(self, **names: str | None) -> dict[str, PluginSpec]:
         """Resolve one name per axis and check cross-axis compatibility.
 
-        Keyword names are kinds (``backend=``, ``clustering_kernel=``,
+        Keyword names are kinds (``clustering_kernel=``,
         ``enumeration_kernel=``, ``enumerator=``, ``shed_policy=``,
         ``pattern_family=``); ``None`` skips an axis.  Returns the
         resolved kind -> spec mapping.

@@ -4,7 +4,7 @@ A package registers plugins without touching this repository by
 declaring an entry point in the ``repro.plugins`` group::
 
     [project.entry-points."repro.plugins"]
-    my-backend = my_package.plugins:register
+    my-policy = my_package.plugins:register
 
 The entry point may resolve to any of:
 

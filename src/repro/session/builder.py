@@ -105,10 +105,10 @@ class SessionBuilder:
     def backend(
         self, name: str, *, workers: int | None = None
     ) -> "SessionBuilder":
-        """Select the execution-backend plugin (and worker-pool size).
+        """Select the execution backend (and worker-pool size).
 
-        Built-in names: ``serial`` / ``process`` (shared-nothing worker
-        processes); ``workers`` sizes the process pool.  Omitting ``workers`` leaves any
+        ``serial`` or ``process`` (shared-nothing worker processes);
+        ``workers`` sizes the process pool.  Omitting ``workers`` leaves any
         previously configured pool size untouched (e.g. one seeded from
         a base config).
         """

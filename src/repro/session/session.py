@@ -2,9 +2,9 @@
 
 :class:`Session` is the public front door of the framework.  It owns
 the "last time" synchronisation operator and the ICPE pipeline (built
-from an :class:`~repro.core.config.ICPEConfig`, so every registered
-plugin axis — backend, clustering kernel, enumeration kernel,
-enumerator, pattern family — is selectable), optionally a live
+from an :class:`~repro.core.config.ICPEConfig`, so the backend and
+every registered plugin axis — clustering kernel, enumeration kernel,
+enumerator, shed policy, pattern family — are selectable), optionally a live
 :class:`~repro.core.live.ConvoyTracker` and a
 :class:`~repro.patterns.PatternFamily` (evolving-group detection or
 online co-movement prediction; see :mod:`repro.patterns`), and a set
@@ -79,7 +79,7 @@ class SessionResult:
             (:mod:`repro.streaming.metrics`).
         throughput_tps: cost-model snapshots per second.
         events: emitted-event counts per event kind.
-        backend: execution-backend plugin name.
+        backend: execution backend name (``serial`` / ``process``).
         clustering_kernel: clustering-kernel plugin name.
         enumeration_kernel: enumeration-kernel plugin name.
         enumerator: enumerator plugin name.
@@ -467,15 +467,13 @@ class Session:
         digest is unchanged since the previous checkpoint reuse the
         cached bytes), plus the master-side synchronisation operator,
         pattern collector, metrics meter, convoy tracker, and the
-        session's own counters.  The backend must advertise
-        ``supports_checkpoint``; a process backend drains its workers
+        session's own counters.  A process backend drains its workers
         through the synchronous reply protocol, so the capture is a
         consistent cut.  Call between feeds — ideally right after a
         :class:`~repro.session.events.WatermarkAdvanced` event.
 
         Raises:
-            RuntimeError: on a finished/closed session or a backend
-                without checkpoint support.
+            RuntimeError: on a finished/closed session.
         """
         self._check_open()
         states, captured, reused = self.pipeline.collect_operator_states()

@@ -14,12 +14,11 @@ bottom-up:
 * :mod:`repro.streaming.hashing` — the salt-free CRC32 key hash that
   makes keyed routing reproducible across interpreter runs and identical
   between execution backends;
-* :mod:`repro.streaming.runtime` — the execution runtime: the
-  :class:`~repro.streaming.runtime.base.ExecutionBackend` contract, the
-  stage drivers, and the two shipped backends —
-  :class:`~repro.streaming.runtime.serial.SerialBackend` (sequential,
-  deterministic, default) and
-  :class:`~repro.streaming.runtime.process.ProcessBackend`
+* :mod:`repro.streaming.runtime` — the execution runtime: the stage
+  drivers and the one executor,
+  :class:`~repro.streaming.runtime.process.ProcessBackend` — with no
+  worker pool it is the ``serial`` backend (every stage in the caller,
+  deterministic, default), with one the ``process`` backend
   (shared-nothing worker processes with shared-memory exchanges);
 * :mod:`repro.streaming.cluster` — the N-node cost model turning busy
   times into the latency/throughput metrics of Section 7 (Figs. 10-15);
@@ -31,29 +30,21 @@ from repro.streaming.cluster import ClusterModel, StageCost
 from repro.streaming.dataflow import KeyedStage, Operator, StageRuntime
 from repro.streaming.hashing import canonical_encode, stable_hash
 from repro.streaming.metrics import LatencyThroughputMeter, SnapshotTiming
-from repro.streaming.runtime import (
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    resolve_backend,
-)
+from repro.streaming.runtime import ProcessBackend
 from repro.streaming.shuffle import bounded_shuffle
 from repro.streaming.sync import TimeSyncOperator
 
 __all__ = [
     "ClusterModel",
-    "ExecutionBackend",
     "KeyedStage",
     "LatencyThroughputMeter",
     "Operator",
     "ProcessBackend",
-    "SerialBackend",
     "SnapshotTiming",
     "StageCost",
     "StageRuntime",
     "TimeSyncOperator",
     "bounded_shuffle",
     "canonical_encode",
-    "resolve_backend",
     "stable_hash",
 ]

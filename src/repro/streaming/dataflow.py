@@ -9,8 +9,8 @@ the key modulo the downstream parallelism — Flink's key-group routing).
 This module holds the primitives: :class:`Operator`, :class:`KeyedStage`
 and :class:`StageRuntime` (instantiated subtasks plus routing).  *How* a
 stage's subtasks execute — in the calling process, or in a pool of worker
-processes — is the province of the execution backends in
-:mod:`repro.streaming.runtime`; both consume the same ``partition`` /
+processes — is the province of the one executor in
+:mod:`repro.streaming.runtime`; both places consume the same ``partition`` /
 ``run_subtask`` / ``finish_subtask`` operations defined here, and answer
 control queries through :meth:`StageRuntime.query`, so routing,
 per-subtask semantics and state capture are identical by construction.
@@ -388,7 +388,7 @@ class StageWork:
 class StageRuntime:
     """Instantiated subtasks of one stage plus keyed routing.
 
-    Execution backends drive a runtime exclusively through
+    The executor drives a runtime exclusively through
     :meth:`partition`, :meth:`run_subtask` and :meth:`finish_subtask`;
     the element-to-subtask assignment and the per-subtask processing
     order are therefore backend-independent.

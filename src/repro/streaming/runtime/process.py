@@ -1,35 +1,37 @@
-"""The process execution backend: shared-nothing workers, shared-memory
-exchanges.
+"""The stage executor: the master, plus an optional pool of shared-nothing
+worker processes with shared-memory exchanges.
 
-A persistent pool of spawn-safe worker processes executes the subtasks
-of every stage with more than one subtask outside the master
-interpreter — no GIL contention between subtasks, real multi-core
-parallelism for pure-Python operator code.  Subtask ``i`` of such a
-stage lives in worker ``i % workers`` for the life of the job, so each
-worker owns a fixed, disjoint slice of the operator state: the
-shared-nothing contract of the paper's Flink deployment.
+:class:`ProcessBackend` is both execution backends.  With no workers
+(``backend="serial"``) every stage runs in the master, one subtask after
+another in subtask-index order.  With a pool (``backend="process"``) a
+persistent set of spawn-safe worker processes executes the subtasks of
+every stage with more than one subtask outside the master interpreter —
+no GIL contention between subtasks, real multi-core parallelism for
+pure-Python operator code.  Subtask ``i`` of such a stage lives in
+worker ``i % workers`` for the life of the job, so each worker owns a
+fixed, disjoint slice of the operator state: the shared-nothing contract
+of the paper's Flink deployment.
 
-A stage with a single subtask (ICPE's ``cluster`` stage, or every stage
-when the fan-out is one) runs in the master on its master-side runtime,
-exactly as the serial backend runs it: the master would wait for that
-subtask and re-route its outputs anyway, so a worker would add only a
-pipe round trip.  Control queries for such a stage read the master-side
-operator too.  The pool is sized to the widest multi-subtask stage (at
-most ``max_workers``), so a graph whose stages all have one subtask
-spawns no worker at all.
+A stage runs in the master on its master-side runtime when it has a
+single subtask (ICPE's ``cluster`` stage, or every stage when the
+fan-out is one) or when there is no pool: the master would wait for a
+lone subtask and re-route its outputs anyway, so a worker would add
+only a pipe round trip.  Control queries for such a stage read the
+master-side operator too.  The pool is sized to the widest
+multi-subtask stage (at most ``workers``), so a graph whose stages all
+have one subtask spawns no worker at all.
 
-Because operator state cannot be shipped across a process boundary, the
-backend must be handed a picklable :class:`~repro.streaming.runtime.base.
-GraphSpec` via :meth:`ProcessBackend.bind_graph` before it runs; every
-worker rebuilds the full stage list from the spec after spawn and keeps
-its own operator instances.  The ICPE pipeline does this automatically.
+Operator state cannot be shipped across a process boundary, so the
+executor is built from a picklable :class:`~repro.streaming.runtime.base.
+GraphSpec`; every worker rebuilds the full stage list from the spec
+after spawn and keeps its own operator instances.
 
 The keyed exchange stays on the master: elements are bucketed once per
-stage with the shared :meth:`StageRuntime.partition` (identical routing
-to the serial backend), and each worker receives its subtasks' complete
-buckets up front.  Non-empty :class:`~repro.model.batch.SnapshotBatch`
-envelopes do not travel through the command pipe — their columns are
-written into pooled ``multiprocessing.shared_memory`` segments
+stage with the shared :meth:`StageRuntime.partition`, and each worker
+receives its subtasks' complete buckets up front.  Non-empty
+:class:`~repro.model.batch.SnapshotBatch` envelopes do not travel
+through the command pipe — their columns are written into pooled
+``multiprocessing.shared_memory`` segments
 (:class:`~repro.streaming.runtime.shm.SegmentPool`) and only a small
 :class:`~repro.streaming.dataflow.ShmEnvelope` token crosses the pipe;
 the worker rebuilds the batch as zero-copy read-only NumPy views over
@@ -42,13 +44,14 @@ and time sequences as two lists) and is rebuilt in the master.
 The worker protocol has four commands: ``run`` and ``finish`` execute a
 stage's subtasks, ``query`` calls a named operator method on them (state
 capture and restore, memory metrics, protected and forming sets — see
-:meth:`ExecutionBackend.query`), and ``close`` ends the worker.
+:meth:`ProcessBackend.query`), and ``close`` ends the worker.
 
-Outputs are concatenated in subtask-index order, exactly like the serial
-backend, so the emitted element sequence — and every detected pattern —
-is identical by construction.  Worker crashes surface as a clean
-:class:`RuntimeError` carrying the exit code; :meth:`close` drains and
-joins the pool and unlinks every pooled segment.
+Outputs are concatenated in subtask-index order wherever the subtasks
+ran, so the emitted element sequence — and every detected pattern — is
+identical with and without a pool by construction.  Worker crashes
+surface as a clean :class:`RuntimeError` carrying the exit code;
+:meth:`ProcessBackend.close` drains and joins the pool and unlinks every
+pooled segment.
 """
 
 from __future__ import annotations
@@ -69,11 +72,7 @@ from repro.streaming.dataflow import (
     encode_exchange_elements,
     encode_pattern_runs,
 )
-from repro.streaming.runtime.base import (
-    ExecutionBackend,
-    GraphSpec,
-    _subtask_tasks,
-)
+from repro.streaming.runtime.base import GraphSpec
 from repro.streaming.runtime.shm import SegmentPool
 
 #: Seconds to wait for a worker to exit voluntarily on close.
@@ -257,72 +256,35 @@ def _worker_main(conn, spec: GraphSpec, worker_index: int) -> None:
     conn.close()
 
 
-class ProcessBackend(ExecutionBackend):
-    """Shared-nothing subtask execution on a pool of worker processes.
+class ProcessBackend:
+    """The stage executor: the master plus a pool of worker processes.
 
-    Attributes:
-        max_workers: pool-size cap; ``None`` picks
-            :func:`default_worker_count` (affinity-aware).  The pool
-            spawned at :meth:`bind_graph` has one worker per subtask of
-            the widest multi-subtask stage, capped at ``max_workers``;
-            a stage with more subtasks than workers gives each worker
-            several.  A stage with one subtask runs in the master, so
-            with ``max_workers=1`` (``parallel_workers=1``) and the
-            fan-out following the backend, every stage has one subtask,
-            the whole graph runs in the master like the serial backend,
-            and no worker is spawned.
+    With ``workers=0`` there is no pool and this is the serial backend:
+    every stage runs in the master through :meth:`StageRuntime.run`.
+    Otherwise the pool has one worker per subtask of the widest
+    multi-subtask stage, capped at ``workers``; a stage with more
+    subtasks than workers gives each worker several.  A stage with one
+    subtask runs in the master either way, so with ``workers=1``
+    (``parallel_workers=1``) and the fan-out following the backend,
+    every stage has one subtask and no worker is spawned.
+
+    The pool is spawned here, at construction — spawning interpreters is
+    the expensive part, and steady-state ``run_stage`` calls never pay
+    it.  The master reads the stage names and parallelisms from
+    ``spec.build()``, which describes the stages without building any
+    operator.  Workers start with the ``spawn`` method unconditionally:
+    fork would duplicate the master's thread and lock state, and the
+    paper's deployment model (independent task-manager JVMs) is
+    spawn-shaped anyway.
+
+    Raises ``RuntimeError`` if the stage names are not unique (names are
+    the master↔worker stage addressing scheme) or if any worker fails to
+    rebuild the stages.  Works as a context manager that closes it.
     """
 
-    name = "process"
-    supports_batch_ingest = True
-    supports_process_isolation = True
-    supports_checkpoint = True
-
-    def __init__(self, max_workers: int | None = None):
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = max_workers
-        self._spec: GraphSpec | None = None
-        self._processes: list[multiprocessing.process.BaseProcess] = []
-        self._conns: list[Any] = []
-        self._stage_index: dict[str, int] = {}
-        self._pool = SegmentPool()
-        #: Names of segments handed out during the current unit of work.
-        self._outstanding: list[str] = []
-        self._closed = False
-
-    @property
-    def workers(self) -> int:
-        """The worker-pool size cap (what ``None`` fan-outs resolve to)."""
-        return self.max_workers or default_worker_count()
-
-    # ---------------------------------------------------------------- lifecycle
-
-    def bind_graph(self, spec: GraphSpec) -> None:
-        """Bind the stage description and spawn the worker pool eagerly.
-
-        Spawning interpreters is the expensive part of this backend, so
-        it happens here — at pipeline-construction time — rather than on
-        the first unit of work; steady-state ``run_stage`` calls never
-        pay it.  The master reads the stage names and parallelisms from
-        ``spec.build()``, which describes the stages without building
-        any operator, and spawns ``min(workers, widest multi-subtask
-        stage)`` workers — none when every stage has one subtask.
-
-        Uses the ``spawn`` start method unconditionally — fork would
-        duplicate the master's thread and lock state, and the paper's
-        deployment model (independent task-manager JVMs) is spawn-shaped
-        anyway.  Raises ``RuntimeError`` if the stage names are not
-        unique (names are the master↔worker stage addressing scheme) or
-        if any worker fails to rebuild the stages.
-        """
-        if self._closed:
-            raise RuntimeError("process backend already closed")
-        if self._spec is not None:
-            raise RuntimeError(
-                "process backend already bound to a graph; use one "
-                "ProcessBackend instance per job graph"
-            )
+    def __init__(self, spec: GraphSpec, workers: int = 0):
+        if workers < 0:
+            raise ValueError(f"workers must be >= 0, got {workers}")
         stages = spec.build()
         names = [stage.name for stage in stages]
         if len(set(names)) != len(names):
@@ -331,11 +293,25 @@ class ProcessBackend(ExecutionBackend):
             )
         self._spec = spec
         self._stage_index = {name: i for i, name in enumerate(names)}
+        self._processes: list[multiprocessing.process.BaseProcess] = []
+        self._conns: list[Any] = []
+        self._pool = SegmentPool()
+        #: Names of segments handed out during the current unit of work.
+        self._outstanding: list[str] = []
+        self._closed = False
         widest = max(
             (stage.parallelism for stage in stages if stage.parallelism > 1),
             default=0,
         )
-        self._spawn(min(self.workers, widest))
+        self._spawn(min(workers, widest))
+
+    def __enter__(self) -> "ProcessBackend":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+    # ---------------------------------------------------------------- lifecycle
 
     def _spawn(self, count: int) -> None:
         """Start ``count`` workers and wait for every stage rebuild."""
@@ -408,28 +384,26 @@ class ProcessBackend(ExecutionBackend):
             ) from None
 
     def _stage_address(self, runtime: StageRuntime) -> int:
-        if self._spec is None or self._closed:
-            raise RuntimeError(
-                "process backend is not running; bind_graph() a GraphSpec "
-                "before executing stages"
-            )
+        if self._closed:
+            raise RuntimeError("the stage executor is closed")
         try:
             return self._stage_index[runtime.stage.name]
         except KeyError:
             raise RuntimeError(
-                f"stage {runtime.stage.name!r} is not part of the bound "
-                f"job graph {sorted(self._stage_index)}"
+                f"stage {runtime.stage.name!r} is not part of the "
+                f"executor's job graph {sorted(self._stage_index)}"
             ) from None
 
     def _in_master(self, runtime: StageRuntime) -> bool:
-        """Whether the stage runs in the master: it has one subtask.
+        """Whether the stage runs in the master: it has one subtask or
+        there is no pool.
 
         Execution and every control query of such a stage use the
         master-side runtime (see the module docstring).  Raises like any
-        stage address when no graph is bound.
+        stage address once the executor is closed.
         """
         self._stage_address(runtime)
-        return len(runtime.subtasks) == 1
+        return len(runtime.subtasks) == 1 or not self._conns
 
     def _round_trip(
         self,
@@ -493,7 +467,7 @@ class ProcessBackend(ExecutionBackend):
             if out:
                 outputs.extend(out)
         # Adopt worker-recorded spans into the master-side runtime in
-        # subtask order — the order the serial backend records them in.
+        # subtask order — the order StageRuntime.run records them in.
         for spans in spans_by_subtask:
             if spans:
                 runtime.adopt_spans(spans)
@@ -532,10 +506,13 @@ class ProcessBackend(ExecutionBackend):
     def run_stage(
         self, runtime: StageRuntime, elements: Sequence[Any], ctx: Any = None
     ) -> tuple[list[Any], StageWork]:
-        """Partition on the master, execute every subtask in its worker.
+        """Execute one stage over one unit of work.
 
-        The wall clock starts before partitioning, mirroring the other
-        backends, so per-stage ``wall_seconds`` stay comparable.  ``ctx``
+        In the master, :meth:`StageRuntime.run` runs the subtasks one
+        after another.  Otherwise the master partitions and every
+        subtask runs in its worker; the wall clock starts before
+        partitioning, as in :meth:`StageRuntime.run`, so per-stage
+        ``wall_seconds`` stay comparable.  ``ctx``
         crosses the command pipe and must pickle (ICPE passes the
         snapshot time, an ``int``).
         """
@@ -569,7 +546,7 @@ class ProcessBackend(ExecutionBackend):
     def finish_stage(
         self, runtime: StageRuntime
     ) -> tuple[list[Any], StageWork]:
-        """Flush every subtask's state inside its owning worker."""
+        """Flush every subtask's state where the subtask runs."""
         if self._in_master(runtime):
             return runtime.finish()
         started = _time.perf_counter()
@@ -594,9 +571,15 @@ class ProcessBackend(ExecutionBackend):
         method: str,
         per_subtask_args: Sequence[tuple | None] | None = None,
     ) -> list[tuple[int, Any]]:
-        """Call ``method`` on each subtask inside its owning worker.
+        """Call operator ``method`` on each subtask of one stage.
 
-        A one-subtask stage answers in the master.  Otherwise each
+        ``per_subtask_args`` holds one argument tuple per subtask (``None``
+        skips that subtask); omitted, every subtask is called with no
+        arguments.  Returns ``(subtask_index, answer)`` pairs in subtask
+        order, leaving out ``None`` answers (see
+        :meth:`~repro.streaming.dataflow.StageRuntime.query`).
+
+        A stage that runs in the master answers there.  Otherwise each
         ``(subtask_index, args)`` task goes to the subtask's owning
         worker (``i % workers``, same as execution).  The pipe protocol
         is synchronous request/reply, so by the time every involved
@@ -604,12 +587,20 @@ class ProcessBackend(ExecutionBackend):
         in flight concurrently with a query.  Replies are merged in
         subtask-index order.
         """
+        if per_subtask_args is None:
+            tasks = [(index, ()) for index in range(len(runtime.subtasks))]
+        else:
+            tasks = [
+                (index, args)
+                for index, args in enumerate(per_subtask_args)
+                if args is not None
+            ]
         if self._in_master(runtime):
-            return super().query(runtime, method, per_subtask_args)
+            return runtime.query(method, tasks)
         stage_index = self._stage_address(runtime)
         workers = len(self._conns)
         per_worker_tasks: list[list] = [[] for _ in range(workers)]
-        for task in _subtask_tasks(runtime, per_subtask_args):
+        for task in tasks:
             per_worker_tasks[task[0] % workers].append(task)
         merged = self._round_trip(
             runtime,

@@ -21,7 +21,6 @@ from repro.core.detector import CoMovementDetector
 from repro.data.taxi import TaxiConfig, generate_taxi
 from repro.model.batch import RecordBatch
 from repro.model.constraints import PatternConstraints
-from repro.registry import default_registry
 from repro.session import ListSink, Session, SessionBuilder, open_session
 from repro.session.events import PatternConfirmed, WatermarkAdvanced
 from repro.streaming.shuffle import bounded_shuffle
@@ -212,9 +211,34 @@ class TestBatchSizeKnob:
             Session(config, batch_size=-1)
 
 
-def test_backends_declare_batch_ingest_capability():
-    registry = default_registry()
-    for name in ("serial", "process"):
-        spec = registry.get("backend", name)
-        assert spec.capabilities.supports_batch_ingest
-        assert "batch-ingest" in spec.capabilities.summary_markers()
+@pytest.mark.parametrize("backend", ["serial", "process"])
+def test_columnar_snapshot_enters_the_graph_as_one_envelope(workload, backend):
+    """A ``SnapshotBatch`` is one element of the first stage's unit of
+    work on both backends; the object form is per-row elements."""
+    from unittest import mock
+
+    import repro.core.icpe as icpe
+    from repro.core.icpe import ICPEPipeline
+    from repro.model.batch import SnapshotBatch
+    from repro.model.snapshot import Snapshot
+
+    units = []
+    real = icpe.execute_unit
+
+    def spy(runtimes, elements, ctx, backend):
+        units.append(list(elements))
+        return real(runtimes, elements, ctx, backend)
+
+    dataset, _ = workload
+    pipeline = ICPEPipeline(_config(dataset, backend))
+    batch = SnapshotBatch.from_rows(1, [1, 2, 3], [0.0, 1.0, 2.0], [0.0] * 3)
+    try:
+        with mock.patch.object(icpe, "execute_unit", spy):
+            pipeline.process_snapshot(batch)
+            pipeline.process_snapshot(
+                Snapshot.from_points(2, batch.points())
+            )
+    finally:
+        pipeline.close()
+    assert units[0] == [batch]
+    assert len(units[1]) == 3

@@ -70,18 +70,26 @@ class TestPlugins:
     def test_lists_every_axis(self, capsys):
         assert main(["plugins"]) == 0
         output = capsys.readouterr().out
-        for kind in (
-            "backend", "clustering_kernel", "enumeration_kernel", "enumerator"
-        ):
+        kinds = (
+            "clustering_kernel", "enumeration_kernel", "enumerator",
+            "shed_policy", "pattern_family",
+        )
+        for kind in kinds:
             assert kind in output
-        for name in ("serial", "process", "fba", "vba", "baseline"):
+        for name in ("fba", "vba", "baseline", "pattern_aware"):
             assert name in output
+        assert "backend" not in output
 
     def test_kind_filter(self, capsys):
-        assert main(["plugins", "--kind", "backend"]) == 0
+        assert main(["plugins", "--kind", "shed_policy"]) == 0
         output = capsys.readouterr().out
-        assert "serial" in output
+        assert "pattern_aware" in output
         assert "enumeration_kernel" not in output
+
+    def test_backend_is_not_a_plugin_kind(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["plugins", "--kind", "backend"])
+        assert "invalid choice: 'backend'" in capsys.readouterr().err
 
     def test_capability_markers_shown(self, capsys):
         main(["plugins", "--kind", "enumeration_kernel"])
@@ -93,7 +101,6 @@ class TestPlugins:
         output = capsys.readouterr().out
         for name in ("strict", "evolving", "predictive"):
             assert name in output
-        assert "evolving-groups" in output
         assert "predicts-patterns" in output
 
     def test_forming_state_marker_on_enumerators(self, capsys):

@@ -1,5 +1,7 @@
 """ICPEConfig validation tests."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import ICPEConfig
@@ -61,16 +63,16 @@ class TestDerivedConfigs:
 
     def test_with_nodes(self):
         config = make(cluster=ClusterModel(n_nodes=2))
-        scaled = config.with_nodes(8)
+        scaled = replace(config, cluster=replace(config.cluster, n_nodes=8))
         assert scaled.cluster.n_nodes == 8
         assert scaled.epsilon == config.epsilon
         assert config.cluster.n_nodes == 2  # original untouched
 
     def test_with_enumerator(self):
-        assert make().with_enumerator("vba").enumerator == "vba"
+        assert replace(make(), enumerator="vba").enumerator == "vba"
 
     def test_with_backend(self):
-        config = make().with_backend("process", parallel_workers=4)
+        config = replace(make(), backend="process", parallel_workers=4)
         assert config.backend == "process"
         assert config.parallel_workers == 4
         assert make().backend == "serial"  # original untouched

@@ -9,6 +9,7 @@ that guards the PR-2 strategy axis — this grid is the PED-phase half.
 """
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -59,11 +60,13 @@ def test_enum_kernel_grid_identical(dataset, base_config, enumerator):
     for enum_kernel, kernel, backend in itertools.product(
         ENUM_KERNELS, CLUSTER_KERNELS, BACKENDS
     ):
-        config = (
-            base_config.with_enumerator(enumerator)
-            .with_enum_kernel(enum_kernel)
-            .with_kernel(kernel)
-            .with_backend(backend, 2 if backend == "process" else None)
+        config = replace(
+            base_config,
+            enumerator=enumerator,
+            enumeration_kernel=enum_kernel,
+            clustering_kernel=kernel,
+            backend=backend,
+            parallel_workers=2 if backend == "process" else None,
         )
         outcomes[(enum_kernel, kernel, backend)] = run_pipeline(dataset, config)
     reference = outcomes[("python", "python", "serial")]
@@ -74,16 +77,18 @@ def test_enum_kernel_grid_identical(dataset, base_config, enumerator):
 
 def test_baseline_with_numpy_enum_kernel_rejected(base_config):
     with pytest.raises(ValueError, match="no bitmap form"):
-        base_config.with_enumerator("baseline").with_enum_kernel("numpy")
+        replace(base_config, enumerator="baseline", enumeration_kernel="numpy")
 
 
 def test_unknown_enum_kernel_rejected(base_config):
     with pytest.raises(ValueError, match="enumeration_kernel"):
-        base_config.with_enum_kernel("cuda")
+        replace(base_config, enumeration_kernel="cuda")
 
 
 def test_detector_reports_enumeration_kernel(dataset, base_config):
-    config = base_config.with_enum_kernel("numpy").with_kernel("numpy")
+    config = replace(
+        base_config, enumeration_kernel="numpy", clustering_kernel="numpy"
+    )
     detector = CoMovementDetector(config)
     assert detector.enumeration_kernel_name == "numpy"
     assert detector.kernel_name == "numpy"

@@ -8,6 +8,7 @@ equivalence suite that guards the execution runtime.
 """
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -60,8 +61,11 @@ def run_pipeline(dataset, config):
 def test_kernel_backend_grid_identical(dataset, base_config):
     outcomes = {}
     for kernel, backend in itertools.product(KERNELS, BACKENDS):
-        config = base_config.with_kernel(kernel).with_backend(
-            backend, 2 if backend == "process" else None
+        config = replace(
+            base_config,
+            clustering_kernel=kernel,
+            backend=backend,
+            parallel_workers=2 if backend == "process" else None,
         )
         outcomes[(kernel, backend)] = run_pipeline(dataset, config)
     ref_clusters, ref_patterns = outcomes[("python", "serial")]
@@ -72,7 +76,12 @@ def test_kernel_backend_grid_identical(dataset, base_config):
 
 
 def test_detector_reports_kernel_and_backend(dataset, base_config):
-    config = base_config.with_kernel("numpy").with_backend("process", 2)
+    config = replace(
+        base_config,
+        clustering_kernel="numpy",
+        backend="process",
+        parallel_workers=2,
+    )
     detector = CoMovementDetector(config)
     assert detector.kernel_name == "numpy"
     assert detector.backend_name == "process"
@@ -82,7 +91,7 @@ def test_detector_reports_kernel_and_backend(dataset, base_config):
 
 
 def test_numpy_kernel_topology_is_single_cluster_stage(base_config):
-    pipeline = ICPEPipeline(base_config.with_kernel("numpy"))
+    pipeline = ICPEPipeline(replace(base_config, clustering_kernel="numpy"))
     try:
         assert [r.stage.name for r in pipeline.runtimes] == [
             "cluster",
@@ -106,7 +115,7 @@ def test_min_pts_one_isolated_point_identical(base_config):
     points = [(1, 0.0, 0.0), (2, 0.5, 0.0), (9, 50.0, 50.0)]
     outcomes = {}
     for kernel in KERNELS:
-        pipeline = ICPEPipeline(config.with_kernel(kernel))
+        pipeline = ICPEPipeline(replace(config, clustering_kernel=kernel))
         try:
             pipeline.process_snapshot(Snapshot.from_points(1, points))
             outcomes[kernel] = (
@@ -141,7 +150,7 @@ def test_stranded_core_singleton_kept_identically(base_config):
     )
     traces = {}
     for kernel in KERNELS:
-        pipeline = ICPEPipeline(config.with_kernel(kernel))
+        pipeline = ICPEPipeline(replace(config, clustering_kernel=kernel))
         try:
             pipeline.process_snapshot(Snapshot.from_points(1, points))
             traces[kernel] = dict(pipeline.last_cluster_snapshot.clusters)

@@ -29,10 +29,10 @@ from repro.registry import (
     register_builtin_plugins,
     reset_default_registry,
 )
-from repro.streaming.runtime.serial import SerialBackend
+from repro.shedding import NoShedPolicy
 
 
-def make_spec(kind="backend", name="x", **caps) -> PluginSpec:
+def make_spec(kind="shed_policy", name="x", **caps) -> PluginSpec:
     return PluginSpec(
         kind=kind,
         name=name,
@@ -46,15 +46,15 @@ class TestRegistryBasics:
     def test_register_and_get(self):
         registry = PluginRegistry()
         spec = registry.register(make_spec())
-        assert registry.get("backend", "x") is spec
-        assert registry.has("backend", "x")
-        assert not registry.has("backend", "y")
+        assert registry.get("shed_policy", "x") is spec
+        assert registry.has("shed_policy", "x")
+        assert not registry.has("shed_policy", "y")
 
     def test_names_in_registration_order(self):
         registry = PluginRegistry()
         registry.register(make_spec(name="b"))
         registry.register(make_spec(name="a"))
-        assert registry.names("backend") == ("b", "a")
+        assert registry.names("shed_policy") == ("b", "a")
 
     def test_unknown_name_lists_registered(self):
         registry = PluginRegistry()
@@ -74,11 +74,11 @@ class TestRegistryBasics:
 
     def test_specs_and_kinds(self):
         registry = PluginRegistry()
-        registry.register(make_spec(kind="backend", name="a"))
+        registry.register(make_spec(kind="shed_policy", name="a"))
         registry.register(make_spec(kind="enumerator", name="b"))
-        assert registry.kinds() == ("backend", "enumerator")
+        assert registry.kinds() == ("shed_policy", "enumerator")
         assert len(registry.specs()) == 2
-        assert len(registry.specs("backend")) == 1
+        assert len(registry.specs("shed_policy")) == 1
 
     def test_create_delegates_to_factory(self):
         registry = PluginRegistry()
@@ -118,21 +118,6 @@ class TestCapabilities:
             )
         check_selection({"enumeration_kernel": kernel, "enumerator": bitmap})
 
-    def test_explicit_allow_list(self):
-        kernel = PluginSpec(
-            kind="enumeration_kernel",
-            name="picky",
-            factory=lambda **kwargs: None,
-            capabilities=PluginCapabilities(
-                compatible_enumerators=("vba",)
-            ),
-        )
-        fba = make_spec(
-            kind="enumerator", name="fba", provides_bitmap_enumeration=True
-        )
-        with pytest.raises(PluginCompatibilityError, match="supports"):
-            check_selection({"enumeration_kernel": kernel, "enumerator": fba})
-
     def test_partial_selection_is_fine(self):
         check_selection({})
         check_selection({"enumerator": make_spec(kind="enumerator")})
@@ -144,22 +129,19 @@ class TestBuiltins:
         for kind in PLUGIN_KINDS:
             assert registry.names(kind), kind
 
+    def test_five_axes_and_no_backend_axis(self):
+        assert default_registry().kinds() == PLUGIN_KINDS
+        assert len(PLUGIN_KINDS) == 5
+        assert "backend" not in PLUGIN_KINDS
+
     def test_legacy_names_resolve(self):
         registry = default_registry()
-        assert registry.names("backend") == ("serial", "process")
         assert registry.names("clustering_kernel") == ("python", "numpy")
         assert registry.names("enumeration_kernel") == ("python", "numpy")
         assert registry.names("enumerator") == ("baseline", "fba", "vba")
 
     def test_builtin_specs_all_sourced_builtin(self):
         assert all(spec.source == "builtin" for spec in BUILTIN_SPECS)
-
-    def test_serial_backend_constructs(self):
-        backend = default_registry().create("backend", "serial")
-        try:
-            assert backend.name == "serial"
-        finally:
-            backend.close()
 
     def test_python_clustering_kernel_constructs(self):
         kernel = default_registry().create(
@@ -188,7 +170,6 @@ class TestBuiltins:
 
     def test_validate_selection_resolves_all_axes(self):
         selection = default_registry().validate_selection(
-            backend="serial",
             clustering_kernel="python",
             enumeration_kernel="python",
             enumerator="fba",
@@ -208,7 +189,7 @@ class TestPatternFamilyAxis:
         registry = default_registry()
         evolving = registry.get("pattern_family", "evolving")
         predictive = registry.get("pattern_family", "predictive")
-        assert "evolving-groups" in evolving.capabilities.summary_markers()
+        assert evolving.capabilities.summary_markers() == "-"
         assert "predicts-patterns" in predictive.capabilities.summary_markers()
 
     def test_forming_state_markers_on_enumerators(self):
@@ -280,19 +261,26 @@ class TestPatternFamilyAxis:
         assert {"evolving", "predictive"} <= set(names)
 
 
-class _EchoBackend(SerialBackend):
-    """A 'third-party' backend: serial semantics under a new name."""
+class _EchoShedPolicy(NoShedPolicy):
+    """A 'third-party' shed policy: drops nothing, counts its calls."""
 
     name = "echo"
+
+    def __init__(self):
+        self.calls = 0
+
+    def select_drops(self, oids, rate, protected):
+        self.calls += 1
+        return []
 
 
 def _register_echo(registry: PluginRegistry) -> None:
     registry.register(
         PluginSpec(
-            kind="backend",
+            kind="shed_policy",
             name="echo",
-            factory=lambda max_workers=None: _EchoBackend(),
-            summary="test-only serial clone",
+            factory=lambda seed=0: _EchoShedPolicy(),
+            summary="test-only no-op policy",
             source="entry-point",
         )
     )
@@ -330,7 +318,7 @@ class TestEntryPoints:
     def test_loader_applies_callable(self):
         registry = PluginRegistry()
         assert load_entry_point_plugins(registry, [_FakeEntryPoint()]) == 1
-        assert registry.has("backend", "echo")
+        assert registry.has("shed_policy", "echo")
 
     def test_loader_applies_bare_spec(self):
         registry = PluginRegistry()
@@ -339,10 +327,10 @@ class TestEntryPoints:
             name = "spec-entry"
 
             def load(self):
-                return make_spec(kind="backend", name="direct")
+                return make_spec(kind="shed_policy", name="direct")
 
         load_entry_point_plugins(registry, [SpecEntry()])
-        assert registry.has("backend", "direct")
+        assert registry.has("shed_policy", "direct")
 
     def test_broken_entry_point_warns_not_raises(self):
         registry = PluginRegistry()
@@ -352,19 +340,19 @@ class TestEntryPoints:
                 registry, [_BrokenEntryPoint(), _FakeEntryPoint()]
             )
         assert loaded == 1
-        assert registry.has("backend", "echo")
+        assert registry.has("shed_policy", "echo")
         assert any("broken-plugin" in str(w.message) for w in caught)
 
     def test_default_registry_discovers(self, echo_entry_point):
-        assert default_registry().has("backend", "echo")
+        assert default_registry().has("shed_policy", "echo")
 
     def test_cli_choices_include_plugin(self, echo_entry_point):
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["detect", "--input", "x.csv", "--backend", "echo"]
+            ["detect", "--input", "x.csv", "--shed-policy", "echo"]
         )
-        assert args.backend == "echo"
+        assert args.shed_policy == "echo"
 
 
 def _tiny_records():
@@ -387,45 +375,45 @@ def _tiny_records():
 
 
 class TestThirdPartyEndToEnd:
-    def test_entry_point_backend_selectable_end_to_end(
+    def test_entry_point_shed_policy_selectable_end_to_end(
         self, echo_entry_point
     ):
-        """The acceptance path: config names the plugin, the pipeline
-        runs on it, and the pattern set matches the serial reference."""
+        """The acceptance path: config names the plugin, the session
+        consults it on every batch, and the pattern set matches the
+        no-shedding reference."""
         from repro import open_session
         from repro.core.config import ICPEConfig
         from repro.model.constraints import PatternConstraints
 
         constraints = PatternConstraints(m=3, k=4, l=2, g=2)
         signatures = {}
-        for backend in ("serial", "echo"):
+        for policy in ("none", "echo"):
             config = ICPEConfig(
                 epsilon=1.0,
                 cell_width=4.0,
                 min_pts=3,
                 constraints=constraints,
-                backend=backend,
+                shed_policy=policy,
+                shed_rate=0.5,
             )
             with open_session(config) as session:
                 session.feed_many(_tiny_records())
-            assert session.pipeline.backend_name == backend
-            signatures[backend] = {
+            assert session.shed_policy.name == policy
+            signatures[policy] = {
                 (p.objects, p.times.times) for p in session.patterns
             }
-        assert signatures["serial"], "workload should produce patterns"
-        assert signatures["echo"] == signatures["serial"]
+        assert session.shed_policy.calls > 0
+        assert signatures["none"], "workload should produce patterns"
+        assert signatures["echo"] == signatures["none"]
 
     def test_runtime_registration_without_entry_point(self):
         """Programmatic registration on the default registry also works
         (and is undone by reset)."""
         try:
             _register_echo(default_registry())
-            from repro.streaming.runtime import resolve_backend
-
-            backend = resolve_backend("echo")
-            try:
-                assert backend.name == "echo"
-            finally:
-                backend.close()
+            policy = default_registry().create("shed_policy", "echo")
+            assert policy.name == "echo"
+            assert policy.select_drops([1, 2], 0.5, frozenset()) == []
         finally:
             reset_default_registry()
+        assert not default_registry().has("shed_policy", "echo")

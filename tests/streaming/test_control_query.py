@@ -1,18 +1,23 @@
 """One control query answers every worker question, on either backend.
 
 State capture and restore, memory metrics, and the shed-protected and
-forming sets all travel through :meth:`ExecutionBackend.query`.  A
+forming sets all travel through :meth:`ProcessBackend.query`.  A
 2-worker process session whose enumerate stage has four subtasks (so
 every worker owns two) must answer each kind exactly as a serial session
 over the same records does — including the incremental capture, where a
 subtask whose digest the caller already holds answers without its bytes.
+The serial session is the same executor with no worker pool: it starts
+no process, and its events, spans and stage metrics equal the pool's.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro import open_session
+from repro.session import event_to_dict
 
 from tests.state.conftest import BASE_KNOBS, cluster_stream
 
@@ -120,3 +125,44 @@ def test_unknown_method_names_the_stage(sessions, backend):
     opened, _ = sessions
     with pytest.raises(RuntimeError, match="'enumerate'"):
         _query(opened[backend], "no_such_method")
+
+
+def _drive(session, records):
+    """Events, span identities and mid-stream stage metrics of a run."""
+    pipeline = session.pipeline
+    events, spans = [], []
+
+    def keep_spans():
+        spans.extend(
+            (s.stage, s.subtask, s.time, s.kind, s.elements_in, s.elements_out)
+            for s in pipeline.last_spans
+        )
+
+    for record in records:
+        processed = pipeline.meter.snapshots
+        events.extend(session.feed(record))
+        if pipeline.meter.snapshots != processed:
+            keep_spans()
+    metrics = pipeline.state_metrics()
+    events.extend(session.finish())
+    keep_spans()
+    return [event_to_dict(e) for e in events], spans, metrics
+
+
+def test_serial_fan_out_starts_no_process_and_equals_the_pool():
+    records = cluster_stream(seed=31, n_times=9, n_objects=9)
+    before = set(multiprocessing.active_children())
+    serial = open_session(**BASE_KNOBS, **SHAPE)
+    try:
+        assert set(multiprocessing.active_children()) == before
+        assert len(_enumerate_runtime(serial).subtasks) == FAN_OUT
+        serial_run = _drive(serial, records)
+    finally:
+        serial.close()
+    with open_session(
+        **BASE_KNOBS, backend="process", parallel_workers=2, **SHAPE
+    ) as process:
+        process_run = _drive(process, records)
+    assert any(event["kind"] == "pattern" for event in serial_run[0])
+    assert serial_run[1] and "enumerate" in serial_run[2]
+    assert process_run == serial_run

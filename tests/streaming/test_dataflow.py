@@ -9,7 +9,12 @@ from repro.streaming.dataflow import (
     StageRuntime,
     count_elements,
 )
-from repro.streaming.runtime import execute_finish, execute_unit
+from repro.streaming.runtime import (
+    GraphSpec,
+    ProcessBackend,
+    execute_finish,
+    execute_unit,
+)
 
 
 class Doubler(Operator):
@@ -157,13 +162,19 @@ class TestStageRuntime:
         ]
 
 
+def serial(runtimes):
+    """The executor with no worker pool over the runtimes' stages."""
+    stages = [runtime.stage for runtime in runtimes]
+    return ProcessBackend(GraphSpec(lambda: stages))
+
+
 class TestDrivers:
     def test_execute_unit_chains_stages(self):
         runtimes = [
             StageRuntime(KeyedStage("a", Doubler, 2, key_fn=lambda e: e)),
             StageRuntime(KeyedStage("b", Doubler, 2, key_fn=lambda e: e)),
         ]
-        outputs, works = execute_unit(runtimes, [1, 2], ctx=0)
+        outputs, works = execute_unit(runtimes, [1, 2], 0, serial(runtimes))
         assert sorted(outputs) == [4, 8]
         assert [w.name for w in works] == ["a", "b"]
 
@@ -172,6 +183,7 @@ class TestDrivers:
             StageRuntime(KeyedStage("double", Doubler, 1)),
             StageRuntime(KeyedStage("sum", Summer, 1)),
         ]
-        execute_unit(runtimes, [1, 2, 3], ctx=0)
-        outputs, _ = execute_finish(runtimes)
+        backend = serial(runtimes)
+        execute_unit(runtimes, [1, 2, 3], 0, backend)
+        outputs, _ = execute_finish(runtimes, backend)
         assert ("final", 12) in outputs

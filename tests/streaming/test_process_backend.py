@@ -4,10 +4,11 @@ End-to-end pattern equality lives in
 ``tests/integration/test_backend_equivalence.py``; this module covers the
 mechanics — the shared-memory segment pool, the picklable
 :class:`GraphSpec` contract, the exchange envelope codec, and the
-explicit worker lifecycle (spawn at bind, crash surfacing, idempotent
-close).
+explicit worker lifecycle (spawn at construction, crash surfacing,
+idempotent close).
 """
 
+import multiprocessing
 import os
 
 import pytest
@@ -20,6 +21,7 @@ from repro.streaming.dataflow import (
     KeyedStage,
     Operator,
     ShmEnvelope,
+    StageRuntime,
     decode_exchange_elements,
     encode_exchange_elements,
 )
@@ -249,61 +251,41 @@ class TestResourceTrackerHygiene:
 
 
 class TestProcessBackendLifecycle:
-    def test_requires_bound_graph(self):
-        backend = ProcessBackend(max_workers=1)
-        stage = KeyedStage(name="s", operator_factory=None, parallelism=1)
-        runtime_stub = type("R", (), {"stage": stage})()
-        with pytest.raises(RuntimeError, match="not running.*bind_graph"):
-            backend._stage_address(runtime_stub)
-        backend.close()
+    def test_rejects_a_stage_outside_its_graph(self):
+        stranger = StageRuntime(KeyedStage("stranger", _Echo, 1))
+        with ProcessBackend(GraphSpec(_stage_builder)) as backend:
+            with pytest.raises(RuntimeError, match="not part of"):
+                backend.run_stage(stranger, [1], 0)
 
-    def test_rejects_duplicate_stage_names(self):
-        backend = ProcessBackend(max_workers=2)
-        doubled = lambda: _stage_builder("s") + _stage_builder("s")  # noqa: E731
-        with pytest.raises(RuntimeError, match="unique stage names"):
-            backend.bind_graph(GraphSpec(doubled))
-        assert backend._processes == []
-        backend.close()
-
-    def test_pool_is_sized_to_the_widest_multi_subtask_stage(self):
-        for parallelisms, spawned in (((1, 1), 0), ((1, 2), 2), ((3, 5), 4)):
-            backend = ProcessBackend(max_workers=4)
-            try:
-                backend.bind_graph(
-                    GraphSpec(_two_stage_builder, parallelisms)
-                )
-                assert len(backend._processes) == spawned
-            finally:
-                backend.close()
-
-    def test_rejects_bad_worker_count(self):
-        with pytest.raises(ValueError, match="max_workers"):
-            ProcessBackend(max_workers=0)
-
-    def test_capability_flags(self):
-        backend = ProcessBackend(max_workers=1)
-        assert backend.name == "process"
-        assert backend.supports_batch_ingest
-        assert backend.supports_process_isolation
-        backend.close()
-
-    def test_registry_exposes_process_backend(self):
-        from repro.registry import default_registry
-
-        spec = default_registry().get("backend", "process")
-        assert spec.capabilities.supports_process_isolation
-        assert spec.capabilities.supports_batch_ingest
-        assert "process-isolated" in spec.capabilities.summary_markers()
-
-    def test_rebinding_is_rejected(self):
+    def test_pool_spawns_at_construction(self):
         pipeline = ICPEPipeline(process_config())
         try:
-            with pytest.raises(RuntimeError, match="already bound"):
-                pipeline.backend.bind_graph(
-                    GraphSpec(icpe_stages, (process_config(),))
-                )
+            assert len(pipeline.backend._processes) == 2
+            assert all(p.is_alive() for p in pipeline.backend._processes)
         finally:
             pipeline.close()
+
+    def test_rejects_duplicate_stage_names(self):
+        before = set(multiprocessing.active_children())
+        doubled = lambda: _stage_builder("s") + _stage_builder("s")  # noqa: E731
+        with pytest.raises(RuntimeError, match="unique stage names"):
+            ProcessBackend(GraphSpec(doubled), 2)
+        assert set(multiprocessing.active_children()) == before
+
+    def test_pool_is_sized_to_the_widest_multi_subtask_stage(self):
+        for parallelisms, workers, spawned in (
+            ((1, 1), 4, 0),
+            ((1, 2), 4, 2),
+            ((3, 5), 4, 4),
+            ((3, 5), 0, 0),
+        ):
+            spec = GraphSpec(_two_stage_builder, parallelisms)
+            with ProcessBackend(spec, workers) as backend:
+                assert len(backend._processes) == spawned
+
+    def test_rejects_bad_worker_count(self):
+        with pytest.raises(ValueError, match="workers"):
+            ProcessBackend(GraphSpec(_stage_builder), -1)
 
     def test_worker_error_surfaces_stage_and_traceback(self):
         pipeline = ICPEPipeline(process_config())
@@ -335,9 +317,7 @@ class TestProcessBackendLifecycle:
         pipeline.close()
         pipeline.close()
         with pytest.raises(RuntimeError, match="closed"):
-            pipeline.backend.bind_graph(
-                GraphSpec(icpe_stages, (process_config(),))
-            )
+            pipeline.backend.query(pipeline.runtimes[-1], "state_metrics")
 
     def test_segments_are_recycled_across_snapshots(self):
         pipeline = ICPEPipeline(process_config())

@@ -85,7 +85,7 @@ class TestSurfaceLock:
             assert getattr(repro, name) is not None, name
 
     def test_version(self):
-        assert repro.__version__ == "4.0.0"
+        assert repro.__version__ == "5.0.0"
 
 
 class TestLazyMachinery:
