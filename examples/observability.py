@@ -16,8 +16,8 @@ fully enabled:
   printed from the same registry.
 
 Also demonstrated: automatic periodic checkpointing with bounded
-retention (``checkpoint_every_records`` + ``keep_last``) riding the
-same session.
+retention (``checkpoint_every_records`` + ``checkpoint_keep_last``)
+riding the same session.
 
 Run:  python examples/observability.py
 """
@@ -28,7 +28,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from repro import ObservabilityOptions, PatternConstraints, SessionBuilder
+from repro import ObservabilityOptions, PatternConstraints, open_session
 from repro.core.config import ICPEConfig
 from repro.data.brinkhoff import BrinkhoffConfig, generate_brinkhoff
 
@@ -52,20 +52,17 @@ def main() -> None:
     metrics_path = workdir / "metrics.jsonl"
     trace_path = workdir / "trace.jsonl"
 
-    session = (
-        SessionBuilder(make_config(dataset))
-        .observability(
-            ObservabilityOptions(
-                metrics_out=metrics_path,
-                metrics_every=5,
-                trace_out=trace_path,
-                console=True,  # summary table printed at finish()
-            )
-        )
-        .checkpoints(workdir / "checkpoints", keep_last=2)
-        .open()
-    )
-    with session:
+    with open_session(
+        make_config(dataset),
+        observability=ObservabilityOptions(
+            metrics_out=metrics_path,
+            metrics_every=5,
+            trace_out=trace_path,
+            console=True,  # summary table printed at finish()
+        ),
+        checkpoint_dir=workdir / "checkpoints",
+        checkpoint_keep_last=2,
+    ) as session:
         for batch in dataset.batches(1024):
             session.feed_batch(batch)
         session.finish()

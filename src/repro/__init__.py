@@ -30,8 +30,8 @@ Every strategy axis — clustering kernel, enumeration kernel,
 enumerator, shed policy, pattern family — is a plugin on
 :func:`repro.registry.default_registry`; third-party packages register
 via the ``repro.plugins`` entry-point group.  The execution backend is
-``serial`` or ``process``: one executor with or without a worker pool.  The pre-2.0
-``CoMovementDetector`` remains available as a deprecation shim.
+``serial`` or ``process``: one executor with or without a worker pool.
+:func:`open_session` builds every session.
 
 See ``docs/API.md`` for the session lifecycle and the plugin contract,
 ``docs/ARCHITECTURE.md`` for the system inventory and
@@ -53,12 +53,11 @@ from repro.model import (
     Trajectory,
 )
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 #: Names resolved lazily by ``__getattr__`` (heavyweight core / session /
 #: registry machinery), mapped to their home modules.
 _LAZY_EXPORTS = {
-    "CoMovementDetector": "repro.core.detector",
     "ICPEConfig": "repro.core.config",
     "ICPEPipeline": "repro.core.icpe",
     "Checkpoint": "repro.state",
@@ -73,7 +72,6 @@ _LAZY_EXPORTS = {
     "PatternForming": "repro.session",
     "PatternSink": "repro.session",
     "Session": "repro.session",
-    "SessionBuilder": "repro.session",
     "SessionResult": "repro.session",
     "WatermarkAdvanced": "repro.session",
     "open_session": "repro.session",

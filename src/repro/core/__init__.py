@@ -4,19 +4,16 @@
 (GridAllocate -> GridQuery -> GridSync/DBSCAN) into id-partitioned pattern
 enumeration (BA / FBA / VBA) on the streaming substrate, with per-stage
 cost accounting.  The user-facing front end is the streaming Session API
-(:mod:`repro.session`); ``CoMovementDetector`` remains as its
-deprecation shim.
+(:mod:`repro.session`).
 """
 
 from repro.core.config import ICPEConfig
-from repro.core.detector import CoMovementDetector
 from repro.core.icpe import ICPEPipeline
 from repro.core.live import ConvoyTracker
 from repro.core.presets import convoy, flock, group_pattern, platoon, swarm
 from repro.core.store import PatternStore
 
 __all__ = [
-    "CoMovementDetector",
     "ConvoyTracker",
     "ICPEConfig",
     "ICPEPipeline",

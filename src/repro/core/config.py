@@ -121,8 +121,8 @@ class ICPEConfig:
     any name registered on the plugin registry — built-ins or third-party plugins
     discovered via the ``repro.plugins`` entry-point group — and invalid
     cross-axis combinations are rejected declaratively from the
-    registered capability metadata.  For a fluent streaming front end
-    over this configuration, see :class:`repro.session.Session`.
+    registered capability metadata.  :func:`repro.session.open_session`
+    builds a streaming session over this configuration.
     """
 
     epsilon: float

@@ -20,10 +20,8 @@ from repro.core.operators import (
     AllocateOperator,
     BatchedEnumerateOperator,
     ClusterOperator,
-    EnumerateOperator,
     KernelClusterOperator,
     QueryOperator,
-    make_enumerator_factory,
 )
 from repro.enumeration.base import PatternCollector
 from repro.enumeration.kernels import make_enumeration_kernel
@@ -152,30 +150,25 @@ def describe_clustering_stages(
 def describe_enumeration_stage(config: ICPEConfig) -> KeyedStage:
     """The enumeration phase (PED) of the ICPE job graph.
 
-    With the default ``python`` enumeration kernel, the stage hosts one
-    BA / FBA / VBA state machine per anchor
-    (:class:`~repro.core.operators.EnumerateOperator`); with a vectorized
-    kernel (``"numpy"``), the whole subtask runs through one batched
-    :class:`~repro.core.operators.BatchedEnumerateOperator` that packs
-    every hosted anchor's membership bit strings into contiguous arrays —
-    emitting the identical per-anchor pattern stream either way.  The
-    keyed exchange (anchor id) and the stage parallelism are the same for
-    both strategies, so the kernel choice composes with either execution
-    backend and either clustering kernel.
+    Every subtask runs the configured enumeration kernel, as the registry
+    builds it, behind one
+    :class:`~repro.core.operators.BatchedEnumerateOperator`: the default
+    ``python`` kernel hosts one BA / FBA / VBA state machine per anchor,
+    the ``numpy`` kernel packs every hosted anchor's membership bit
+    strings into contiguous arrays — emitting the identical per-anchor
+    pattern stream either way.  The keyed exchange (anchor id) and the
+    stage parallelism are the same for every kernel, so the kernel choice
+    composes with either execution backend and either clustering kernel.
     """
-    if config.enumeration_kernel == "python":
-        enumerator_factory = make_enumerator_factory(config)
-        factory = lambda: EnumerateOperator(enumerator_factory)
-    else:
-        factory = lambda: BatchedEnumerateOperator(
-            make_enumeration_kernel(
-                config.enumeration_kernel,
-                enumerator=config.enumerator,
-                constraints=config.constraints,
-                ba_max_partition_size=config.ba_max_partition_size,
-                vba_candidate_retention=config.vba_candidate_retention,
-            )
+    factory = lambda: BatchedEnumerateOperator(
+        make_enumeration_kernel(
+            config.enumeration_kernel,
+            enumerator=config.enumerator,
+            constraints=config.constraints,
+            ba_max_partition_size=config.ba_max_partition_size,
+            vba_candidate_retention=config.vba_candidate_retention,
         )
+    )
     return KeyedStage(
         name="enumerate",
         operator_factory=factory,

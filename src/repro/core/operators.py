@@ -9,28 +9,23 @@ Four stages, mirroring the paper's Flink job:
 3. **ClusterOperator** — GridSync + DBSCAN + id-based partitioning: single
    subtask collects the neighbour stream, forms the cluster snapshot, and
    emits ``(time, anchor, members)`` partition records (Lemma 3 applied).
-4. **EnumerateOperator** — keyed by anchor id; hosts one BA/FBA/VBA state
-   machine per anchor and emits co-movement patterns.
+4. **BatchedEnumerateOperator** — keyed by anchor id; runs a whole
+   enumerate subtask through the configured enumeration kernel (one
+   BA/FBA/VBA state machine per anchor on ``python``) and emits
+   co-movement patterns.
 
-Two stages have batched kernel variants selected by configuration:
-:class:`KernelClusterOperator` collapses allocate/query/cluster into one
-vectorized clustering stage, and :class:`BatchedEnumerateOperator` runs a
-whole enumerate subtask through a batched enumeration kernel.
+:class:`KernelClusterOperator` is the batched variant of stages 1-3,
+selected by configuration: it collapses allocate/query/cluster into one
+vectorized clustering stage.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 import numpy as np
 
-from repro.enumeration.base import AnchorEnumerator
 from repro.enumeration.kernels.base import EnumerationKernel
-from repro.enumeration.kernels.python_ref import (
-    anchor_enumerator_factory,
-    join_anchor_state,
-    split_anchor_state,
-)
 from repro.enumeration.partition import id_partitions, partition_batch
 from repro.cluster.dbscan import dbscan_from_pairs
 from repro.index.grid import GridKey
@@ -315,102 +310,19 @@ class KernelClusterOperator(Operator):
         return self.kernel.cluster_members(*columns)
 
 
-class EnumerateOperator(Operator):
-    """Hosts per-anchor enumerators; emits co-movement patterns."""
-
-    def __init__(self, factory: Callable[[int], AnchorEnumerator]):
-        self.factory = factory
-        self._enumerators: dict[int, AnchorEnumerator] = {}
-        self._received: set[int] = set()
-
-    def process(self, element: PartitionRecord) -> Iterable[Any]:
-        """Route one partition record to its anchor's enumerator."""
-        time, anchor, members = element
-        enumerator = self._enumerators.get(anchor)
-        if enumerator is None:
-            enumerator = self._enumerators[anchor] = self.factory(anchor)
-        self._received.add(anchor)
-        return enumerator.on_partition(time, members)
-
-    def end_batch(self, ctx: Any) -> Iterable[Any]:
-        """Absence tick: anchors with open state but no partition this time."""
-        if ctx is None:
-            self._received.clear()
-            return ()
-        time = int(ctx)
-        out: list[Any] = []
-        for anchor, enumerator in self._enumerators.items():
-            if anchor in self._received or enumerator.is_idle():
-                continue
-            out.extend(enumerator.on_partition(time, frozenset()))
-        self._received.clear()
-        return out
-
-    def finish(self) -> Iterable[Any]:
-        """Flush every hosted enumerator at end of stream."""
-        out: list[Any] = []
-        for anchor in sorted(self._enumerators):
-            out.extend(self._enumerators[anchor].finish())
-        return out
-
-    def protected_oids(self) -> frozenset[int]:
-        """Union of every hosted enumerator's shed-protected oids."""
-        protected: set[int] = set()
-        for enumerator in self._enumerators.values():
-            protected.update(enumerator.protected_oids())
-        return frozenset(protected)
-
-    def forming_candidates(self) -> tuple[tuple[int, int, int, int, int], ...]:
-        """Sorted concatenation of every hosted enumerator's descriptors."""
-        out: list[tuple[int, int, int, int, int]] = []
-        for anchor in sorted(self._enumerators):
-            out.extend(self._enumerators[anchor].forming_candidates())
-        return tuple(sorted(out))
-
-    def snapshot_state(self) -> dict:
-        """Per-anchor enumerator payloads, keyed by anchor id."""
-        return {
-            "anchors": {
-                anchor: self._enumerators[anchor].snapshot_state()
-                for anchor in sorted(self._enumerators)
-            }
-        }
-
-    def restore_state(self, payload: dict) -> None:
-        """Rebuild each anchor's enumerator through the factory, then
-        hand it its captured payload."""
-        self._enumerators = {}
-        for anchor, sub_payload in payload["anchors"].items():
-            enumerator = self.factory(anchor)
-            enumerator.restore_state(sub_payload)
-            self._enumerators[anchor] = enumerator
-        self._received = set()
-
-    #: Per-anchor enumerator payloads, for a re-partitioning restore.
-    split_state = staticmethod(split_anchor_state)
-    join_state = staticmethod(join_anchor_state)
-
-    def state_metrics(self) -> dict[str, int]:
-        """Memory accounting: hosted anchors plus summed enumerator metrics."""
-        metrics = {"anchors": len(self._enumerators)}
-        for enumerator in self._enumerators.values():
-            for key, value in enumerator.state_metrics().items():
-                metrics[key] = metrics.get(key, 0) + value
-        return metrics
-
-
 class BatchedEnumerateOperator(Operator):
-    """Whole-subtask enumeration through a batched kernel strategy.
+    """Whole-subtask enumeration through an enumeration kernel.
 
-    Replaces :class:`EnumerateOperator` when a vectorized enumeration
-    kernel (e.g. ``numpy``) is selected: the subtask buffers its
-    snapshot's partitions — one :class:`~repro.model.batch.PartitionBatch`
-    from the kernel clustering stage, or records from the reference one —
-    and, at the snapshot trigger, hands them to the kernel in one batch —
-    membership bitmaps, candidate screening and Lemma-7 closing all
-    happen inside the kernel across every hosted anchor at once.  Per
-    anchor, the emitted pattern stream is identical to the reference
-    operator's (shared exact predicates and combination growth).
+    The one host of every enumeration kernel strategy: the subtask
+    buffers its snapshot's partitions — one
+    :class:`~repro.model.batch.PartitionBatch` from the kernel
+    clustering stage, or records from the reference one — and, at the
+    snapshot trigger, hands them to the kernel in one batch.  The
+    ``python`` kernel then drives one state machine per anchor; the
+    ``numpy`` kernel builds membership bitmaps, screens candidates and
+    closes strings across every hosted anchor at once.  Per anchor, the
+    emitted pattern stream is the same either way (shared exact
+    predicates and combination growth).
     """
 
     def __init__(self, kernel: EnumerationKernel):
@@ -433,9 +345,7 @@ class BatchedEnumerateOperator(Operator):
         A lone envelope goes to the kernel as it is; anything else goes
         as ``(anchor, members)`` pairs.  A ctx-less trigger keeps the
         buffer intact: the partitions belong to a snapshot whose time
-        has not been announced yet, and dropping them would silently
-        diverge from the reference operator (which processes records
-        eagerly).
+        has not been announced yet.
         """
         if ctx is None:
             return ()
@@ -475,7 +385,14 @@ class BatchedEnumerateOperator(Operator):
         self._buffer = list(payload["records"])
 
     def split_state(self, payload: dict) -> tuple[Any, dict[int, dict]]:
-        """Per-anchor pieces: the kernel's share plus buffered records."""
+        """Per-anchor pieces: the kernel's share plus buffered records.
+
+        A bare ``{"anchors": ...}`` payload, written when the ``python``
+        kernel ran under its own operator, is that kernel's payload with
+        nothing buffered.
+        """
+        if "kernel" not in payload:
+            payload = {"kernel": payload, "records": []}
         rest, kernel_pieces = self.kernel.split_state(payload["kernel"])
         pieces = {
             anchor: {"kernel": piece, "records": []}
@@ -523,15 +440,3 @@ def _records(buffered: list) -> Iterable[PartitionRecord]:
             yield from item.rows()
         else:
             yield item
-
-
-def make_enumerator_factory(
-    config,
-) -> Callable[[int], AnchorEnumerator]:
-    """Build the per-anchor enumerator factory from an :class:`ICPEConfig`."""
-    return anchor_enumerator_factory(
-        config.enumerator,
-        config.constraints,
-        ba_max_partition_size=config.ba_max_partition_size,
-        vba_candidate_retention=config.vba_candidate_retention,
-    )

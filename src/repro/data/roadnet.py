@@ -113,15 +113,6 @@ def _edge_length(graph: nx.Graph, edge) -> float:
     )
 
 
-def walk_along(
-    points: list[tuple[float, float]],
-    speed: float,
-    start_offset: float = 0.0,
-) -> "RouteWalker":
-    """Create a :class:`RouteWalker` over a polyline (convenience)."""
-    return RouteWalker(points, speed, start_offset)
-
-
 class RouteWalker:
     """Constant-speed interpolation along a polyline, one step per tick."""
 

@@ -176,13 +176,6 @@ class ClosedBitString:
         """Copy of the closed string owned by ``oid``."""
         return ClosedBitString(oid=oid, start=self.start, end=self.end, bits=self.bits)
 
-    def bit_at(self, time: int) -> bool:
-        """Whether the bit of an absolute time is set (False outside)."""
-        offset = time - self.start
-        if not 0 <= offset <= self.end - self.start:
-            return False
-        return bool(self.bits >> offset & 1)
-
     def times(self) -> list[int]:
         """Absolute times whose bits are set, ascending."""
         return [self.start + offset for offset in ones_positions(self.bits)]

@@ -15,9 +15,9 @@ Two strategies ship with the repository:
 
 * ``python`` (:mod:`repro.enumeration.kernels.python_ref`) — the
   reference path: one :class:`~repro.enumeration.base.AnchorEnumerator`
-  state machine (BA / FBA / VBA) per anchor, driven record by record
-  exactly like :class:`~repro.core.operators.EnumerateOperator` drives
-  them.  Supports every enumerator and is the default.
+  state machine (BA / FBA / VBA) per anchor, driven record by record in
+  arrival order, then an absence tick for every non-idle anchor that
+  received no record.  Supports every enumerator and is the default.
 * ``numpy`` (:mod:`repro.enumeration.kernels.numpy_kernel`) — batches
   all anchors of the subtask into contiguous membership bitmaps
   (per-anchor bit columns packed into uint64 words) and vectorizes the
@@ -70,7 +70,7 @@ class EnumerationKernel(ABC):
         :class:`~repro.model.batch.PartitionBatch` whose rows are those
         records; anchors the kernel has seen before but that received no
         record are treated as absent (their bit strings append a zero /
-        their windows advance), exactly like the reference operator's
+        their windows advance), exactly like the reference kernel's
         absence tick.  Times must arrive in strictly increasing order.
         """
 

@@ -2,11 +2,11 @@
 
 ``PythonEnumerationKernel`` hosts one
 :class:`~repro.enumeration.base.AnchorEnumerator` per anchor and drives
-it exactly like :class:`~repro.core.operators.EnumerateOperator` does —
-records in arrival order, then the absence tick for every known
-non-idle anchor — so wrapping the reference path behind the batched
-:class:`~repro.enumeration.kernels.base.EnumerationKernel` contract
-changes nothing about what is emitted or when.
+it the way the paper's keyed enumeration operator does: each
+snapshot's partition records in arrival order, then the absence tick
+(an empty partition) for every known non-idle anchor that received
+none.  It is the default kernel behind
+:class:`~repro.core.operators.BatchedEnumerateOperator`.
 """
 
 from __future__ import annotations
@@ -30,12 +30,11 @@ def anchor_enumerator_factory(
     """Per-anchor state-machine factory for the named enumerator.
 
     The single construction point for per-anchor enumerator instances,
-    shared by :func:`repro.core.operators.make_enumerator_factory`, the
-    reference enumeration kernel and the bench harness.  Names resolve
-    through the plugin registry (kind ``"enumerator"``), so third-party
-    enumerators registered via the ``repro.plugins`` entry-point group
-    are hosted by the reference enumeration path without any change
-    here.
+    shared by the reference enumeration kernel and the bench harness.
+    Names resolve through the plugin registry (kind ``"enumerator"``),
+    so third-party enumerators registered via the ``repro.plugins``
+    entry-point group are hosted by the reference enumeration path
+    without any change here.
     """
     from repro.registry import default_registry
 
@@ -46,22 +45,6 @@ def anchor_enumerator_factory(
         ba_max_partition_size=ba_max_partition_size,
         vba_candidate_retention=vba_candidate_retention,
     )
-
-
-def split_anchor_state(payload: dict) -> tuple[dict, dict[int, Any]]:
-    """Split a ``{"anchors": {anchor: payload}}`` state by anchor.
-
-    The per-anchor state machines carry their own clocks and counters,
-    so nothing is left over: the rest is empty.
-    """
-    return {}, dict(payload["anchors"])
-
-
-def join_anchor_state(
-    rests: list[dict], pieces: dict[int, Any], primary: bool
-) -> dict:
-    """Inverse of :func:`split_anchor_state` for one subtask's anchors."""
-    return {"anchors": {anchor: pieces[anchor] for anchor in sorted(pieces)}}
 
 
 class PythonEnumerationKernel(EnumerationKernel):
@@ -134,8 +117,19 @@ class PythonEnumerationKernel(EnumerationKernel):
             enumerator.restore_state(sub_payload)
             self._enumerators[anchor] = enumerator
 
-    split_state = staticmethod(split_anchor_state)
-    join_state = staticmethod(join_anchor_state)
+    def split_state(self, payload: dict) -> tuple[dict, dict[int, Any]]:
+        """Split the payload by anchor.
+
+        The per-anchor state machines carry their own clocks and
+        counters, so nothing is left over: the rest is empty.
+        """
+        return {}, dict(payload["anchors"])
+
+    def join_state(
+        self, rests: list[dict], pieces: dict[int, Any], primary: bool
+    ) -> dict:
+        """Inverse of :meth:`split_state` for one subtask's anchors."""
+        return {"anchors": {anchor: pieces[anchor] for anchor in sorted(pieces)}}
 
     def state_metrics(self) -> dict[str, int]:
         """Memory accounting: hosted anchors plus summed enumerator metrics."""

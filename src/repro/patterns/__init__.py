@@ -16,9 +16,9 @@ while leaving the strict pipeline untouched:
   model and confirmation-probability scorer
   (:class:`PredictiveFamily`, emitting ``PatternForming``).
 
-Families are selected through ``ICPEConfig.pattern_family`` /
-``SessionBuilder.patterns(...)`` / the CLI ``--pattern-family`` flag and
-run identically on all three execution backends: they consume only
+Families are selected through ``ICPEConfig.pattern_family`` (also an
+``open_session`` keyword) or the CLI ``--pattern-family`` flag and run
+identically on both execution backends: they consume only
 master-side state (the last cluster snapshot and the forming
 descriptors the process backend ships through its reply protocol).
 See ``docs/PATTERNS.md`` for semantics and event schemas.

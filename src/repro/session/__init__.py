@@ -1,8 +1,6 @@
 """The streaming Session API: the framework's public front door.
 
-Where PRs 1-3 exposed detection through ``CoMovementDetector`` (records
-in, bare pattern lists out), the session package gives the same engine
-an event-driven surface:
+The session package gives the detection engine an event-driven surface:
 
 * :mod:`repro.session.session` — :class:`Session` (incremental
   ``feed()`` yielding typed events, ``result()`` summaries,
@@ -12,19 +10,18 @@ an event-driven surface:
   :class:`GroupEvolved`, :class:`PatternForming`,
   :class:`WatermarkAdvanced`);
 * :mod:`repro.session.sinks` — the :class:`PatternSink` protocol and the
-  callback / list / JSON-lines sinks;
-* :mod:`repro.session.builder` — the fluent :class:`SessionBuilder`.
+  callback / list / JSON-lines sinks.
 
-:func:`open_session` is the one-call entry point, re-exported as
+:func:`open_session` builds every session, re-exported as
 ``repro.open_session``.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Callable, Iterable
 
 from repro.core.config import ICPEConfig
-from repro.session.builder import SessionBuilder
 from repro.session.events import (
     ConvoyDelta,
     GroupEvolved,
@@ -55,7 +52,6 @@ __all__ = [
     "PatternForming",
     "PatternSink",
     "Session",
-    "SessionBuilder",
     "SessionResult",
     "WatermarkAdvanced",
     "as_sink",
@@ -74,14 +70,14 @@ def open_session(
     observability: Any = None,
     checkpoint_dir: Any = None,
     checkpoint_keep_last: int | None = None,
-    **overrides: Any,
+    **fields: Any,
 ) -> Session:
-    """Open a streaming session — the one-call public entry point.
+    """Open a streaming session — the one constructor path.
 
-    Pass an :class:`ICPEConfig` (optionally with field ``overrides``),
-    or no config and the :class:`ICPEConfig` fields as keyword
-    arguments (``epsilon=, cell_width=, min_pts=, constraints=`` are
-    then required)::
+    Pass an :class:`ICPEConfig` (optionally with :class:`ICPEConfig`
+    field overrides as keyword arguments), or no config and the fields
+    themselves (``epsilon=, cell_width=, min_pts=, constraints=`` are
+    then required; a missing one raises :class:`TypeError` naming it)::
 
         session = open_session(
             epsilon=10.0, cell_width=30.0, min_pts=3,
@@ -93,28 +89,30 @@ def open_session(
     before any record flows; ``batch_size`` sets ``feed_many``'s
     auto-packing chunk (columnar batch ingestion); ``restore`` resumes
     from a :class:`~repro.state.Checkpoint` (with no ``config`` the
-    checkpoint's own config seeds the session).  ``observability``
-    enables the telemetry hub (``True``, an
+    checkpoint's own config seeds the session, and field overrides may
+    still change its execution surface).  ``observability`` enables the
+    telemetry hub (``True``, an
     :class:`~repro.observability.ObservabilityOptions`, or a kwargs
-    dict); ``checkpoint_dir`` / ``checkpoint_keep_last`` enable
-    automatic periodic checkpointing with bounded retention (cadence
-    from the config's ``checkpoint_every_records`` /
-    ``checkpoint_every_seconds`` fields).  Use the session as
-    a context manager to flush on clean exit and always release backend
-    resources.
+    dict such as ``dict(metrics_out="metrics.jsonl")``);
+    ``checkpoint_dir`` / ``checkpoint_keep_last`` enable automatic
+    periodic checkpointing with bounded retention (cadence from the
+    config's ``checkpoint_every_records`` / ``checkpoint_every_seconds``
+    fields).  Use the session as a context manager to flush on clean
+    exit and always release backend resources.
     """
-    builder = SessionBuilder(config)
-    if overrides:
-        builder.option(**overrides)
-    if track_convoys:
-        builder.track_convoys()
-    if batch_size is not None:
-        builder.batch_size(batch_size)
-    if restore is not None:
-        builder.restore(restore)
-    if observability is not None:
-        builder.observability(observability)
-    if checkpoint_dir is not None:
-        builder.checkpoints(checkpoint_dir, keep_last=checkpoint_keep_last)
-    builder.sinks(sinks)
-    return builder.open()
+    if config is None and restore is not None:
+        config = restore.config
+    if config is None:
+        config = ICPEConfig(**fields)
+    elif fields:
+        config = replace(config, **fields)
+    return Session(
+        config,
+        track_convoys=track_convoys,
+        sinks=sinks,
+        batch_size=batch_size,
+        restore=restore,
+        observability=observability,
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_keep_last=checkpoint_keep_last,
+    )

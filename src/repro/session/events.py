@@ -49,9 +49,9 @@ class ConvoyDelta(PatternEvent):
     """The live convoy view changed while processing snapshot ``time``.
 
     Emitted only when convoy tracking is enabled
-    (``SessionBuilder.track_convoys()``) and only when something changed:
-    ``formed`` lists member sets that newly appeared among the open
-    candidates, ``dissolved`` those that disappeared, and ``ended``
+    (``open_session(..., track_convoys=True)``) and only when something
+    changed: ``formed`` lists member sets that newly appeared among the
+    open candidates, ``dissolved`` those that disappeared, and ``ended``
     carries convoys that expired having met the duration threshold
     (reported as patterns).  ``active`` is the open-candidate count
     after the snapshot.
@@ -70,9 +70,9 @@ class GroupEvolved(PatternEvent):
     """An evolving group's membership drifted while staying continuous.
 
     Emitted by the ``evolving`` pattern family
-    (``SessionBuilder.patterns("evolving")``) when a live group matched
-    a cluster of snapshot ``time`` with Jaccard similarity at least the
-    configured θ but a *different* member set.  ``members`` is the
+    (``open_session(..., pattern_family="evolving")``) when a live group
+    matched a cluster of snapshot ``time`` with Jaccard similarity at
+    least the configured θ but a *different* member set.  ``members`` is the
     membership after the drift, ``joined`` / ``left`` are the deltas
     against the previous snapshot, ``duration`` the number of
     consecutive snapshots the group has survived so far (drift
@@ -92,7 +92,7 @@ class PatternForming(PatternEvent):
     """A partial match was scored as likely to reach confirmation.
 
     Emitted by the ``predictive`` pattern family
-    (``SessionBuilder.patterns("predictive")``) for each open FBA
+    (``open_session(..., pattern_family="predictive")``) for each open FBA
     window / unclosed VBA candidate bit string whose predicted
     probability of reaching K snapshots clears the configured
     threshold.  ``oids`` is the candidate object set (anchor included),

@@ -35,7 +35,6 @@ from repro.model.batch import (
 )
 from repro.model.pattern import CoMovementPattern
 from repro.model.records import StreamRecord
-from repro.model.snapshot import Snapshot
 from repro.registry import default_registry
 from repro.session.events import (
     ConvoyDelta,
@@ -119,8 +118,8 @@ class SessionResult:
 class Session:
     """A streaming pattern-detection session over one configuration.
 
-    Usually built via :func:`repro.session.open_session` or the fluent
-    :class:`~repro.session.builder.SessionBuilder` rather than directly.
+    Usually built via :func:`repro.session.open_session` rather than
+    directly.
 
     Lifecycle: ``feed()`` any number of records, then ``finish()`` to
     flush bounded-evaluation state; ``close()`` releases execution
@@ -775,9 +774,7 @@ class Session:
         timings = self.pipeline.meter.timings
         return timings[-1].time if timings else 0
 
-    def _shed_snapshot(
-        self, snapshot: Snapshot | SnapshotBatch
-    ) -> Snapshot | SnapshotBatch:
+    def _shed_snapshot(self, snapshot: SnapshotBatch) -> SnapshotBatch:
         """Drop rows from one completed snapshot per the shed policy.
 
         The drop point is deliberately *after* time synchronisation:
@@ -798,11 +795,7 @@ class Session:
         if rate <= 0.0 or not len(snapshot):
             return snapshot
         policy = self._shed_policy
-        columnar = isinstance(snapshot, SnapshotBatch)
-        if columnar:
-            oids = [int(oid) for oid in snapshot.oids]
-        else:
-            oids = snapshot.oids()
+        oids = [int(oid) for oid in snapshot.oids]
         protected: frozenset[int] = frozenset()
         if policy.consults_state:
             protected = self.pipeline.protected_oids()
@@ -814,12 +807,8 @@ class Session:
             return snapshot
         self._records_shed += len(drops)
         dropped = set(drops)
-        keep = [i for i in range(len(oids)) if i not in dropped]
-        if columnar:
-            return snapshot.select(keep)
-        points = snapshot.points()
-        return Snapshot.from_points(
-            snapshot.time, [points[i] for i in keep]
+        return snapshot.select(
+            [i for i in range(len(oids)) if i not in dropped]
         )
 
     def _observe_telemetry(self, time: int) -> None:
@@ -884,9 +873,7 @@ class Session:
             timings[-1].latency_seconds * 1000.0, busy
         )
 
-    def _process(
-        self, snapshot: Snapshot | SnapshotBatch
-    ) -> list[PatternEvent]:
+    def _process(self, snapshot: SnapshotBatch) -> list[PatternEvent]:
         """Run one complete snapshot; build its ordered event list."""
         if self._shedding_active:
             snapshot = self._shed_snapshot(snapshot)

@@ -278,8 +278,11 @@ class ProcessBackend:
     spawn-shaped anyway.
 
     Raises ``RuntimeError`` if the stage names are not unique (names are
-    the master↔worker stage addressing scheme) or if any worker fails to
-    rebuild the stages.  Works as a context manager that closes it.
+    the master↔worker stage addressing scheme), if any worker fails to
+    rebuild the stages, or if one exits before it is ready (the message
+    keeps its exit code and names the usual cause: a script that opens a
+    ``process`` session without an ``if __name__ == "__main__":`` guard).
+    Works as a context manager that closes it.
     """
 
     def __init__(self, spec: GraphSpec, workers: int = 0):
@@ -329,7 +332,19 @@ class ProcessBackend:
             self._processes.append(process)
             self._conns.append(parent_conn)
         for index in range(count):
-            reply = self._recv(index)
+            try:
+                reply = self._conns[index].recv()
+            except EOFError:
+                process = self._processes[index]
+                process.join(timeout=_JOIN_TIMEOUT)
+                self.close()
+                raise RuntimeError(
+                    f"process-backend worker {index} exited before it was "
+                    f"ready (exit code {process.exitcode}). Workers are "
+                    "spawned and re-import the main module, so a script "
+                    "that starts a 'process' session must guard its entry "
+                    "point with `if __name__ == \"__main__\":`"
+                ) from None
             if reply[0] != "ready":
                 self.close()
                 raise RuntimeError(

@@ -4,9 +4,8 @@ The acceptance contract of the columnar data plane (PR 5): chunked
 ingestion must be pattern-set- and event-sequence-identical to per-point
 feeding across the full backend x clustering-kernel x enumeration-kernel
 2x2x2 grid, including out-of-order streams whose reordering windows
-straddle batch boundaries, ``WatermarkAdvanced`` ordering, and the
-deprecation-shim ``CoMovementDetector`` path (whose ``feed_many`` now
-auto-packs).
+straddle batch boundaries, ``WatermarkAdvanced`` ordering, and
+``feed_many`` auto-packing against per-point ``feed``.
 """
 
 from __future__ import annotations
@@ -17,11 +16,10 @@ import random
 import pytest
 
 from repro.core.config import ICPEConfig
-from repro.core.detector import CoMovementDetector
 from repro.data.taxi import TaxiConfig, generate_taxi
 from repro.model.batch import RecordBatch
 from repro.model.constraints import PatternConstraints
-from repro.session import ListSink, Session, SessionBuilder, open_session
+from repro.session import ListSink, Session, open_session
 from repro.session.events import PatternConfirmed, WatermarkAdvanced
 from repro.streaming.shuffle import bounded_shuffle
 
@@ -143,18 +141,18 @@ def test_feed_many_auto_packs_and_accepts_batches(workload):
     assert events == expected
 
 
-def test_detector_shim_feed_many_matches_per_point_feed(workload):
+def _confirmed(events):
+    return [e.pattern for e in events if isinstance(e, PatternConfirmed)]
+
+
+def test_feed_many_patterns_match_per_point_feed(workload):
     dataset, records = workload
-    with pytest.warns(DeprecationWarning):
-        point = CoMovementDetector(_config(dataset))
-    patterns_point = [p for r in records for p in point.feed(r)]
-    patterns_point.extend(point.finish())
-    point.close()
-    with pytest.warns(DeprecationWarning):
-        packed = CoMovementDetector(_config(dataset))
-    patterns_packed = packed.feed_many(records)
-    patterns_packed.extend(packed.finish())
-    packed.close()
+    with open_session(_config(dataset)) as point:
+        patterns_point = [p for r in records for p in _confirmed(point.feed(r))]
+        patterns_point.extend(_confirmed(point.finish()))
+    with open_session(_config(dataset)) as packed:
+        patterns_packed = _confirmed(packed.feed_many(records))
+        patterns_packed.extend(_confirmed(packed.finish()))
     assert _signature(patterns_packed) == _signature(patterns_point)
     assert len(patterns_packed) == len(patterns_point)
 
@@ -177,12 +175,7 @@ def test_zero_sink_sessions_still_count_events(workload):
 
 
 class TestBatchSizeKnob:
-    def test_builder_and_open_session_plumb_batch_size(self):
-        builder = SessionBuilder().epsilon(1.0).cell_width(3.0).min_pts(2)
-        builder.constraints(m=2, k=2, l=1, g=1).batch_size(7)
-        session = builder.open()
-        assert session.batch_size == 7
-        session.close()
+    def test_open_session_plumbs_batch_size(self):
         session = open_session(
             epsilon=1.0,
             cell_width=3.0,
@@ -194,14 +187,14 @@ class TestBatchSizeKnob:
         session.close()
 
     def test_non_positive_batch_size_rejected(self):
-        with pytest.raises(ValueError, match="batch_size"):
-            SessionBuilder().batch_size(0)
         config = ICPEConfig(
             epsilon=1.0,
             cell_width=3.0,
             min_pts=2,
             constraints=PatternConstraints(m=2, k=2, l=1, g=1),
         )
+        with pytest.raises(ValueError, match="batch_size"):
+            open_session(config, batch_size=0)
         with Session(config) as session:
             # Explicit 0 is an error, not "use the default" (and not the
             # CLI's per-point convention).

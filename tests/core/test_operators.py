@@ -1,15 +1,16 @@
 """ICPE operator unit tests."""
 
 from repro.core.config import ICPEConfig
+from repro.core.icpe import icpe_stages
 from repro.core.operators import (
     AllocateOperator,
+    BatchedEnumerateOperator,
     ClusterOperator,
-    EnumerateOperator,
     QueryOperator,
-    make_enumerator_factory,
 )
 from repro.enumeration.baseline import BAEnumerator
 from repro.enumeration.fba import FBAEnumerator
+from repro.enumeration.kernels import PythonEnumerationKernel
 from repro.enumeration.vba import VBAEnumerator
 from repro.join.query import CellJoiner
 from repro.model.constraints import PatternConstraints
@@ -56,18 +57,23 @@ class TestClusterOperator:
         assert list(op.end_batch(1)) == []
 
 
+def python_enumerate_operator(factory) -> BatchedEnumerateOperator:
+    """The enumerate stage's operator hosting the reference kernel."""
+    return BatchedEnumerateOperator(PythonEnumerationKernel(factory))
+
+
 class TestEnumerateOperator:
     def test_creates_enumerators_per_anchor(self):
         factory = lambda anchor: FBAEnumerator(anchor, CONSTRAINTS)
-        op = EnumerateOperator(factory)
+        op = python_enumerate_operator(factory)
         op.process((1, 1, frozenset({2})))
         op.process((1, 5, frozenset({6})))
         op.end_batch(1)
-        assert set(op._enumerators) == {1, 5}
+        assert set(op.kernel._enumerators) == {1, 5}
 
     def test_absence_tick_reaches_stateful_anchors(self):
         factory = lambda anchor: VBAEnumerator(anchor, CONSTRAINTS)
-        op = EnumerateOperator(factory)
+        op = python_enumerate_operator(factory)
         op.process((1, 1, frozenset({2})))
         op.end_batch(1)
         op.process((2, 1, frozenset({2})))
@@ -78,11 +84,11 @@ class TestEnumerateOperator:
 
     def test_finish_flushes_all(self):
         factory = lambda anchor: FBAEnumerator(anchor, CONSTRAINTS)
-        op = EnumerateOperator(factory)
+        op = python_enumerate_operator(factory)
         emitted = []
         emitted += list(op.process((1, 1, frozenset({2}))))
         emitted += list(op.end_batch(1))
-        # The eta=2 window for t=1 completes during the t=2 element; a
+        # The eta=2 window for t=1 completes at the t=2 trigger; a
         # second, still-open window for t=2 is flushed by finish().
         emitted += list(op.process((2, 1, frozenset({2}))))
         emitted += list(op.end_batch(2))
@@ -97,15 +103,12 @@ class TestEnumeratorFactory:
         base = dict(
             epsilon=1.0, cell_width=3.0, min_pts=2, constraints=CONSTRAINTS
         )
-        assert isinstance(
-            make_enumerator_factory(ICPEConfig(**base, enumerator="baseline"))(1),
-            BAEnumerator,
-        )
-        assert isinstance(
-            make_enumerator_factory(ICPEConfig(**base, enumerator="fba"))(1),
-            FBAEnumerator,
-        )
-        assert isinstance(
-            make_enumerator_factory(ICPEConfig(**base, enumerator="vba"))(1),
-            VBAEnumerator,
-        )
+        for name, kind in (
+            ("baseline", BAEnumerator),
+            ("fba", FBAEnumerator),
+            ("vba", VBAEnumerator),
+        ):
+            stage = icpe_stages(ICPEConfig(**base, enumerator=name))[-1]
+            kernel = stage.operator_factory().kernel
+            assert isinstance(kernel, PythonEnumerationKernel)
+            assert isinstance(kernel._factory(1), kind)

@@ -6,15 +6,17 @@ import repro
 
 
 class TestLazyImports:
-    def test_detector_lazy(self):
+    def test_session_lazy(self):
+        # reload() keeps the module dict, so evict an earlier test's cache.
+        repro.__dict__.pop("Session", None)
         module = importlib.reload(repro)
-        assert "CoMovementDetector" not in module.__dict__
-        detector_cls = module.CoMovementDetector
-        from repro.core.detector import CoMovementDetector
+        assert "Session" not in module.__dict__
+        session_cls = module.Session
+        from repro.session import Session
 
-        assert detector_cls is CoMovementDetector
+        assert session_cls is Session
         # Cached after first access.
-        assert "CoMovementDetector" in module.__dict__
+        assert "Session" in module.__dict__
 
     def test_config_and_pipeline_lazy(self):
         from repro.core.config import ICPEConfig

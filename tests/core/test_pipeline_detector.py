@@ -1,13 +1,13 @@
-"""ICPEPipeline and CoMovementDetector integration-level unit tests."""
+"""ICPEPipeline and session integration-level unit tests."""
 
 import pytest
 
 from repro.core.config import ICPEConfig
-from repro.core.detector import CoMovementDetector
 from repro.core.icpe import ICPEPipeline
 from repro.model.constraints import PatternConstraints
 from repro.model.records import StreamRecord
 from repro.model.snapshot import Snapshot
+from repro.session import open_session
 from repro.streaming.cluster import ClusterModel
 
 CONSTRAINTS = PatternConstraints(m=2, k=3, l=2, g=2)
@@ -81,7 +81,7 @@ class TestPipeline:
         assert (1, 2) in collector.object_sets()
 
 
-class TestDetector:
+class TestSession:
     def _records(self, times):
         records = []
         last1 = last2 = None
@@ -92,26 +92,23 @@ class TestDetector:
         return records
 
     def test_feed_and_finish(self):
-        detector = CoMovementDetector(config())
-        detector.feed_many(self._records([1, 2, 3, 4]))
-        detector.finish()
-        assert any(p.objects == (1, 2) for p in detector.patterns)
+        with open_session(config()) as session:
+            session.feed_many(self._records([1, 2, 3, 4]))
+        assert any(p.objects == (1, 2) for p in session.patterns)
 
     def test_out_of_order_input(self):
-        detector = CoMovementDetector(config(max_delay=2))
         records = self._records([1, 2, 3, 4])
         # Swap two records across one time unit.
         records[2], records[4] = records[4], records[2]
-        detector.feed_many(records)
-        detector.finish()
-        assert any(p.objects == (1, 2) for p in detector.patterns)
+        with open_session(config(max_delay=2)) as session:
+            session.feed_many(records)
+        assert any(p.objects == (1, 2) for p in session.patterns)
 
     def test_meter_exposed(self):
-        detector = CoMovementDetector(config())
-        detector.feed_many(self._records([1, 2, 3]))
-        detector.finish()
-        assert detector.meter.snapshots == 3
-        assert detector.meter.average_latency_ms() > 0
+        with open_session(config()) as session:
+            session.feed_many(self._records([1, 2, 3]))
+        assert session.meter.snapshots == 3
+        assert session.meter.average_latency_ms() > 0
 
 
 class TestPresetsIntegration:

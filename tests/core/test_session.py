@@ -1,4 +1,4 @@
-"""Session API tests: events, sinks, builder, lifecycle, results."""
+"""Session API tests: events, sinks, open_session, lifecycle, results."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from repro.session import (
     ListSink,
     PatternConfirmed,
     Session,
-    SessionBuilder,
     WatermarkAdvanced,
     as_sink,
     event_to_dict,
@@ -259,70 +258,6 @@ class TestSinks:
             as_sink(42)
 
 
-class TestBuilder:
-    def test_fluent_construction(self, records):
-        session = (
-            SessionBuilder()
-            .epsilon(1.0)
-            .cell_width(4.0)
-            .min_pts(3)
-            .constraints(m=3, k=4, l=2, g=2)
-            .enumerator("vba")
-            .backend("serial")
-            .clustering_kernel("python")
-            .enumeration_kernel("python")
-            .max_delay(2)
-            .open()
-        )
-        assert session.config.enumerator == "vba"
-        assert session.config.max_delay == 2
-        session.close()
-
-    def test_missing_required_knobs(self):
-        with pytest.raises(ValueError, match="missing required settings"):
-            SessionBuilder().epsilon(1.0).open()
-
-    def test_constraints_requires_all_four_ints(self):
-        with pytest.raises(ValueError, match="m, k, l, g"):
-            SessionBuilder().constraints(m=3, k=4)
-
-    def test_backend_without_workers_preserves_pool_size(self):
-        base = make_config(backend="process", parallel_workers=8)
-        config = SessionBuilder(base).backend("process").config()
-        assert config.parallel_workers == 8  # not reset to None
-        config = SessionBuilder(base).backend("process", workers=2).config()
-        assert config.parallel_workers == 2
-
-    def test_seeded_from_config_with_override(self):
-        base = make_config()
-        config = SessionBuilder(base).enumerator("vba").config()
-        assert config.enumerator == "vba"
-        assert config.epsilon == base.epsilon
-        assert SessionBuilder(base).config() is base
-
-    def test_invalid_plugin_fails_at_open(self):
-        builder = (
-            SessionBuilder()
-            .epsilon(1.0).cell_width(4.0).min_pts(3)
-            .constraints(CONSTRAINTS)
-            .backend("quantum")
-        )
-        with pytest.raises(ValueError, match="unknown backend"):
-            builder.open()
-
-    def test_builder_sink_and_tracking(self, records):
-        sink = ListSink()
-        session = (
-            SessionBuilder(make_config())
-            .track_convoys()
-            .sink(sink)
-            .open()
-        )
-        with session:
-            session.feed_many(records)
-        assert any(isinstance(e, ConvoyDelta) for e in sink.events)
-
-
 class TestOpenSession:
     def test_kwargs_form(self, records):
         with open_session(
@@ -330,14 +265,60 @@ class TestOpenSession:
             cell_width=4.0,
             min_pts=3,
             constraints=CONSTRAINTS,
+            enumerator="vba",
+            backend="serial",
+            clustering_kernel="python",
+            enumeration_kernel="python",
+            max_delay=2,
         ) as session:
+            assert session.config.enumerator == "vba"
+            assert session.config.max_delay == 2
             session.feed_many(records)
         assert session.patterns
 
+    def test_missing_required_fields_name_them(self):
+        with pytest.raises(TypeError, match="cell_width.*min_pts.*constraints"):
+            open_session(epsilon=1.0)
+
     def test_config_with_overrides(self):
-        session = open_session(make_config(), enumerator="vba")
+        base = make_config()
+        session = open_session(base, enumerator="vba")
         assert session.config.enumerator == "vba"
+        assert session.config.epsilon == base.epsilon
         session.close()
+        session = open_session(base)
+        assert session.config is base
+        session.close()
+
+    def test_backend_override_keeps_pool_size(self):
+        # One subtask per stage: the process session spawns no worker.
+        base = make_config(
+            parallel_workers=8,
+            allocate_parallelism=1,
+            query_parallelism=1,
+            enumerate_parallelism=1,
+        )
+        with open_session(base, backend="process") as session:
+            assert session.config.parallel_workers == 8  # not reset to None
+            assert session.pipeline.backend_name == "process"
+        with open_session(
+            base, backend="process", parallel_workers=2
+        ) as session:
+            assert session.config.parallel_workers == 2
+
+    def test_invalid_plugin_fails_at_open(self):
+        with pytest.raises(ValueError, match="unknown backend"):
+            open_session(make_config(), backend="quantum")
+        with pytest.raises(ValueError, match="quantum"):
+            open_session(make_config(), clustering_kernel="quantum")
+
+    def test_sinks_and_tracking(self, records):
+        sink = ListSink()
+        with open_session(
+            make_config(), track_convoys=True, sinks=[sink]
+        ) as session:
+            session.feed_many(records)
+        assert any(isinstance(e, ConvoyDelta) for e in sink.events)
 
 
 class TestResult:

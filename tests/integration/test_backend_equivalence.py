@@ -15,11 +15,10 @@ import random
 import pytest
 
 from repro.core.config import ICPEConfig
-from repro.core.detector import CoMovementDetector
 from repro.data.brinkhoff import BrinkhoffConfig, generate_brinkhoff
 from repro.data.taxi import TaxiConfig, generate_taxi
 from repro.model.constraints import PatternConstraints
-from repro.session import Session
+from repro.session import Session, open_session
 from repro.session.events import event_to_dict
 from repro.streaming.shuffle import bounded_shuffle
 
@@ -48,23 +47,22 @@ def make_config(dataset, **overrides):
 
 
 def detect(dataset, config, records=None):
-    detector = CoMovementDetector(config)
-    detector.feed_many(records if records is not None else dataset.records)
-    detector.finish()
+    with open_session(config) as session:
+        session.feed_many(records if records is not None else dataset.records)
     detections = frozenset(
         (pattern.objects, tuple(pattern.times.times))
-        for pattern in detector.patterns
+        for pattern in session.patterns
     )
-    return detector, detections
+    return session, detections
 
 
 class TestBackendEquivalence:
     @pytest.mark.parametrize("enumerator", ["fba", "vba"])
     def test_identical_pattern_sets(self, dataset, enumerator):
-        serial_detector, serial_patterns = detect(
+        serial_session, serial_patterns = detect(
             dataset, make_config(dataset, enumerator=enumerator)
         )
-        process_detector, process_patterns = detect(
+        process_session, process_patterns = detect(
             dataset,
             make_config(
                 dataset,
@@ -73,8 +71,8 @@ class TestBackendEquivalence:
                 parallel_workers=2,
             ),
         )
-        assert serial_detector.backend_name == "serial"
-        assert process_detector.backend_name == "process"
+        assert serial_session.pipeline.backend_name == "serial"
+        assert process_session.pipeline.backend_name == "process"
         assert serial_patterns == process_patterns
         assert len(serial_patterns) > 0  # the scenario must be non-trivial
 

@@ -6,12 +6,12 @@ import pytest
 
 from repro.cluster.rjc import ClusteringConfig, RJCClusterer
 from repro.core.config import ICPEConfig
-from repro.core.detector import CoMovementDetector
 from repro.data.brinkhoff import BrinkhoffConfig, generate_brinkhoff
 from repro.enumeration.oracle import oracle_object_sets, patterns_are_sound
 from repro.model.constraints import PatternConstraints
 from repro.model.records import StreamRecord
 from repro.model.snapshot import Snapshot
+from repro.session import open_session
 from repro.streaming.shuffle import bounded_shuffle
 
 CONSTRAINTS = PatternConstraints(m=3, k=4, l=2, g=2)
@@ -67,12 +67,11 @@ def test_pipeline_matches_oracle(enumerator):
         constraints=CONSTRAINTS,
         enumerator=enumerator,
     )
-    detector = CoMovementDetector(config)
-    detector.feed_many(records)
-    detector.finish()
+    with open_session(config) as session:
+        session.feed_many(records)
     cluster_snaps, expected = reference_patterns(records, config)
-    assert {p.objects for p in detector.patterns} == expected
-    assert patterns_are_sound(detector.patterns, cluster_snaps, CONSTRAINTS)
+    assert {p.objects for p in session.patterns} == expected
+    assert patterns_are_sound(session.patterns, cluster_snaps, CONSTRAINTS)
 
 
 def test_out_of_order_delivery_equivalent():
@@ -85,15 +84,13 @@ def test_out_of_order_delivery_equivalent():
         constraints=CONSTRAINTS,
         max_delay=3,
     )
-    in_order = CoMovementDetector(config)
-    in_order.feed_many(records)
-    in_order.finish()
+    with open_session(config) as in_order:
+        in_order.feed_many(records)
 
-    shuffled = CoMovementDetector(config)
-    shuffled.feed_many(
-        bounded_shuffle(records, max_delay=3, rng=random.Random(42))
-    )
-    shuffled.finish()
+    with open_session(config) as shuffled:
+        shuffled.feed_many(
+            bounded_shuffle(records, max_delay=3, rng=random.Random(42))
+        )
     assert {p.objects for p in shuffled.patterns} == {
         p.objects for p in in_order.patterns
     }
@@ -111,13 +108,12 @@ def test_generated_dataset_end_to_end():
         min_pts=3,
         constraints=PatternConstraints(m=3, k=6, l=2, g=2),
     )
-    detector = CoMovementDetector(config)
-    detector.feed_many(dataset.records)
-    detector.finish()
-    assert len(detector.patterns) > 0
+    with open_session(config) as session:
+        session.feed_many(dataset.records)
+    assert len(session.patterns) > 0
     # Detected groups must be id-contiguous blocks (how groups were planted,
     # modulo background objects which rarely join).
-    sizes = {p.size for p in detector.patterns}
+    sizes = {p.size for p in session.patterns}
     assert max(sizes) >= 3
 
 
@@ -135,8 +131,7 @@ def test_enumerator_choice_does_not_change_results_on_dataset():
             constraints=PatternConstraints(m=3, k=5, l=2, g=2),
             enumerator=enumerator,
         )
-        detector = CoMovementDetector(config)
-        detector.feed_many(dataset.records)
-        detector.finish()
-        results[enumerator] = {p.objects for p in detector.patterns}
+        with open_session(config) as session:
+            session.feed_many(dataset.records)
+        results[enumerator] = {p.objects for p in session.patterns}
     assert results["baseline"] == results["fba"] == results["vba"]

@@ -14,10 +14,10 @@ from dataclasses import replace
 import pytest
 
 from repro.core.config import ICPEConfig
-from repro.core.detector import CoMovementDetector
 from repro.core.icpe import ICPEPipeline
 from repro.data.taxi import TaxiConfig, generate_taxi
 from repro.model.constraints import PatternConstraints
+from repro.session import open_session
 
 ENUM_KERNELS = ("python", "numpy")
 CLUSTER_KERNELS = ("python", "numpy")
@@ -85,11 +85,11 @@ def test_unknown_enum_kernel_rejected(base_config):
         replace(base_config, enumeration_kernel="cuda")
 
 
-def test_detector_reports_enumeration_kernel(dataset, base_config):
+def test_session_reports_enumeration_kernel(dataset, base_config):
     config = replace(
         base_config, enumeration_kernel="numpy", clustering_kernel="numpy"
     )
-    detector = CoMovementDetector(config)
-    assert detector.enumeration_kernel_name == "numpy"
-    assert detector.kernel_name == "numpy"
-    assert detector.backend_name == "serial"
+    with open_session(config) as session:
+        assert session.pipeline.enumeration_kernel_name == "numpy"
+        assert session.pipeline.kernel_name == "numpy"
+        assert session.pipeline.backend_name == "serial"

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.core.config import ICPEConfig
-from repro.core.detector import CoMovementDetector
 from repro.data.corruption import (
     drop_in_transit,
     drop_records,
@@ -14,6 +13,7 @@ from repro.data.corruption import (
 )
 from repro.model.constraints import PatternConstraints
 from repro.model.records import StreamRecord
+from repro.session import open_session
 from repro.streaming.sync import TimeSyncOperator
 from tests.integration.test_end_to_end import implanted_stream
 
@@ -29,10 +29,9 @@ def config(**overrides):
 
 
 def detect(records, **overrides):
-    detector = CoMovementDetector(config(**overrides))
-    detector.feed_many(records)
-    detector.finish()
-    return detector
+    with open_session(config(**overrides)) as session:
+        session.feed_many(records)
+    return session
 
 
 class TestValidation:
@@ -84,8 +83,8 @@ class TestSourceLoss:
             StreamRecord(1, 0.0, 0.0, t, t - 1 if t > 1 else None)
             for t in range(1, 8)
         ]
-        detector = detect(records)
-        assert detector.patterns == []
+        session = detect(records)
+        assert session.patterns == []
 
 
 class TestTransitLoss:
@@ -109,10 +108,9 @@ class TestTransitLoss:
     def test_pipeline_survives_transit_loss(self):
         records = implanted_stream(seed=9, horizon=10)
         lossy = drop_in_transit(records, 0.15, random.Random(3))
-        detector = CoMovementDetector(config(max_delay=12))
-        detector.feed_many(lossy)
-        detector.finish()
-        for pattern in detector.patterns:
+        with open_session(config(max_delay=12)) as session:
+            session.feed_many(lossy)
+        for pattern in session.patterns:
             assert pattern.satisfies(CONSTRAINTS)
 
 

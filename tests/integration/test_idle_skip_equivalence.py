@@ -1,9 +1,10 @@
 """The enumerate stage's idle-skip optimisation must be invisible.
 
-`EnumerateOperator.end_batch` skips the absence tick for anchors whose
-enumerator reports `is_idle()`.  This property test drives the operator
-against the naive always-tick harness on random cluster streams and
-asserts identical pattern sets for all three engines.
+The reference enumeration kernel skips the absence tick for anchors
+whose enumerator reports `is_idle()`.  This property test drives the
+enumerate stage's operator hosting that kernel against the naive
+always-tick harness on random cluster streams and asserts identical
+pattern sets for all three engines.
 """
 
 import random
@@ -11,10 +12,11 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.operators import EnumerateOperator
+from repro.core.operators import BatchedEnumerateOperator
 from repro.enumeration.base import PatternCollector
 from repro.enumeration.baseline import BAEnumerator
 from repro.enumeration.fba import FBAEnumerator
+from repro.enumeration.kernels import PythonEnumerationKernel
 from repro.enumeration.partition import id_partitions
 from repro.enumeration.vba import VBAEnumerator
 from repro.model.constraints import PatternConstraints
@@ -28,9 +30,11 @@ FACTORIES = {
 
 
 def run_operator_with_skip(snapshots, constraints, kind):
-    """Drive EnumerateOperator (idle-skip path) over partition records."""
-    operator = EnumerateOperator(
-        lambda anchor: FACTORIES[kind](anchor, constraints)
+    """Drive the reference kernel (idle-skip path) over partition records."""
+    operator = BatchedEnumerateOperator(
+        PythonEnumerationKernel(
+            lambda anchor: FACTORIES[kind](anchor, constraints)
+        )
     )
     collector = PatternCollector()
     for snapshot in snapshots:

@@ -13,10 +13,10 @@ from dataclasses import replace
 import pytest
 
 from repro.core.config import ICPEConfig
-from repro.core.detector import CoMovementDetector
 from repro.core.icpe import ICPEPipeline
 from repro.data.taxi import TaxiConfig, generate_taxi
 from repro.model.constraints import PatternConstraints
+from repro.session import open_session
 
 KERNELS = ("python", "numpy")
 BACKENDS = ("serial", "process")
@@ -75,19 +75,18 @@ def test_kernel_backend_grid_identical(dataset, base_config):
         assert patterns == ref_patterns, combo
 
 
-def test_detector_reports_kernel_and_backend(dataset, base_config):
+def test_session_reports_kernel_and_backend(dataset, base_config):
     config = replace(
         base_config,
         clustering_kernel="numpy",
         backend="process",
         parallel_workers=2,
     )
-    detector = CoMovementDetector(config)
-    assert detector.kernel_name == "numpy"
-    assert detector.backend_name == "process"
-    detector.feed_many(dataset.records)
-    detector.finish()
-    assert detector.meter.snapshots > 0
+    with open_session(config) as session:
+        assert session.pipeline.kernel_name == "numpy"
+        assert session.pipeline.backend_name == "process"
+        session.feed_many(dataset.records)
+    assert session.meter.snapshots > 0
 
 
 def test_numpy_kernel_topology_is_single_cluster_stage(base_config):

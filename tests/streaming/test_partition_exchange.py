@@ -9,8 +9,8 @@ records it saw before:
    the records one by one; routing never builds a member set.
 2. **counts** — ``StageWork`` and span ``elements_in`` / ``elements_out``
    count records, not envelopes.
-3. **unrolling** — the reference ``EnumerateOperator`` consumes an
-   envelope exactly as it consumes the records.
+3. **unrolling** — the enumerate stage hosting the reference ``python``
+   kernel consumes an envelope exactly as it consumes the records.
 
 Serial ≡ process event for event, with envelopes crossing the worker
 pipes, is ``tests/integration/test_backend_equivalence.py``'s numpy ×
@@ -21,16 +21,14 @@ from __future__ import annotations
 
 import pickle
 import random
+from dataclasses import replace
 from unittest import mock
 
 import pytest
 
-from repro.core.operators import (
-    EnumerateOperator,
-    KernelClusterOperator,
-    make_enumerator_factory,
-)
 from repro.core.config import ICPEConfig
+from repro.core.icpe import describe_enumeration_stage
+from repro.core.operators import KernelClusterOperator
 from repro.enumeration.partition import PartitionRouter
 from repro.kernels.numpy_kernel import NumpyKernel
 from repro.model.batch import PartitionBatch, SnapshotBatch
@@ -55,25 +53,20 @@ def envelope_of(records: list[tuple], time: int = 4) -> PartitionBatch:
     return PartitionBatch.from_pairs(time, [(a, m) for _t, a, m in records])
 
 
-FACTORY = make_enumerator_factory(
-    ICPEConfig(
-        epsilon=1.0,
-        cell_width=4.0,
-        min_pts=2,
-        constraints=PatternConstraints(m=2, k=2, l=1, g=1),
-        enumerator="fba",
-    )
+CONFIG = ICPEConfig(
+    epsilon=1.0,
+    cell_width=4.0,
+    min_pts=2,
+    constraints=PatternConstraints(m=2, k=2, l=1, g=1),
+    enumerator="fba",
 )
 
 
 def enumerate_runtime(parallelism: int) -> StageRuntime:
-    """The reference enumerate stage, keyed as the pipeline keys it."""
+    """The pipeline's enumerate stage on the reference ``python`` kernel."""
     return StageRuntime(
-        KeyedStage(
-            name="enumerate",
-            operator_factory=lambda: EnumerateOperator(FACTORY),
-            parallelism=parallelism,
-            key_fn=lambda record: record[1],
+        describe_enumeration_stage(
+            replace(CONFIG, enumerate_parallelism=parallelism)
         )
     )
 

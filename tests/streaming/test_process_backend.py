@@ -319,6 +319,39 @@ class TestProcessBackendLifecycle:
         with pytest.raises(RuntimeError, match="closed"):
             pipeline.backend.query(pipeline.runtimes[-1], "state_metrics")
 
+    def test_unguarded_script_names_the_missing_main_guard(self, tmp_path):
+        """A worker that exits before its ready reply raises an error
+        that keeps the exit code and names the likely cause: spawned
+        workers re-import ``__main__``, so a script that opens a
+        ``process`` session at module level re-runs it in each worker,
+        where Python's bootstrapping check stops it."""
+        import subprocess
+        import sys
+
+        script = tmp_path / "unguarded_process_session.py"
+        script.write_text(
+            "from repro.model.constraints import PatternConstraints\n"
+            "from repro.session import open_session\n"
+            "\n"
+            "session = open_session(\n"
+            "    epsilon=10.0, cell_width=40.0, min_pts=2,\n"
+            "    constraints=PatternConstraints(m=2, k=3, l=1, g=2),\n"
+            "    backend='process', parallel_workers=2,\n"
+            ")\n"
+            "session.close()\n"
+        )
+        result = subprocess.run(
+            [sys.executable, str(script)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": "src"},
+            cwd=os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
+        )
+        assert result.returncode != 0
+        assert "exited before it was ready (exit code 1)" in result.stderr
+        assert 'if __name__ == "__main__":' in result.stderr, result.stderr
+
     def test_segments_are_recycled_across_snapshots(self):
         pipeline = ICPEPipeline(process_config())
         try:

@@ -31,7 +31,6 @@ EXPECTED_EXPORTS = sorted(
         "Trajectory",
         "__version__",
         # lazy core
-        "CoMovementDetector",
         "ICPEConfig",
         "ICPEPipeline",
         # lazy checkpoint/state API
@@ -48,7 +47,6 @@ EXPECTED_EXPORTS = sorted(
         "PatternForming",
         "PatternSink",
         "Session",
-        "SessionBuilder",
         "SessionResult",
         "WatermarkAdvanced",
         "open_session",
@@ -85,7 +83,7 @@ class TestSurfaceLock:
             assert getattr(repro, name) is not None, name
 
     def test_version(self):
-        assert repro.__version__ == "5.0.0"
+        assert repro.__version__ == "6.0.0"
 
 
 class TestLazyMachinery:
@@ -98,23 +96,29 @@ class TestLazyMachinery:
         assert "Session" not in module.__dict__
         listing = dir(module)
         for name in ("Session", "open_session", "default_registry",
-                     "CoMovementDetector"):
+                     "ICPEPipeline"):
             assert name in listing
 
     def test_lazy_names_resolve_to_home_modules(self):
-        from repro.core.detector import CoMovementDetector
+        from repro.core.icpe import ICPEPipeline
         from repro.registry import default_registry
         from repro.session import Session, open_session
 
         assert repro.Session is Session
         assert repro.open_session is open_session
         assert repro.default_registry is default_registry
-        assert repro.CoMovementDetector is CoMovementDetector
+        assert repro.ICPEPipeline is ICPEPipeline
 
     def test_resolution_is_cached(self):
         module = importlib.reload(repro)
-        _ = module.SessionBuilder
-        assert "SessionBuilder" in module.__dict__
+        _ = module.SessionResult
+        assert "SessionResult" in module.__dict__
+
+    def test_retired_names_are_gone(self):
+        # open_session is the one constructor path since 6.0.0.
+        for name in ("SessionBuilder", "CoMovementDetector"):
+            assert not hasattr(repro, name), name
+            assert name not in dir(repro), name
 
     def test_unknown_attribute_raises(self):
         with_importerror = None
