@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -289,6 +290,31 @@ class TestOpenSession:
         session = open_session(base)
         assert session.config is base
         session.close()
+
+    def test_fields_form_builds_the_config_form(self):
+        base = make_config(enumerator="vba", max_delay=2)
+        fields = {
+            f.name: getattr(base, f.name)
+            for f in dataclasses.fields(base)
+            if f.init
+        }
+        with open_session(**fields) as session:
+            assert session.config == base
+
+    def test_restore_seeds_config_and_takes_overrides(self, records):
+        session = open_session(make_config())
+        session.feed_many(records[: len(records) // 2])
+        checkpoint = session.checkpoint()
+        session.close()
+        with open_session(restore=checkpoint) as resumed:
+            assert resumed.config == checkpoint.config
+        with open_session(
+            restore=checkpoint, query_parallelism=2
+        ) as resumed:
+            assert resumed.config.query_parallelism == 2
+            assert resumed.config.epsilon == checkpoint.config.epsilon
+            resumed.feed_many(records[len(records) // 2 :])
+        assert resumed.patterns
 
     def test_backend_override_keeps_pool_size(self):
         # One subtask per stage: the process session spawns no worker.
