@@ -130,7 +130,7 @@ def test_process_icpe_equivalence(benchmark, datasets, dataset_name):
 
     The pure-Python operator work dominates here, so no speedup is
     claimed — this run pins the correctness half of the story: the
-    shared-memory exchange path detects exactly the serial pattern set.
+    pickled exchange path detects exactly the serial pattern set.
     """
     dataset = datasets[dataset_name]
     config = detection_config(

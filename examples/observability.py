@@ -17,7 +17,8 @@ fully enabled:
 
 Also demonstrated: automatic periodic checkpointing with bounded
 retention (``checkpoint_every_records`` + ``checkpoint_keep_last``)
-riding the same session.
+riding the same session — a checkpoint every 500 records saves more
+than two, and the sweep keeps only the last two on disk.
 
 Run:  python examples/observability.py
 """
@@ -40,7 +41,7 @@ def make_config(dataset) -> ICPEConfig:
         cell_width=dataset.resolve_percentage(1.6),
         min_pts=3,
         constraints=PatternConstraints(m=3, k=4, l=2, g=2),
-        checkpoint_every_records=2000,
+        checkpoint_every_records=500,
     )
 
 
@@ -105,10 +106,11 @@ def main() -> None:
     print(f"trace: {len(spans)} spans in {trace_path}")
     print("first span:", spans[0])
 
-    print(
-        f"auto-checkpoints kept: "
-        f"{sorted(p.name for p in (workdir / 'checkpoints').iterdir())}"
-    )
+    saved = session.auto_checkpoints
+    kept = sorted(p.name for p in (workdir / "checkpoints").iterdir())
+    print(f"auto-checkpoints saved: {len(saved)}, kept: {kept}")
+    assert len(saved) > 2, "the cadence should save more than two"
+    assert kept == sorted(p.name for p in saved[-2:]), "keep_last=2 must prune"
 
 
 if __name__ == "__main__":

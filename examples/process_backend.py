@@ -1,10 +1,9 @@
-"""The shared-nothing process backend and its shared-memory exchanges.
+"""The shared-nothing process backend and its pickled exchanges.
 
 The same workload is detected twice — once on the default serial
 backend, once on a pool of worker processes (``backend="process"``) —
 demonstrating that the typed-event streams are identical while the
-keyed exchanges travel through pooled ``multiprocessing.shared_memory``
-segments instead of pickled pipes.  Then a distributed-shape synthetic
+keyed exchanges cross each worker's command pipe by pickle.  Then a distributed-shape synthetic
 workload (GIL-releasing CPU kernel + per-subtask exchange stall; see
 ``repro.bench.process_workload``) shows what the pool actually buys:
 the stalls of different subtasks overlap across workers, which is the
@@ -48,7 +47,7 @@ def main() -> None:
 
     # Same pipeline, shared-nothing workers: every worker process
     # rebuilds its own operators from a picklable GraphSpec, and the
-    # columnar SnapshotBatch envelopes cross through shared memory.
+    # columnar envelopes cross its command pipe pickled.
     serial_events = run_session(dataset)
     process_events = run_session(
         dataset, backend="process", parallel_workers=2

@@ -34,6 +34,7 @@ from repro.enumeration.fba import FBAEnumerator
 from repro.enumeration.partition import PartitionRouter
 from repro.enumeration.vba import VBAEnumerator
 from repro.geometry.distance import l1_distance
+from repro.model.batch import SnapshotBatch
 from repro.model.constraints import PatternConstraints
 from repro.model.pattern import CoMovementPattern
 from repro.model.snapshot import ClusterSnapshot
@@ -241,7 +242,10 @@ def run_clustering_point(
     with ProcessBackend(GraphSpec(lambda: stages)) as backend:
         for snapshot in dataset.snapshots():
             _outputs, works = execute_unit(
-                runtimes, snapshot.points(), snapshot.time, backend
+                runtimes,
+                [SnapshotBatch.from_snapshot(snapshot)],
+                snapshot.time,
+                backend,
             )
             run.record(works)
     cluster_operator = runtimes[-1].subtasks[0]

@@ -56,8 +56,8 @@ class ICPEConfig:
         backend: execution backend running the job graph, one of
             :data:`~repro.streaming.runtime.base.BACKENDS` — ``"serial"``
             (every stage in this process, deterministic, default) or
-            ``"process"`` (a pool of shared-nothing worker processes with
-            shared-memory columnar exchanges; identical results, no GIL
+            ``"process"`` (a pool of shared-nothing worker processes fed
+            through pickling pipes; identical results, no GIL
             contention between subtasks).  Not a plugin axis.
         parallel_workers: worker-pool size cap for the process backend
             (``None`` = one worker per usable core, at least 4); the

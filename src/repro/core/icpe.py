@@ -343,9 +343,10 @@ class ICPEPipeline:
 
         Accepts the object form or the columnar
         :class:`~repro.model.batch.SnapshotBatch` of the batch data
-        plane; a columnar snapshot enters the job graph as one envelope
-        (split per destination by the keyed exchange), the object form
-        as per-row elements — the pattern output is identical either way.
+        plane.  Either enters the job graph as one envelope (split per
+        destination by the keyed exchange); the object form is converted
+        once with :meth:`SnapshotBatch.from_snapshot`, which keeps its
+        row order, so the pattern output is identical either way.
         """
         if self._finished:
             raise RuntimeError("pipeline already finished")
@@ -355,12 +356,10 @@ class ICPEPipeline:
                 f"{snapshot.time} after {self._last_time}"
             )
         self._last_time = snapshot.time
-        if isinstance(snapshot, SnapshotBatch):
-            elements: list = [snapshot]
-        else:
-            elements = snapshot.points()
+        if not isinstance(snapshot, SnapshotBatch):
+            snapshot = SnapshotBatch.from_snapshot(snapshot)
         outputs, works = execute_unit(
-            self.runtimes, elements, snapshot.time, self.backend
+            self.runtimes, [snapshot], snapshot.time, self.backend
         )
         self.last_spans = self._drain_spans()
         fresh_count = self.collector.offer(

@@ -168,8 +168,10 @@ class KernelClusterOperator(Operator):
 
     Replaces the three-stage GridAllocate -> GridQuery -> GridSync/DBSCAN
     chain when a vectorized kernel (e.g. ``numpy``) is selected: the single
-    subtask buffers the snapshot's raw ``(oid, x, y)`` locations and, at
-    the snapshot trigger, runs the kernel over packed arrays — grid
+    subtask receives each snapshot as one
+    :class:`~repro.model.batch.SnapshotBatch` envelope (the stage is
+    unkeyed, so the exchange hands it over whole) and, at the snapshot
+    trigger, runs the kernel over its columns — grid
     bucketing, the epsilon join and the DBSCAN labeling all happen inside
     the kernel.  The clusters stay arrays through Lemma 3
     (:func:`~repro.enumeration.partition.partition_batch`) and leave as
@@ -182,8 +184,7 @@ class KernelClusterOperator(Operator):
     def __init__(self, kernel, significance: int):
         self.kernel = kernel
         self.significance = significance
-        self._points: list[tuple[int, float, float]] = []
-        self._blocks: list[SnapshotBatch] = []
+        self._batch: SnapshotBatch | None = None
         #: ``(time, members, bounds)`` of the last snapshot's clusters,
         #: until :attr:`last_cluster_snapshot` materialises them.
         self._clusters: tuple | None = None
@@ -191,21 +192,20 @@ class KernelClusterOperator(Operator):
         self.clusters_formed = 0
         self.cluster_size_sum = 0
 
-    def process(
-        self, element: tuple[int, float, float]
-    ) -> Iterable[Any]:
-        """Buffer one raw location until the snapshot trigger."""
-        self._points.append(element)
-        return ()
+    def process(self, element: Any) -> Iterable[Any]:
+        """Refuse a row: snapshots arrive as one columnar envelope."""
+        raise TypeError(
+            "the kernel cluster stage takes one SnapshotBatch per snapshot, "
+            f"not row elements like {element!r}"
+        )
 
     def process_batch(self, batch: SnapshotBatch) -> Iterable[Any]:
-        """Buffer one columnar envelope whole until the snapshot trigger.
+        """Hold the snapshot's envelope until the snapshot trigger.
 
-        The columnar hand-off of the batch data plane: the envelope's
-        columns go to the kernel as arrays at the trigger — no per-point
-        tuples are ever materialised on this path.
+        Its columns go to the kernel as arrays at the trigger — no
+        per-point tuples are ever materialised on this path.
         """
-        self._blocks.append(batch)
+        self._batch = batch
         return ()
 
     def end_batch(self, ctx: Any) -> list[PartitionBatch | PartitionRecord]:
@@ -225,7 +225,10 @@ class KernelClusterOperator(Operator):
         refuses them, as it does for the reference stage's records.
         """
         time = int(ctx)
-        members, bounds = self._cluster_buffered()
+        batch, self._batch = self._batch, None
+        members, bounds = self.kernel.cluster_members(
+            batch.oids, batch.xs, batch.ys
+        )
         if self.kernel.min_pts == 1:
             sizes = np.diff(bounds)
             members = members[np.repeat(sizes >= 2, sizes)]
@@ -275,39 +278,14 @@ class KernelClusterOperator(Operator):
         self.clusters_formed = payload["clusters_formed"]
         self.cluster_size_sum = payload["cluster_size_sum"]
         self._clusters, self._snapshot = None, payload["last_snapshot"]
-        self._points.clear()
-        self._blocks.clear()
+        self._batch = None
 
     def state_metrics(self) -> dict[str, int]:
         """Memory accounting: buffered locations and cluster counts."""
         return {
-            "buffered_points": len(self._points),
-            "buffered_blocks": len(self._blocks),
+            "buffered_points": 0 if self._batch is None else len(self._batch),
             "clusters_formed": self.clusters_formed,
         }
-
-    def _cluster_buffered(self):
-        """Cluster whatever the snapshot buffered: ``(members, bounds)``.
-
-        Envelopes hand their columns to the kernel's ``cluster_members``
-        entry as arrays, with no row boxing; buffered rows (a backend
-        without batch ingest) are split into columns first.  One
-        envelope per snapshot is the normal case — the cluster stage is
-        unkeyed, so the exchange passes the batch whole.
-        """
-        blocks, self._blocks = self._blocks, []
-        points, self._points = self._points, []
-        if len(blocks) == 1 and not points:
-            columns = (blocks[0].oids, blocks[0].xs, blocks[0].ys)
-        else:
-            for block in blocks:
-                points.extend(block.rows())
-            columns = (
-                [oid for oid, _x, _y in points],
-                [x for _oid, x, _y in points],
-                [y for _oid, _x, y in points],
-            )
-        return self.kernel.cluster_members(*columns)
 
 
 class BatchedEnumerateOperator(Operator):

@@ -26,14 +26,9 @@ record-at-a-time plane:
   kernel consumes, so no Python set is built per anchor.  Partition
   envelopes exist only on the numpy kernels' path.
 
-The record and snapshot types also carry a flat *shared-memory codec*
-(``shm_nbytes`` / ``to_shm`` / ``from_shm``): the columns of a batch are
-written contiguously into any writable buffer — a
-``multiprocessing.shared_memory`` segment in production, a plain
-``bytearray`` in tests — and reconstructed on the reader side as
-zero-copy NumPy views over that buffer.  This is the transport the
-``process`` execution backend uses to ship keyed-exchange envelopes
-between worker processes without pickling the column data.
+Every envelope pickles as its NumPy columns, which is how the
+``process`` execution backend ships keyed-exchange buckets to its
+worker processes.
 """
 
 from __future__ import annotations
@@ -69,40 +64,6 @@ def require_finite_record(record: StreamRecord) -> None:
     """
     if not (isfinite(record.x) and isfinite(record.y)):
         raise _non_finite_error(record)
-
-
-def _write_shm_columns(buffer, offset: int, columns) -> int:
-    """Copy int64/float64 columns contiguously into a writable buffer.
-
-    Returns the offset one past the last byte written.  All batch
-    columns are 8-byte dtypes, so keeping ``offset`` 8-aligned keeps
-    every column naturally aligned.
-    """
-    if offset % 8:
-        raise ValueError(f"shm offset must be 8-byte aligned, got {offset}")
-    for column in columns:
-        view = _np.frombuffer(
-            buffer, dtype=column.dtype, count=len(column), offset=offset
-        )
-        view[:] = column
-        offset += column.nbytes
-    return offset
-
-
-def _read_shm_columns(buffer, offset: int, dtypes, count: int):
-    """Zero-copy read of ``count``-row columns written by the writer above.
-
-    The views alias the buffer (nothing is copied) and are marked
-    read-only — batches are immutable by contract, and a reader must
-    never scribble on a shared segment another process owns.
-    """
-    views = []
-    for dtype in dtypes:
-        view = _np.frombuffer(buffer, dtype=dtype, count=count, offset=offset)
-        view.flags.writeable = False
-        views.append(view)
-        offset += view.nbytes
-    return views
 
 
 class RecordBatch:
@@ -287,51 +248,6 @@ class RecordBatch:
         if bad.any():
             raise _non_finite_error(self.record_at(int(bad.argmax())))
 
-    # ------------------------------------------------------ shared-memory codec
-
-    #: Column dtypes in shm layout order (five 8-byte columns per row).
-    _SHM_DTYPES = ("int64", "float64", "float64", "int64", "int64")
-
-    def shm_nbytes(self) -> int:
-        """Bytes :meth:`to_shm` writes: five 8-byte columns per row."""
-        return 8 * len(self._SHM_DTYPES) * len(self)
-
-    def to_shm(self, buffer, offset: int = 0) -> dict:
-        """Write the columns contiguously into a writable buffer.
-
-        Returns the layout descriptor :meth:`from_shm` needs (row count
-        and offset).  The buffer is anything exposing the writable
-        buffer protocol — a ``multiprocessing.shared_memory`` segment's
-        ``buf`` in production, a ``bytearray`` in tests — and must hold
-        at least ``offset + shm_nbytes()`` bytes.
-        """
-        _write_shm_columns(
-            buffer,
-            offset,
-            (self.oids, self.xs, self.ys, self.times, self.last_times),
-        )
-        return {"kind": "record", "n": len(self), "offset": offset}
-
-    @classmethod
-    def from_shm(cls, buffer, meta: dict) -> "RecordBatch":
-        """Rebuild a batch over a buffer written by :meth:`to_shm`.
-
-        The columns are zero-copy read-only NumPy views aliasing the
-        buffer — the reader must keep the underlying segment mapped for
-        as long as the batch (or anything derived from its columns by
-        reference) is alive.
-        """
-        if meta.get("kind") != "record":
-            raise ValueError(f"not a RecordBatch shm descriptor: {meta!r}")
-        columns = _read_shm_columns(
-            buffer,
-            int(meta["offset"]),
-            [_np.dtype(name) for name in cls._SHM_DTYPES],
-            int(meta["n"]),
-        )
-        return cls(*columns)
-
-
 def _dedup_last_wins(oids, xs, ys):
     """Collapse duplicate oids: first-occurrence order, last-wins values.
 
@@ -435,50 +351,6 @@ class SnapshotBatch:
         return SnapshotBatch(
             self.time, self.oids[idx], self.xs[idx], self.ys[idx], _deduped=True
         )
-
-    # ------------------------------------------------------ shared-memory codec
-
-    #: Column dtypes in shm layout order (three 8-byte columns per row).
-    _SHM_DTYPES = ("int64", "float64", "float64")
-
-    def shm_nbytes(self) -> int:
-        """Bytes :meth:`to_shm` writes: three 8-byte columns per row."""
-        return 8 * len(self._SHM_DTYPES) * len(self)
-
-    def to_shm(self, buffer, offset: int = 0) -> dict:
-        """Write ``(oids, xs, ys)`` contiguously into a writable buffer.
-
-        Returns the layout descriptor :meth:`from_shm` needs (snapshot
-        time, row count, offset) — the small picklable token the process
-        backend ships through its command pipe while the column data
-        crosses via the shared segment.
-        """
-        _write_shm_columns(buffer, offset, (self.oids, self.xs, self.ys))
-        return {
-            "kind": "snapshot",
-            "time": self.time,
-            "n": len(self),
-            "offset": offset,
-        }
-
-    @classmethod
-    def from_shm(cls, buffer, meta: dict) -> "SnapshotBatch":
-        """Rebuild a snapshot batch over a buffer written by :meth:`to_shm`.
-
-        Zero-copy: the columns are read-only NumPy views aliasing the
-        buffer, so the reader must keep the segment mapped while the
-        batch is alive.  Oids were distinct when the writer serialized
-        the batch, so the dedup pass is skipped.
-        """
-        if meta.get("kind") != "snapshot":
-            raise ValueError(f"not a SnapshotBatch shm descriptor: {meta!r}")
-        columns = _read_shm_columns(
-            buffer,
-            int(meta["offset"]),
-            [_np.dtype(name) for name in cls._SHM_DTYPES],
-            int(meta["n"]),
-        )
-        return cls(int(meta["time"]), *columns, _deduped=True)
 
     def to_snapshot(self) -> Snapshot:
         """Materialise the object form (tests, object-path interop)."""

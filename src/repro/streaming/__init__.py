@@ -19,7 +19,7 @@ bottom-up:
   :class:`~repro.streaming.runtime.process.ProcessBackend` — with no
   worker pool it is the ``serial`` backend (every stage in the caller,
   deterministic, default), with one the ``process`` backend
-  (shared-nothing worker processes with shared-memory exchanges);
+  (shared-nothing worker processes fed through pickling pipes);
 * :mod:`repro.streaming.cluster` — the N-node cost model turning busy
   times into the latency/throughput metrics of Section 7 (Figs. 10-15);
 * :mod:`repro.streaming.shuffle` — bounded out-of-order delivery

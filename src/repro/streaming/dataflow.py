@@ -150,76 +150,6 @@ def count_elements(elements: Sequence[Any]) -> int:
     return count
 
 
-class ShmEnvelope:
-    """A columnar envelope in transit through a shared-memory segment.
-
-    The picklable *token* a process backend ships through its command
-    pipe in place of a :class:`~repro.model.batch.SnapshotBatch`: the
-    column data already sits in a ``multiprocessing.shared_memory``
-    segment, so only the segment name and the batch's layout descriptor
-    (the ``meta`` dict from :meth:`SnapshotBatch.to_shm`) cross the pipe.
-    The receiver attaches the segment and rebuilds the batch as
-    zero-copy views via :func:`decode_exchange_elements`.
-    """
-
-    __slots__ = ("segment", "meta")
-
-    def __init__(self, segment: str, meta: dict):
-        self.segment = segment
-        self.meta = meta
-
-    def __repr__(self) -> str:
-        return f"ShmEnvelope(segment={self.segment!r}, n={self.meta.get('n')})"
-
-    def __reduce__(self):
-        return (ShmEnvelope, (self.segment, self.meta))
-
-
-def encode_exchange_elements(
-    elements: Sequence[Any],
-    allocate: Callable[[int], tuple[str, Any]],
-) -> list[Any]:
-    """Swap array-backed envelopes in a bucket for shared-memory tokens.
-
-    ``allocate(nbytes)`` returns ``(segment_name, writable_buffer)`` —
-    the process backend passes its segment pool's allocator.  Non-empty
-    :class:`~repro.model.batch.SnapshotBatch` envelopes have their
-    columns written into a fresh segment and travel as
-    :class:`ShmEnvelope` tokens; everything else (plain elements,
-    partition envelopes, empty batches) passes through unchanged and
-    rides the pickle path of whatever pipe carries the bucket.
-    """
-    encoded: list[Any] = []
-    for element in elements:
-        if isinstance(element, SnapshotBatch) and len(element):
-            name, buffer = allocate(element.shm_nbytes())
-            encoded.append(ShmEnvelope(name, element.to_shm(buffer)))
-        else:
-            encoded.append(element)
-    return encoded
-
-
-def decode_exchange_elements(
-    elements: Sequence[Any],
-    attach: Callable[[str], Any],
-) -> list[Any]:
-    """Rebuild batches from the tokens :func:`encode_exchange_elements` made.
-
-    ``attach(segment_name)`` returns the segment's buffer; the batch
-    columns become zero-copy read-only views over it, so the caller must
-    keep the segment mapped until the decoded elements are consumed.
-    """
-    decoded: list[Any] = []
-    for element in elements:
-        if isinstance(element, ShmEnvelope):
-            decoded.append(
-                SnapshotBatch.from_shm(attach(element.segment), element.meta)
-            )
-        else:
-            decoded.append(element)
-    return decoded
-
-
 class PatternColumns:
     """A run of patterns in transit through a reply pipe, as two columns.
 

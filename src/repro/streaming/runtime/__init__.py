@@ -14,9 +14,8 @@ its subtasks execute — one executor,
   the master when it has no worker pool (``serial``), multi-subtask
   stages in shared-nothing worker *processes* rebuilding operator state
   from the :class:`~repro.streaming.runtime.base.GraphSpec` when it has
-  one (``process``), with columnar envelopes shipped through pooled
-  ``multiprocessing.shared_memory`` segments
-  (:mod:`repro.streaming.runtime.shm`).
+  one (``process``), with every element pickled through the worker's
+  command pipe.
 
 Both pool sizes drive stages through the same partition/run-subtask
 operations and concatenate outputs in subtask-index order, so the emitted
@@ -36,13 +35,11 @@ from repro.streaming.runtime.process import (
     available_cpu_count,
     default_worker_count,
 )
-from repro.streaming.runtime.shm import SegmentPool
 
 __all__ = [
     "BACKENDS",
     "GraphSpec",
     "ProcessBackend",
-    "SegmentPool",
     "available_cpu_count",
     "canonical_encode",
     "default_worker_count",

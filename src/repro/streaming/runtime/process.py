@@ -1,5 +1,5 @@
 """The stage executor: the master, plus an optional pool of shared-nothing
-worker processes with shared-memory exchanges.
+worker processes.
 
 :class:`ProcessBackend` is both execution backends.  With no workers
 (``backend="serial"``) every stage runs in the master, one subtask after
@@ -28,15 +28,11 @@ after spawn and keeps its own operator instances.
 
 The keyed exchange stays on the master: elements are bucketed once per
 stage with the shared :meth:`StageRuntime.partition`, and each worker
-receives its subtasks' complete buckets up front.  Non-empty
-:class:`~repro.model.batch.SnapshotBatch` envelopes do not travel
-through the command pipe — their columns are written into pooled
-``multiprocessing.shared_memory`` segments
-(:class:`~repro.streaming.runtime.shm.SegmentPool`) and only a small
-:class:`~repro.streaming.dataflow.ShmEnvelope` token crosses the pipe;
-the worker rebuilds the batch as zero-copy read-only NumPy views over
-the segment.  Everything else (plain elements, partition envelopes,
-empty batches) rides the pipe's pickle path.  On the way back, each run of
+receives its subtasks' complete buckets up front.  Every element
+crosses the command pipe by pickle, as records cross the network
+between task managers in the paper's Flink job; a
+:class:`~repro.model.batch.SnapshotBatch` envelope pickles as its
+NumPy columns.  On the way back, each run of
 patterns in a subtask's outputs travels as one
 :class:`~repro.streaming.dataflow.PatternColumns` token (object tuples
 and time sequences as two lists) and is rebuilt in the master.
@@ -50,8 +46,7 @@ Outputs are concatenated in subtask-index order wherever the subtasks
 ran, so the emitted element sequence — and every detected pattern — is
 identical with and without a pool by construction.  Worker crashes
 surface as a clean :class:`RuntimeError` carrying the exit code;
-:meth:`ProcessBackend.close` drains and joins the pool and unlinks every
-pooled segment.
+:meth:`ProcessBackend.close` drains and joins the pool.
 """
 
 from __future__ import annotations
@@ -60,20 +55,16 @@ import multiprocessing
 import os
 import time as _time
 import traceback
-from multiprocessing import shared_memory
 from typing import Any, Sequence
 
 from repro.streaming.dataflow import (
     StageRuntime,
     StageWork,
     count_elements,
-    decode_exchange_elements,
     decode_pattern_runs,
-    encode_exchange_elements,
     encode_pattern_runs,
 )
 from repro.streaming.runtime.base import GraphSpec
-from repro.streaming.runtime.shm import SegmentPool
 
 #: Seconds to wait for a worker to exit voluntarily on close.
 _JOIN_TIMEOUT = 5.0
@@ -116,49 +107,17 @@ def default_worker_count() -> int:
     return max(4, min(32, available_cpu_count()))
 
 
-def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach to a master-owned segment without adopting ownership.
-
-    On Python 3.13+ ``track=False`` keeps the resource tracker out of
-    it.  Older interpreters register every attach with the resource
-    tracker — harmless *here*, because spawned children share the
-    master's tracker process, its cache is a name set (idempotent
-    re-registration), and the master's eventual ``unlink`` removes the
-    entry exactly once.  Manually unregistering instead would clobber
-    the master's own registration through that shared tracker and
-    produce ``KeyError`` noise at unlink time — so, counter to the
-    usual 3.11 folklore, the attach is left tracked.  Workers only ever
-    read segments; create/unlink stays with the master's pool.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # pragma: no cover - Python < 3.13 signature
-        return shared_memory.SharedMemory(name=name)
-
-
 class _WorkerState:
     """Everything one worker process owns (worker side)."""
 
     def __init__(self, spec: GraphSpec):
         self.runtimes = [StageRuntime(stage) for stage in spec.build()]
-        #: Segments currently attached; close is retried after every
-        #: message until no exported view keeps the mapping alive.
-        self.attached: dict[str, shared_memory.SharedMemory] = {}
-
-    def attach(self, name: str):
-        segment = self.attached.get(name)
-        if segment is None:
-            segment = _attach_segment(name)
-            self.attached[name] = segment
-        return segment.buf
 
     def run(self, stage_index: int, ctx, tasks) -> list[tuple]:
         results = []
         runtime = self.runtimes[stage_index]
         for subtask_index, bucket in tasks:
-            decoded = decode_exchange_elements(bucket, self.attach)
-            outputs, busy = runtime.run_subtask(subtask_index, decoded, ctx)
-            del decoded
+            outputs, busy = runtime.run_subtask(subtask_index, bucket, ctx)
             # The spans this invocation recorded ride the reply as the
             # 4th entry, so master-side telemetry is complete under
             # process isolation.
@@ -182,43 +141,15 @@ class _WorkerState:
             )
         return results
 
-    def sweep_attached(self) -> list[str]:
-        """Detach every segment no live view still aliases.
-
-        Returns the names released — the master returns those segments
-        to its pool for reuse.  A ``BufferError`` means some output
-        element still references the mapping (an operator emitted a view
-        of its input); the segment is kept and the close retried after
-        the next message, and the master retires it instead of reusing
-        it.
-        """
-        released = []
-        for name, segment in list(self.attached.items()):
-            try:
-                segment.close()
-            except BufferError:
-                continue
-            del self.attached[name]
-            released.append(name)
-        return released
-
-    def close(self) -> None:
-        for segment in self.attached.values():
-            try:
-                segment.close()
-            except BufferError:  # pragma: no cover - views at shutdown
-                pass
-        self.attached.clear()
-
 
 def _worker_main(conn, spec: GraphSpec, worker_index: int) -> None:
     """Entry point of one worker process: build the stages, serve the pipe.
 
     Replies ``("ready",)`` after a successful build, then answers ``run``
-    / ``finish`` / ``query`` commands with ``("ok", results,
-    released_segments)`` until a ``close`` command (or a dropped pipe)
-    ends the loop.  Any exception travels back as ``("error",
-    traceback)`` instead of killing the worker.
+    / ``finish`` / ``query`` commands with ``("ok", results)`` until a
+    ``close`` command (or a dropped pipe) ends the loop.  Any exception
+    travels back as ``("error", traceback)`` instead of killing the
+    worker.
     """
     try:
         state = _WorkerState(spec)
@@ -234,7 +165,6 @@ def _worker_main(conn, spec: GraphSpec, worker_index: int) -> None:
             break
         op = message[0]
         if op == "close":
-            state.close()
             conn.send(("closed",))
             break
         try:
@@ -252,7 +182,7 @@ def _worker_main(conn, spec: GraphSpec, worker_index: int) -> None:
         except BaseException:
             conn.send(("error", traceback.format_exc()))
             continue
-        conn.send(("ok", results, state.sweep_attached()))
+        conn.send(("ok", results))
     conn.close()
 
 
@@ -298,9 +228,6 @@ class ProcessBackend:
         self._stage_index = {name: i for i, name in enumerate(names)}
         self._processes: list[multiprocessing.process.BaseProcess] = []
         self._conns: list[Any] = []
-        self._pool = SegmentPool()
-        #: Names of segments handed out during the current unit of work.
-        self._outstanding: list[str] = []
         self._closed = False
         widest = max(
             (stage.parallelism for stage in stages if stage.parallelism > 1),
@@ -352,7 +279,7 @@ class ProcessBackend:
                 )
 
     def close(self) -> None:
-        """Drain and join every worker, unlink every segment (idempotent)."""
+        """Drain and join every worker (idempotent)."""
         self._closed = True
         conns, self._conns = self._conns, []
         processes, self._processes = self._processes, []
@@ -372,7 +299,6 @@ class ProcessBackend:
             if process.is_alive():  # pragma: no cover - wedged worker
                 process.terminate()
                 process.join(timeout=_JOIN_TIMEOUT)
-        self._pool.close()
 
     # ---------------------------------------------------------------- messaging
 
@@ -430,9 +356,9 @@ class ProcessBackend:
         """Send one command to every involved worker, gather the replies.
 
         All sends go out before the first receive so workers overlap.
-        Returns every worker's result entries, in worker order.  The
-        segments the workers released are settled before a worker's
-        failure is raised.
+        Returns every worker's result entries, in worker order.  Every
+        involved worker is heard from before a worker's failure is
+        raised, so no stale reply is left in a pipe.
         """
         involved = [
             worker for worker, tasks in enumerate(per_worker_tasks) if tasks
@@ -440,7 +366,6 @@ class ProcessBackend:
         for worker in involved:
             self._send(worker, build_message(per_worker_tasks[worker]))
         entries: list[tuple] = []
-        released: set[str] = set()
         failure: str | None = None
         for worker in involved:
             reply = self._recv(worker)
@@ -448,8 +373,6 @@ class ProcessBackend:
                 failure = failure or reply[1]
                 continue
             entries.extend(reply[1])
-            released.update(reply[2])
-        self._settle_segments(released)
         if failure is not None:
             raise RuntimeError(
                 f"process-backend worker failed handling {what!r} for "
@@ -495,27 +418,6 @@ class ProcessBackend:
         )
         return outputs, work
 
-    def _settle_segments(self, released: set[str]) -> None:
-        """Recycle or retire every segment handed out this unit of work.
-
-        Segments the workers detached go back to the pool for reuse;
-        segments a worker still maps (an output kept a view alive) are
-        retired — unlinked and never reused — so a lingering reader can
-        never observe a recycled buffer changing under it.
-        """
-        outstanding = set(self._outstanding)
-        for name in self._outstanding:
-            if name in released:
-                self._pool.release(name)
-            else:
-                self._pool.retire(name)
-        # Late releases — segments a worker retained past an earlier unit
-        # whose views have since died — name already-retired segments;
-        # the pool ignores unknown names, so recycling them is safe.
-        for name in released - outstanding:
-            self._pool.release(name)
-        self._outstanding = []
-
     # ---------------------------------------------------------------- execution
 
     def run_stage(
@@ -537,17 +439,10 @@ class ProcessBackend:
         stage_index = self._stage_address(runtime)
         buckets = runtime.partition(elements)
         workers = len(self._conns)
-        self._outstanding = []
-
-        def allocate(nbytes: int):
-            segment = self._pool.acquire(nbytes)
-            self._outstanding.append(segment.name)
-            return segment.name, segment.buf
-
         per_worker_tasks: list[list] = [[] for _ in range(workers)]
         for subtask_index, bucket in enumerate(buckets):
             per_worker_tasks[subtask_index % workers].append(
-                (subtask_index, encode_exchange_elements(bucket, allocate))
+                (subtask_index, bucket)
             )
         return self._dispatch(
             runtime,
@@ -567,7 +462,6 @@ class ProcessBackend:
         started = _time.perf_counter()
         stage_index = self._stage_address(runtime)
         workers = len(self._conns)
-        self._outstanding = []
         parallelism = len(runtime.subtasks)
         return self._dispatch(
             runtime,

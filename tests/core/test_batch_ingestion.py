@@ -207,7 +207,8 @@ class TestBatchSizeKnob:
 @pytest.mark.parametrize("backend", ["serial", "process"])
 def test_columnar_snapshot_enters_the_graph_as_one_envelope(workload, backend):
     """A ``SnapshotBatch`` is one element of the first stage's unit of
-    work on both backends; the object form is per-row elements."""
+    work on both backends; the object form is converted to one, in the
+    same row order."""
     from unittest import mock
 
     import repro.core.icpe as icpe
@@ -234,4 +235,6 @@ def test_columnar_snapshot_enters_the_graph_as_one_envelope(workload, backend):
     finally:
         pipeline.close()
     assert units[0] == [batch]
-    assert len(units[1]) == 3
+    [converted] = units[1]
+    assert isinstance(converted, SnapshotBatch)
+    assert (converted.time, converted.points()) == (2, batch.points())

@@ -1,10 +1,12 @@
-"""The process backend: segment pool, graph specs, worker lifecycle.
+"""The process backend: worker counts, graph specs, worker lifecycle.
 
 End-to-end pattern equality lives in
-``tests/integration/test_backend_equivalence.py``; this module covers the
-mechanics — the shared-memory segment pool, the picklable
-:class:`GraphSpec` contract, the exchange envelope codec, and the
-explicit worker lifecycle (spawn at construction, crash surfacing,
+``tests/integration/test_backend_equivalence.py``, and the pickle
+round trip of the envelopes that cross the command pipe in
+``tests/model/test_batch_pickle.py``; this module covers the mechanics
+— pool sizing, the picklable :class:`GraphSpec` contract, the pickle
+transport and reply shape of the worker protocol, and the explicit
+worker lifecycle (spawn at construction, crash surfacing, clean and
 idempotent close).
 """
 
@@ -17,18 +19,10 @@ from repro.core.config import ICPEConfig
 from repro.core.icpe import ICPEPipeline, icpe_stages
 from repro.model.batch import SnapshotBatch
 from repro.model.constraints import PatternConstraints
-from repro.streaming.dataflow import (
-    KeyedStage,
-    Operator,
-    ShmEnvelope,
-    StageRuntime,
-    decode_exchange_elements,
-    encode_exchange_elements,
-)
+from repro.streaming.dataflow import KeyedStage, Operator, StageRuntime
 from repro.streaming.runtime import (
     GraphSpec,
     ProcessBackend,
-    SegmentPool,
     available_cpu_count,
     default_worker_count,
     execute_unit,
@@ -73,98 +67,6 @@ class TestWorkerCount:
         assert default_worker_count() == 4  # floor keeps stall overlap
 
 
-class TestSegmentPool:
-    def test_acquire_release_reuses_segment(self):
-        pool = SegmentPool()
-        try:
-            first = pool.acquire(100)
-            name = first.name
-            pool.release(name)
-            second = pool.acquire(200)  # same 4096-byte size class
-            assert second.name == name
-            assert len(pool) == 1
-        finally:
-            pool.close()
-
-    def test_size_classes_are_powers_of_two(self):
-        pool = SegmentPool()
-        try:
-            small = pool.acquire(1)
-            big = pool.acquire(5000)
-            assert small.size >= 4096
-            assert big.size >= 8192
-        finally:
-            pool.close()
-
-    def test_retire_removes_from_pool(self):
-        pool = SegmentPool()
-        try:
-            segment = pool.acquire(64)
-            name = segment.name
-            pool.release(name)
-            pool.retire(name)
-            assert len(pool) == 0
-            replacement = pool.acquire(64)
-            assert replacement.name != name
-        finally:
-            pool.close()
-
-    def test_release_unknown_name_is_ignored(self):
-        pool = SegmentPool()
-        try:
-            pool.release("psm_not_ours")
-            pool.retire("psm_not_ours")
-        finally:
-            pool.close()
-
-    def test_close_is_idempotent_and_final(self):
-        pool = SegmentPool()
-        pool.acquire(64)
-        pool.close()
-        pool.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            pool.acquire(64)
-
-
-class TestExchangeCodec:
-    def allocator(self):
-        buffers = {}
-
-        def allocate(nbytes):
-            name = f"seg-{len(buffers)}"
-            buffers[name] = bytearray(max(nbytes, 8))
-            return name, buffers[name]
-
-        return allocate, buffers
-
-    def test_array_batches_become_envelopes(self):
-        allocate, buffers = self.allocator()
-        batch = SnapshotBatch.from_rows(4, [1, 2], [0.0, 1.0], [2.0, 3.0])
-        encoded = encode_exchange_elements(["plain", batch], allocate)
-        assert encoded[0] == "plain"
-        assert isinstance(encoded[1], ShmEnvelope)
-        decoded = decode_exchange_elements(encoded, buffers.__getitem__)
-        assert decoded[0] == "plain"
-        assert decoded[1].points() == batch.points()
-        assert decoded[1].time == batch.time
-
-    def test_empty_batch_takes_pickle_path(self):
-        allocate, buffers = self.allocator()
-        batch = SnapshotBatch.from_rows(4, [], [], [])
-        encoded = encode_exchange_elements([batch], allocate)
-        assert encoded[0] is batch
-        assert not buffers
-
-    def test_envelope_pickles_compactly(self):
-        import pickle
-
-        envelope = ShmEnvelope("psm_x", {"kind": "snapshot", "n": 3})
-        clone = pickle.loads(pickle.dumps(envelope))
-        assert clone.segment == "psm_x"
-        assert clone.meta == envelope.meta
-        assert "psm_x" in repr(clone)
-
-
 def _names(stages):
     return [stage.name for stage in stages]
 
@@ -206,11 +108,173 @@ class _Echo(Operator):
         return [element]
 
 
+def _describe_builder(parallelism=2):
+    return [
+        KeyedStage(
+            "describe",
+            _Describe,
+            parallelism,
+            key_fn=lambda element: element[0],
+        )
+    ]
+
+
+class _Describe(Operator):
+    """Reports what reached it, in the worker, as plain tuples."""
+
+    def open(self, subtask_index, parallelism):
+        self.index = subtask_index
+
+    def process(self, element):
+        return [("row", self.index, element)]
+
+    def process_batch(self, batch):
+        return [
+            ("batch", self.index, type(batch).__name__, batch.time, batch.points())
+        ]
+
+    def end_batch(self, ctx):
+        return [("tick", self.index, ctx)]
+
+    def finish(self):
+        return [("done", self.index)]
+
+    def whoami(self):
+        return self.index
+
+
+def _run_on_both(elements, ctx, parallelism=2):
+    """Run one unit through a 2-worker pool and through the master alone;
+    returns both output lists."""
+    spec = GraphSpec(_describe_builder, (parallelism,))
+    outputs = []
+    for workers in (2, 0):
+        [stage] = spec.build()
+        runtime = StageRuntime(stage)
+        with ProcessBackend(spec, workers) as backend:
+            assert len(backend._processes) == workers
+            out, _ = backend.run_stage(runtime, elements, ctx)
+        outputs.append(out)
+    return outputs
+
+
+class TestPickleTransport:
+    """Every element a worker receives is pickled through its command
+    pipe and arrives as it was sent."""
+
+    def test_plain_elements_cross_unchanged(self):
+        elements = [(1, "a"), (2, 2.5), (3, None), (4, ("x", 1))]
+        in_workers, in_master = _run_on_both(elements, 0)
+        assert in_workers == in_master
+        rows = [out[2] for out in in_workers if out[0] == "row"]
+        assert sorted(rows) == elements
+
+    def test_snapshot_batch_arrives_as_sub_envelopes(self):
+        batch = SnapshotBatch.from_rows(
+            6, list(range(10)), [float(i) for i in range(10)], [1.0] * 10
+        )
+        in_workers, in_master = _run_on_both([batch], 6)
+        assert in_workers == in_master
+        envelopes = [out for out in in_workers if out[0] == "batch"]
+        assert len(envelopes) == 2  # ten oids reach both subtasks
+        assert {out[2] for out in envelopes} == {"SnapshotBatch"}
+        assert {out[3] for out in envelopes} == {6}
+        arrived = [point for out in envelopes for point in out[4]]
+        assert sorted(arrived) == batch.points()
+
+    def test_mixed_unit_keeps_per_subtask_order(self):
+        batch = SnapshotBatch.from_rows(2, [5, 6, 7], [0.0, 1.0, 2.0], [0.0] * 3)
+        elements = [(5, "before"), batch, (6, "after"), (7, "last")]
+        in_workers, in_master = _run_on_both(elements, 2)
+        assert in_workers == in_master
+
+    def test_ctx_crosses_the_pipe_to_every_subtask(self):
+        """``end_batch(ctx)`` runs on every subtask, including one that
+        received no element, with the ``ctx`` the master sent."""
+        ctx = (7, "snapshot")
+        in_workers, in_master = _run_on_both([], ctx, parallelism=3)
+        assert in_workers == in_master
+        assert in_workers == [("tick", index, ctx) for index in range(3)]
+
+    def test_finish_outputs_come_back_in_subtask_order(self):
+        """Three subtasks on two workers: worker 0 owns subtasks 0 and
+        2, yet the outputs are merged in subtask-index order."""
+        spec = GraphSpec(_describe_builder, (3,))
+        with ProcessBackend(spec, 2) as backend:
+            [stage] = spec.build()
+            outputs, work = backend.finish_stage(StageRuntime(stage))
+        assert outputs == [("done", 0), ("done", 1), ("done", 2)]
+        assert work.elements_out == 3
+
+    def test_query_answers_merge_in_subtask_order(self):
+        spec = GraphSpec(_describe_builder, (3,))
+        with ProcessBackend(spec, 2) as backend:
+            [stage] = spec.build()
+            runtime = StageRuntime(stage)
+            assert backend.query(runtime, "whoami") == [(0, 0), (1, 1), (2, 2)]
+            assert backend.query(runtime, "whoami", [None, (), None]) == [
+                (1, 1)
+            ]
+
+    def test_worker_reply_is_status_and_results(self):
+        """A worker answers a command with ``("ok", results)``: the
+        results and nothing else travel back."""
+        spec = GraphSpec(_describe_builder, (2,))
+        with ProcessBackend(spec, 2) as backend:
+            conn = backend._conns[1]
+            conn.send(("query", 0, "whoami", [(1, ())]))
+            assert conn.recv() == ("ok", [(1, 1)])
+
+    def test_unknown_command_is_an_error_reply_and_the_worker_lives_on(self):
+        spec = GraphSpec(_describe_builder, (2,))
+        with ProcessBackend(spec, 2) as backend:
+            conn = backend._conns[0]
+            conn.send(("bogus",))
+            status, message = conn.recv()
+            assert status == "error"
+            assert "unknown worker command 'bogus'" in message
+            [stage] = spec.build()
+            assert backend.query(StageRuntime(stage), "whoami") == [
+                (0, 0),
+                (1, 1),
+            ]
+
+    def test_no_shared_memory_segment_is_created(self, monkeypatch):
+        """Snapshots reach the workers' allocate subtasks as pickled
+        ``SnapshotBatch`` sub-envelopes: the master opens no
+        shared-memory segment, and none is left behind."""
+        from multiprocessing import shared_memory
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a shared-memory segment was opened")
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
+        shm_dir = "/dev/shm"
+        listing = os.listdir(shm_dir) if os.path.isdir(shm_dir) else []
+        before = {name for name in listing if name.startswith("psm_")}
+        pipeline = ICPEPipeline(process_config())
+        try:
+            assert len(pipeline.runtimes[0].subtasks) == 2
+            for time in range(1, 6):
+                pipeline.process_snapshot(
+                    SnapshotBatch.from_rows(
+                        time,
+                        list(range(8)),
+                        [float(i) for i in range(8)],
+                        [0.0] * 8,
+                    )
+                )
+        finally:
+            pipeline.close()
+        listing = os.listdir(shm_dir) if os.path.isdir(shm_dir) else []
+        assert {name for name in listing if name.startswith("psm_")} <= before
+
+
 class TestResourceTrackerHygiene:
     def test_shutdown_leaves_no_tracker_warnings(self, tmp_path):
-        """Worker shutdown must be leak-free: no ``resource_tracker``
-        noise (leaked shared_memory warnings, KeyError tracebacks) on
-        stderr after a full session run plus close."""
+        """Worker shutdown must be clean: no ``resource_tracker`` noise
+        (leak warnings, KeyError tracebacks) on stderr after a full
+        session run plus close."""
         import subprocess
         import sys
 
@@ -351,27 +415,3 @@ class TestProcessBackendLifecycle:
         assert result.returncode != 0
         assert "exited before it was ready (exit code 1)" in result.stderr
         assert 'if __name__ == "__main__":' in result.stderr, result.stderr
-
-    def test_segments_are_recycled_across_snapshots(self):
-        pipeline = ICPEPipeline(process_config())
-        try:
-            backend = pipeline.backend
-
-            def snapshot(time):
-                return SnapshotBatch.from_rows(
-                    time,
-                    list(range(8)),
-                    [float(i) for i in range(8)],
-                    [0.0] * 8,
-                )
-
-            pipeline.process_snapshot(snapshot(1))
-            steady = len(backend._pool)
-            assert steady >= 1  # the envelope really crossed via shm
-            for time in range(2, 6):
-                pipeline.process_snapshot(snapshot(time))
-            # Steady state: identical snapshots reuse the first unit's
-            # segments instead of growing the pool per snapshot.
-            assert len(backend._pool) == steady
-        finally:
-            pipeline.close()

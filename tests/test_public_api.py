@@ -83,7 +83,7 @@ class TestSurfaceLock:
             assert getattr(repro, name) is not None, name
 
     def test_version(self):
-        assert repro.__version__ == "6.0.0"
+        assert repro.__version__ == "7.0.0"
 
 
 class TestLazyMachinery:
@@ -119,6 +119,17 @@ class TestLazyMachinery:
         for name in ("SessionBuilder", "CoMovementDetector"):
             assert not hasattr(repro, name), name
             assert name not in dir(repro), name
+        # The command pipe is the one transport to workers since 7.0.0.
+        import repro.streaming.dataflow as dataflow
+        import repro.streaming.runtime as runtime
+
+        assert not hasattr(runtime, "SegmentPool")
+        for name in ("ShmEnvelope", "encode_exchange_elements",
+                     "decode_exchange_elements"):
+            assert not hasattr(dataflow, name), name
+        for cls in (repro.RecordBatch, repro.SnapshotBatch):
+            for name in ("shm_nbytes", "to_shm", "from_shm"):
+                assert not hasattr(cls, name), (cls, name)
 
     def test_unknown_attribute_raises(self):
         with_importerror = None
