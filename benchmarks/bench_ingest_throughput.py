@@ -36,6 +36,7 @@ import pytest
 from repro.bench.report import format_table, write_report
 from repro.core.config import ICPEConfig
 from repro.data.taxi import TaxiConfig, generate_taxi
+from repro.model.batch import SnapshotBatch
 from repro.model.constraints import PatternConstraints
 from repro.session import Session
 from tests.streaming.reference_sync import _ChainWalkSync
@@ -43,6 +44,17 @@ from tests.streaming.reference_sync import _ChainWalkSync
 BATCH_SIZE = 2048
 ROUNDS = 3
 _results: list[dict] = []
+
+
+class _SessionChainWalk(_ChainWalkSync):
+    """The chain walk behind the session's sync contract: every call
+    returns :class:`SnapshotBatch` envelopes, as the array operator's do."""
+
+    def feed(self, record):
+        return [SnapshotBatch.from_snapshot(s) for s in super().feed(record)]
+
+    def flush(self):
+        return super().flush(columnar=True)
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +91,7 @@ def _run_per_point(dataset, sinks=(), chain_walk=False):
     session = Session(_config(dataset), sinks=sinks)
     if chain_walk:
         # The yardstick: same session, reference time synchronisation.
-        session._sync = _ChainWalkSync(
+        session._sync = _SessionChainWalk(
             session.config.max_delay, session.config.trajectory_ttl
         )
     started = time.perf_counter()

@@ -60,7 +60,7 @@ def main() -> None:
         cell_width=8.0,     # GR-index grid cell width (lg)
         min_pts=3,          # DBSCAN density
         constraints=constraints,
-        enumerator="fba",   # any registered enumerator plugin
+        enumerator="fba",   # "baseline", "fba" or "vba"
     ) as session:
         for record in make_stream():
             for event in session.feed(record):

@@ -27,13 +27,16 @@ pack records into a :class:`~repro.model.batch.RecordBatch` (or let
                 print(event)
 
 Every strategy axis — clustering kernel, enumeration kernel,
-enumerator, shed policy, pattern family — is a plugin on
-:func:`repro.registry.default_registry`; third-party packages register
-via the ``repro.plugins`` entry-point group.  The execution backend is
-``serial`` or ``process``: one executor with or without a worker pool.
-:func:`open_session` builds every session.
+enumerator, shed policy, pattern family — is a closed set of names in
+the package that owns it (``repro.kernels.KERNELS``,
+``repro.enumeration.kernels.ENUMERATION_KERNELS``,
+``repro.enumeration.ENUMERATORS``, ``repro.shedding.SHED_POLICIES``,
+``repro.patterns.PATTERN_FAMILIES``), selected by name on
+``ICPEConfig``.  The execution backend is ``serial`` or ``process``:
+one executor with or without a worker pool.  :func:`open_session`
+builds every session.
 
-See ``docs/API.md`` for the session lifecycle and the plugin contract,
+See ``docs/API.md`` for the session lifecycle and the strategy table,
 ``docs/ARCHITECTURE.md`` for the system inventory and
 ``docs/PAPER_MAP.md`` for the paper-to-code map.
 """
@@ -53,10 +56,10 @@ from repro.model import (
     Trajectory,
 )
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
-#: Names resolved lazily by ``__getattr__`` (heavyweight core / session /
-#: registry machinery), mapped to their home modules.
+#: Names resolved lazily by ``__getattr__`` (heavyweight core / session
+#: machinery), mapped to their home modules.
 _LAZY_EXPORTS = {
     "ICPEConfig": "repro.core.config",
     "ICPEPipeline": "repro.core.icpe",
@@ -75,10 +78,6 @@ _LAZY_EXPORTS = {
     "SessionResult": "repro.session",
     "WatermarkAdvanced": "repro.session",
     "open_session": "repro.session",
-    "PluginCapabilities": "repro.registry",
-    "PluginRegistry": "repro.registry",
-    "PluginSpec": "repro.registry",
-    "default_registry": "repro.registry",
     "NoShedPolicy": "repro.shedding",
     "PatternAwareShedPolicy": "repro.shedding",
     "RandomShedPolicy": "repro.shedding",

@@ -31,9 +31,14 @@ from repro.data.dataset import TrajectoryDataset
 from repro.enumeration.base import PatternCollector
 from repro.enumeration.baseline import BAEnumerator, PartitionTooLargeError
 from repro.enumeration.fba import FBAEnumerator
+from repro.enumeration.kernels import (
+    ENUMERATION_KERNELS,
+    make_enumeration_kernel,
+)
 from repro.enumeration.partition import PartitionRouter
 from repro.enumeration.vba import VBAEnumerator
 from repro.geometry.distance import l1_distance
+from repro.kernels import KERNELS
 from repro.model.batch import SnapshotBatch
 from repro.model.constraints import PatternConstraints
 from repro.model.pattern import CoMovementPattern
@@ -52,26 +57,6 @@ CLUSTERING_METHODS = ("RJC", "SRJ", "GDC")
 ENUMERATORS = ("B", "F", "V")
 
 _ENUM_NAME = {"B": "baseline", "F": "fba", "V": "vba"}
-
-
-def registered_strategy_names(
-    kind: str, reference: str | None = None
-) -> tuple[str, ...]:
-    """Sweepable plugin names of one strategy axis, reference first.
-
-    Reads the plugin registry (so entry-point plugins join sweeps
-    automatically) and moves ``reference`` — the row speedups are
-    measured against — to the front when present.  The kernel
-    comparison runners use this as their default instead of hardcoded
-    name lists.
-    """
-    from repro.registry import default_registry
-
-    names = list(default_registry().names(kind))
-    if reference is not None and reference in names:
-        names.remove(reference)
-        names.insert(0, reference)
-    return tuple(names)
 
 
 # --------------------------------------------------------------------- points
@@ -525,18 +510,15 @@ def run_kernel_clustering_comparison(
 ) -> list[KernelPoint]:
     """Clustering-only kernel sweep over a Fig. 10-style workload.
 
-    ``kernels=None`` sweeps every registered, available clustering
-    kernel (the ``python`` reference first).  Runs the RJC clustering
-    phase snapshot by snapshot under each kernel strategy and measures
-    wall-clock time.  Raises :class:`RuntimeError` if any two kernels
+    ``kernels=None`` sweeps every clustering kernel (the ``python``
+    reference first).  Runs the RJC clustering phase snapshot by
+    snapshot under each kernel strategy and measures wall-clock time.  Raises :class:`RuntimeError` if any two kernels
     disagree on any snapshot's cluster set — identical clusters are part
     of the kernel contract, and a speedup over a different answer would
     be meaningless.
     """
     if kernels is None:
-        kernels = registered_strategy_names(
-            "clustering_kernel", reference="python"
-        )
+        kernels = tuple(KERNELS)
     _require_python_reference(kernels)
     epsilon = dataset.resolve_percentage(epsilon_pct)
     cell_width = dataset.resolve_percentage(grid_pct)
@@ -632,16 +614,14 @@ def run_kernel_comparison(
 ) -> list[KernelPoint]:
     """Full-pipeline kernel sweep: measured wall clock + pattern equality.
 
-    ``kernels=None`` sweeps every registered, available clustering
-    kernel (reference first).  Runs the complete ICPE detection pipeline
-    (whatever backend ``config`` selects) once per kernel strategy.
+    ``kernels=None`` sweeps every clustering kernel (reference first).
+    Runs the complete ICPE detection pipeline (whatever backend
+    ``config`` selects) once per kernel strategy.
     Raises :class:`RuntimeError` if any two kernels disagree on the
     detected pattern set.
     """
     if kernels is None:
-        kernels = registered_strategy_names(
-            "clustering_kernel", reference="python"
-        )
+        kernels = tuple(KERNELS)
     return _run_pipeline_kernel_sweep(
         dataset, config, kernels, "clustering_kernel", "kernel"
     )
@@ -657,16 +637,14 @@ def run_enum_kernel_comparison(
 ) -> list[KernelPoint]:
     """Full-pipeline enumeration-kernel sweep: wall clock + equality.
 
-    ``kernels=None`` sweeps every registered, available enumeration
-    kernel (reference first).  Runs the complete ICPE detection pipeline
-    (whatever backend and clustering kernel ``config`` selects) once per
-    enumeration-kernel strategy.  Raises :class:`RuntimeError` if any
+    ``kernels=None`` sweeps every enumeration kernel (reference first).
+    Runs the complete ICPE detection pipeline (whatever backend and
+    clustering kernel ``config`` selects) once per enumeration-kernel
+    strategy.  Raises :class:`RuntimeError` if any
     two kernels disagree on the detected pattern set.
     """
     if kernels is None:
-        kernels = registered_strategy_names(
-            "enumeration_kernel", reference="python"
-        )
+        kernels = tuple(ENUMERATION_KERNELS)
     return _run_pipeline_kernel_sweep(
         dataset,
         config,
@@ -685,20 +663,16 @@ def run_enum_kernel_enumeration_comparison(
 ) -> list[KernelPoint]:
     """Enumeration-only kernel sweep over a pre-clustered stream.
 
-    ``kernels=None`` sweeps every registered, available enumeration
-    kernel (reference first).  The enumeration-phase counterpart of
+    ``kernels=None`` sweeps every enumeration kernel (reference
+    first).  The enumeration-phase counterpart of
     :func:`run_kernel_clustering_comparison`: clustering is taken out of
     the measurement (Section 7.3's methodology) and each kernel strategy
     hosts the whole anchor population in a single subtask — the regime a
     batched kernel is built for.  Raises :class:`RuntimeError` if any two
     kernels disagree on the detected pattern set.
     """
-    from repro.enumeration.kernels import make_enumeration_kernel
-
     if kernels is None:
-        kernels = registered_strategy_names(
-            "enumeration_kernel", reference="python"
-        )
+        kernels = tuple(ENUMERATION_KERNELS)
     _require_python_reference(kernels)
     measured: list[tuple[str, float, int]] = []
     signatures: dict[str, frozenset] = {}

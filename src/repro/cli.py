@@ -8,16 +8,14 @@ Usage::
     python -m repro.cli detect --input /tmp/brinkhoff.csv \
         --epsilon-pct 0.06 --grid-pct 1.6 --min-pts 5 \
         --m 5 --k 10 --l 2 --g 2 --enumerator fba --maximal-only
-    python -m repro.cli plugins
 
 Strategy flags (``--enumerator`` / ``--kernel`` / ``--enum-kernel`` /
 ``--shed-policy`` / ``--pattern-family``) take their choice lists from
-the plugin registry, so third-party plugins registered via the
-``repro.plugins`` entry-point group appear automatically; ``plugins``
-lists every registered strategy with its capabilities.  ``--backend``
-is ``serial`` or ``process`` (not a plugin axis).  ``detect --output json`` streams the session's
-typed pattern events as JSON lines (the :class:`~repro.session.sinks.
-JsonlSink` format) instead of the human listing.
+the name dict of the package that owns each axis, as ``--backend``
+takes ``serial`` or ``process`` from ``BACKENDS``.  ``detect --output
+json`` streams the session's typed pattern events as JSON lines (the
+:class:`~repro.session.sinks.JsonlSink` format) instead of the human
+listing.
 """
 
 from __future__ import annotations
@@ -29,15 +27,19 @@ from dataclasses import replace
 from typing import Sequence
 
 from repro.bench.report import format_table
-from repro.core.config import ICPEConfig
+from repro.core.config import ICPEConfig, check_strategies
 from repro.data.brinkhoff import BrinkhoffConfig, generate_brinkhoff
 from repro.data.dataset import TrajectoryDataset
 from repro.data.geolife import GeoLifeConfig, generate_geolife
 from repro.data.taxi import TaxiConfig, generate_taxi
+from repro.enumeration import ENUMERATORS
+from repro.enumeration.kernels import ENUMERATION_KERNELS
+from repro.kernels import KERNELS
 from repro.model.constraints import PatternConstraints
 from repro.observability import ObservabilityOptions
-from repro.registry import PLUGIN_KINDS, PluginError, default_registry
+from repro.patterns import PATTERN_FAMILIES
 from repro.session import JsonlSink, Session
+from repro.shedding import SHED_POLICIES
 from repro.state import Checkpoint, CheckpointError
 from repro.streaming.runtime import BACKENDS
 
@@ -49,13 +51,7 @@ GENERATORS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Construct the argparse parser with the four subcommands.
-
-    The strategy flags' ``choices`` are generated from the plugin
-    registry rather than hardcoded, so every registered plugin —
-    built-in or entry-point discovered — is selectable.
-    """
-    registry = default_registry()
+    """Construct the argparse parser with the three subcommands."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="ICPE: co-movement pattern detection on streaming trajectories",
@@ -73,14 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats = commands.add_parser("stats", help="print Table-2 style statistics")
     stats.add_argument("--input", required=True, help="CSV from `generate`")
 
-    plugins = commands.add_parser(
-        "plugins", help="list registered strategy plugins and capabilities"
-    )
-    plugins.add_argument(
-        "--kind", choices=PLUGIN_KINDS, default=None,
-        help="restrict the listing to one strategy axis",
-    )
-
     detect = commands.add_parser("detect", help="run pattern detection")
     detect.add_argument("--input", required=True, help="CSV from `generate`")
     detect.add_argument("--epsilon-pct", type=float, default=0.06,
@@ -93,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--l", type=int, default=2)
     detect.add_argument("--g", type=int, default=2)
     detect.add_argument(
-        "--enumerator", choices=registry.names("enumerator"), default="fba"
+        "--enumerator", choices=list(ENUMERATORS), default="fba"
     )
     detect.add_argument(
         "--backend", choices=BACKENDS, default="serial",
@@ -104,21 +92,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker-pool size for --backend process",
     )
     detect.add_argument(
-        "--kernel", choices=registry.names("clustering_kernel"),
-        default="python",
+        "--kernel", choices=list(KERNELS), default="python",
         help="snapshot-clustering kernel: reference object path or "
              "vectorized NumPy arrays (identical results)",
     )
     detect.add_argument(
-        "--enum-kernel", choices=registry.names("enumeration_kernel"),
-        default="python",
+        "--enum-kernel", choices=list(ENUMERATION_KERNELS), default="python",
         help="pattern-enumeration kernel: reference per-anchor state "
              "machines or batched NumPy membership bitmaps (identical "
              "results; requires --enumerator fba or vba)",
     )
     detect.add_argument(
-        "--shed-policy", choices=registry.names("shed_policy"),
-        default="none",
+        "--shed-policy", choices=list(SHED_POLICIES), default="none",
         help="load-shedding policy under overload: none (default), "
              "random Bernoulli drops, or pattern_aware (protects "
              "records inside live partial matches)",
@@ -134,8 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
              "per-snapshot latency (requires --shed-policy != none)",
     )
     detect.add_argument(
-        "--pattern-family", choices=registry.names("pattern_family"),
-        default="strict",
+        "--pattern-family", choices=list(PATTERN_FAMILIES), default="strict",
         help="pattern family: strict (the paper's exact semantics), "
              "evolving (θ-continuous groups, GroupEvolved events) or "
              "predictive (online confirmation-probability scoring, "
@@ -243,42 +227,21 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_plugins(args: argparse.Namespace) -> int:
-    """``plugins``: list every registered strategy with capabilities."""
-    registry = default_registry()
-    kinds = (args.kind,) if args.kind else registry.kinds()
-    rows = []
-    for kind in kinds:
-        for spec in registry.specs(kind):
-            rows.append(
-                {
-                    "kind": spec.kind,
-                    "name": spec.name,
-                    "source": spec.source,
-                    "capabilities": spec.capabilities.summary_markers(),
-                    "summary": spec.summary,
-                }
-            )
-    print(format_table(rows, title="Registered plugins"))
-    return 0
-
-
 def _selection_error(args: argparse.Namespace) -> str | None:
-    """One-line reason the requested plugin selection cannot run, if any.
+    """One-line reason the requested strategy selection cannot run, if any.
 
     Unknown names are already rejected by argparse ``choices``; this
-    covers the capability layer — invalid cross-axis combinations, from
-    the declarative registry check.
+    covers the invalid cross-axis pairs, before the CSV is loaded.
     """
     try:
-        default_registry().validate_selection(
+        check_strategies(
             enumerator=args.enumerator,
             clustering_kernel=args.kernel,
             enumeration_kernel=args.enum_kernel,
             shed_policy=args.shed_policy,
             pattern_family=args.pattern_family,
         )
-    except PluginError as error:
+    except ValueError as error:
         return str(error)
     return None
 
@@ -444,7 +407,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     handlers = {
         "generate": cmd_generate,
         "stats": cmd_stats,
-        "plugins": cmd_plugins,
         "detect": cmd_detect,
     }
     return handlers[args.command](args)

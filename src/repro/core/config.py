@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from repro.cluster.rjc import ClusteringConfig
 from repro.index.rtree import MIN_MAX_ENTRIES
 from repro.model.constraints import PatternConstraints
-from repro.registry import default_registry
 from repro.streaming.cluster import ClusterModel
 from repro.streaming.runtime.base import BACKENDS
 
@@ -33,14 +32,17 @@ class ICPEConfig:
         query_parallelism: subtasks of the GridQuery stage (cells are
             hashed onto these, Flink key-group style).
         enumerate_parallelism: subtasks of the enumeration stage (anchor
-            trajectories hashed onto these).  For all three, ``None``
-            (the default) follows the backend: one subtask on
-            ``serial``, one per worker on ``process`` — physical
-            fan-out matches the hardware that runs it.
-            Explicit ints fix the topology, for sweeps and ablations
-            (the Fig. 14 node sweep passes the paper's 8/16/16).  The
-            results are identical at every fan-out, and a checkpoint
-            restores into any other.
+            trajectories hashed onto these).  ``None`` (the default)
+            means one ``allocate`` and one ``query`` subtask, and an
+            ``enumerate`` fan-out that follows the backend: one subtask
+            on ``serial``, one per worker on ``process``.  (Splitting
+            the python kernel's range join across workers ships every
+            snapshot's points twice through the pool and halved its
+            throughput; enumeration state is what grows with the
+            anchors.)  Explicit ints fix the topology, for sweeps and
+            ablations (the Fig. 14 node sweep passes the paper's
+            8/16/16).  The results are identical at every fan-out, and
+            a checkpoint restores into any other.
         rtree_fanout: local R-tree node capacity.
         lemma1 / lemma2 / local_index: ablation switches (paper: on/rtree).
         max_delay: bounded-delay guarantee for time synchronisation.
@@ -58,7 +60,7 @@ class ICPEConfig:
             (every stage in this process, deterministic, default) or
             ``"process"`` (a pool of shared-nothing worker processes fed
             through pickling pipes; identical results, no GIL
-            contention between subtasks).  Not a plugin axis.
+            contention between subtasks).
         parallel_workers: worker-pool size cap for the process backend
             (``None`` = one worker per usable core, at least 4); the
             pool spawns no more workers than its widest multi-subtask
@@ -117,11 +119,9 @@ class ICPEConfig:
             are not emitted (0.0 emits every reachable candidate).
 
     Every strategy field (``enumerator``, ``clustering_kernel``,
-    ``enumeration_kernel``, ``shed_policy``, ``pattern_family``) accepts
-    any name registered on the plugin registry — built-ins or third-party plugins
-    discovered via the ``repro.plugins`` entry-point group — and invalid
-    cross-axis combinations are rejected declaratively from the
-    registered capability metadata.  :func:`repro.session.open_session`
+    ``enumeration_kernel``, ``shed_policy``, ``pattern_family``) takes a
+    name of its axis, and :func:`check_strategies` rejects unknown names
+    and invalid cross-axis pairs.  :func:`repro.session.open_session`
     builds a streaming session over this configuration.
     """
 
@@ -220,16 +220,12 @@ class ICPEConfig:
                 "prediction_min_probability must be in [0, 1]: "
                 f"{self.prediction_min_probability}"
             )
-        # Strategy names and their cross-axis combinations are validated
-        # against the plugin registry: unknown names and invalid
-        # capability pairs (e.g. a bitmap-batching enumeration kernel
-        # with a non-bitmap enumerator) raise ValueError subclasses.
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {self.backend!r}; "
                 f"choose from {list(BACKENDS)}"
             )
-        default_registry().validate_selection(
+        check_strategies(
             clustering_kernel=self.clustering_kernel,
             enumeration_kernel=self.enumeration_kernel,
             enumerator=self.enumerator,
@@ -249,4 +245,60 @@ class ICPEConfig:
             lemma2=self.lemma2,
             local_index=self.local_index,
             kernel=self.clustering_kernel,
+        )
+
+
+def check_strategies(
+    *,
+    clustering_kernel: str,
+    enumeration_kernel: str,
+    enumerator: str,
+    shed_policy: str,
+    pattern_family: str,
+) -> None:
+    """Reject an unknown strategy name or an invalid cross-axis pair.
+
+    Each axis is the name dict of the package that owns it.  Two pairs
+    cannot run: the ``"numpy"`` enumeration kernel batches membership
+    bit strings, which the ``"baseline"`` enumerator does not keep, and
+    the ``"predictive"`` family scores the forming state (open FBA
+    windows, unclosed VBA bit strings) that ``"baseline"`` does not
+    have.  (The third rule, the ``"numpy"`` clustering kernel with
+    non-default ablation switches, is checked by
+    :func:`~repro.kernels.make_kernel`.)
+
+    Raises:
+        ValueError: naming the first unknown name with its axis'
+            choices, or the invalid pair.
+    """
+    # Imported here: the pattern families import the session's event
+    # types, and the session imports this module.
+    from repro.enumeration import ENUMERATORS
+    from repro.enumeration.kernels import BITMAP_ENUMERATORS, ENUMERATION_KERNELS
+    from repro.kernels import KERNELS
+    from repro.patterns import PATTERN_FAMILIES
+    from repro.shedding import SHED_POLICIES
+
+    for axis, names, name in (
+        ("clustering kernel", KERNELS, clustering_kernel),
+        ("enumeration kernel", ENUMERATION_KERNELS, enumeration_kernel),
+        ("enumerator", ENUMERATORS, enumerator),
+        ("shed policy", SHED_POLICIES, shed_policy),
+        ("pattern family", PATTERN_FAMILIES, pattern_family),
+    ):
+        if name not in names:
+            raise ValueError(
+                f"unknown {axis} {name!r}; choose from {list(names)}"
+            )
+    if enumeration_kernel == "numpy" and enumerator not in BITMAP_ENUMERATORS:
+        raise ValueError(
+            "the 'numpy' enumeration kernel batches membership bit "
+            f"strings; enumerator {enumerator!r} has no bitmap form — use "
+            "enumeration_kernel='python'"
+        )
+    if pattern_family == "predictive" and enumerator == "baseline":
+        raise ValueError(
+            "pattern family 'predictive' scores live partial matches and "
+            "requires a forming-state enumerator; enumerator 'baseline' "
+            "exposes none — use enumerator='fba' or 'vba'"
         )

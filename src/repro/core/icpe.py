@@ -48,7 +48,7 @@ from repro.streaming.runtime import (
     execute_unit,
 )
 
-#: Stage-parallelism fields whose ``None`` means "follow the backend".
+#: Stage-parallelism fields; :func:`resolve_fan_out` turns their ``None``.
 FAN_OUT_FIELDS = (
     "allocate_parallelism",
     "query_parallelism",
@@ -150,8 +150,9 @@ def describe_clustering_stages(
 def describe_enumeration_stage(config: ICPEConfig) -> KeyedStage:
     """The enumeration phase (PED) of the ICPE job graph.
 
-    Every subtask runs the configured enumeration kernel, as the registry
-    builds it, behind one
+    Every subtask runs the configured enumeration kernel, as
+    :func:`~repro.enumeration.kernels.make_enumeration_kernel` builds
+    it, behind one
     :class:`~repro.core.operators.BatchedEnumerateOperator`: the default
     ``python`` kernel hosts one BA / FBA / VBA state machine per anchor,
     the ``numpy`` kernel packs every hosted anchor's membership bit
@@ -178,15 +179,18 @@ def describe_enumeration_stage(config: ICPEConfig) -> KeyedStage:
 
 
 def resolve_fan_out(config: ICPEConfig, workers: int) -> ICPEConfig:
-    """``config`` with every ``None`` stage parallelism set to ``workers``.
+    """``config`` with every ``None`` stage parallelism made a number.
 
     The one place a "follow the backend" fan-out becomes a number: the
-    pipeline passes its pool size (at least 1), so the serial backend
-    runs one subtask per stage and a pool of N workers runs N.
-    Explicit ints pass through untouched.
+    pipeline passes its pool size (at least 1).  A ``None`` enumerate
+    fan-out follows it — one subtask on the serial backend, N on a pool
+    of N workers — while a ``None`` allocate or query fan-out is 1, so
+    the python kernel's range join stays in the master instead of
+    shipping every snapshot's points through the pool twice.  Explicit
+    ints pass through untouched.
     """
     unresolved = {
-        name: workers
+        name: workers if name == "enumerate_parallelism" else 1
         for name in FAN_OUT_FIELDS
         if getattr(config, name) is None
     }

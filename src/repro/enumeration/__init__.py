@@ -15,6 +15,8 @@ the CP(M, K, L, G) patterns anchored at ``o``:
   Lemma 7), and Lemma 8 pruning; each snapshot verified once, trading
   latency for throughput.
 
+:data:`ENUMERATORS` names the three (``baseline`` / ``fba`` / ``vba``)
+for ``ICPEConfig(enumerator=...)`` and the CLI's ``--enumerator``.
 ``repro.enumeration.oracle`` provides the exhaustive reference enumerator
 used by the test-suite to prove all three agree.
 
@@ -35,8 +37,50 @@ from repro.enumeration.fba import FBAEnumerator
 from repro.enumeration.oracle import enumerate_all_patterns
 from repro.enumeration.partition import PartitionRouter, id_partitions
 from repro.enumeration.vba import VBAEnumerator
+from repro.model.constraints import PatternConstraints
+
+
+def _baseline(
+    anchor: int,
+    constraints: PatternConstraints,
+    *,
+    ba_max_partition_size: int = 20,
+    vba_candidate_retention: int | None = None,
+) -> BAEnumerator:
+    return BAEnumerator(
+        anchor, constraints, max_partition_size=ba_max_partition_size
+    )
+
+
+def _fba(
+    anchor: int,
+    constraints: PatternConstraints,
+    *,
+    ba_max_partition_size: int = 20,
+    vba_candidate_retention: int | None = None,
+) -> FBAEnumerator:
+    return FBAEnumerator(anchor, constraints)
+
+
+def _vba(
+    anchor: int,
+    constraints: PatternConstraints,
+    *,
+    ba_max_partition_size: int = 20,
+    vba_candidate_retention: int | None = None,
+) -> VBAEnumerator:
+    return VBAEnumerator(
+        anchor, constraints, candidate_retention=vba_candidate_retention
+    )
+
+
+#: The enumerator axis: name -> per-anchor factory ``factory(anchor,
+#: constraints, *, ba_max_partition_size, vba_candidate_retention)``;
+#: each enumerator reads the one knob that applies to it.
+ENUMERATORS = {"baseline": _baseline, "fba": _fba, "vba": _vba}
 
 __all__ = [
+    "ENUMERATORS",
     "AnchorEnumerator",
     "BAEnumerator",
     "FBAEnumerator",

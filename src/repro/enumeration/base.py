@@ -67,8 +67,8 @@ class AnchorEnumerator(ABC):
         many further snapshots the container can still absorb (``-1``
         when unbounded).  Machines without forming state (the baseline's
         materialised subsets carry no per-candidate bit strings) report
-        nothing; the registry's ``provides_forming_state`` capability
-        tells the predictive family which enumerators do.
+        nothing, which is why :func:`~repro.core.config.check_strategies`
+        rejects the predictive family with ``"baseline"``.
         """
         return ()
 

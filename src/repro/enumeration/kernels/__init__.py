@@ -3,7 +3,8 @@
 The enumeration phase (id-based partitions -> bit strings -> candidate
 screening -> combination growth) has interchangeable implementation
 strategies behind one contract
-(:class:`~repro.enumeration.kernels.base.EnumerationKernel`):
+(:class:`~repro.enumeration.kernels.base.EnumerationKernel`), named in
+:data:`ENUMERATION_KERNELS`:
 
 * ``"python"`` — the reference per-anchor state machines (BA / FBA /
   VBA), driven exactly like the classic enumerate operator; the default.
@@ -33,7 +34,41 @@ from repro.enumeration.kernels.python_ref import (
 )
 from repro.model.constraints import PatternConstraints
 
-ENUMERATION_KERNELS = ("python", "numpy")
+
+def _python_kernel(
+    *,
+    enumerator: str,
+    constraints: PatternConstraints,
+    ba_max_partition_size: int = 20,
+    vba_candidate_retention: int | None = None,
+) -> PythonEnumerationKernel:
+    return PythonEnumerationKernel(
+        anchor_enumerator_factory(
+            enumerator,
+            constraints,
+            ba_max_partition_size=ba_max_partition_size,
+            vba_candidate_retention=vba_candidate_retention,
+        )
+    )
+
+
+def _numpy_kernel(
+    *,
+    enumerator: str,
+    constraints: PatternConstraints,
+    ba_max_partition_size: int = 20,
+    vba_candidate_retention: int | None = None,
+) -> NumpyEnumerationKernel:
+    return NumpyEnumerationKernel(
+        enumerator,
+        constraints,
+        vba_candidate_retention=vba_candidate_retention,
+    )
+
+
+#: The enumeration-kernel axis: name -> factory taking
+#: :func:`make_enumeration_kernel`'s keyword parameters.
+ENUMERATION_KERNELS = {"python": _python_kernel, "numpy": _numpy_kernel}
 
 __all__ = [
     "BITMAP_ENUMERATORS",
@@ -58,28 +93,21 @@ def make_enumeration_kernel(
 
     The reference kernel hosts any enumerator; the vectorized kernel
     batches membership bit strings and therefore supports only the
-    bit-compression enumerators (``fba`` / ``vba``) — combining it with
-    ``"baseline"`` is rejected rather than silently downgraded.
-
-    Resolution goes through the plugin registry (kinds
-    ``"enumeration_kernel"`` and ``"enumerator"``): the kernel/enumerator
-    combination is validated declaratively from the registered
-    capability metadata (``requires_bitmap_enumeration`` vs
-    ``provides_bitmap_enumeration``) before construction, and
-    third-party kernels registered via the ``repro.plugins`` entry-point
-    group are constructible here without any change to this package.
+    bit-compression enumerators (``fba`` / ``vba``) — its constructor
+    rejects ``"baseline"`` rather than silently downgrading.
 
     Raises:
         ValueError: for an unknown kernel name, an unknown enumerator,
             or a vectorized kernel combined with an enumerator that has
             no bitmap form.
     """
-    from repro.registry import default_registry
-
-    selection = default_registry().validate_selection(
-        enumeration_kernel=name, enumerator=enumerator
-    )
-    return selection["enumeration_kernel"].create(
+    factory = ENUMERATION_KERNELS.get(name)
+    if factory is None:
+        raise ValueError(
+            f"unknown enumeration kernel {name!r}; "
+            f"choose from {list(ENUMERATION_KERNELS)}"
+        )
+    return factory(
         enumerator=enumerator,
         constraints=constraints,
         ba_max_partition_size=ba_max_partition_size,

@@ -54,7 +54,7 @@ class EnumerationKernel(ABC):
     """One pattern-enumeration strategy for a whole enumerate subtask.
 
     Attributes:
-        name: registry name of the strategy (``"python"``, ``"numpy"``).
+        name: the strategy's name (``"python"``, ``"numpy"``).
     """
 
     name: str = "abstract"

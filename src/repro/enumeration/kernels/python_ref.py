@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
+from repro.enumeration import ENUMERATORS
 from repro.enumeration.base import AnchorEnumerator
 from repro.enumeration.kernels.base import EnumerationKernel, Partitions
 from repro.model.batch import PartitionBatch
@@ -31,15 +32,18 @@ def anchor_enumerator_factory(
 
     The single construction point for per-anchor enumerator instances,
     shared by the reference enumeration kernel and the bench harness.
-    Names resolve through the plugin registry (kind ``"enumerator"``),
-    so third-party enumerators registered via the ``repro.plugins``
-    entry-point group are hosted by the reference enumeration path
-    without any change here.
-    """
-    from repro.registry import default_registry
 
-    spec = default_registry().get("enumerator", enumerator)
-    return lambda anchor: spec.create(
+    Raises:
+        ValueError: for a name not in
+            :data:`~repro.enumeration.ENUMERATORS`.
+    """
+    factory = ENUMERATORS.get(enumerator)
+    if factory is None:
+        raise ValueError(
+            f"unknown enumerator {enumerator!r}; "
+            f"choose from {list(ENUMERATORS)}"
+        )
+    return lambda anchor: factory(
         anchor,
         constraints,
         ba_max_partition_size=ba_max_partition_size,

@@ -2,7 +2,8 @@
 
 The clustering phase (grid bucketing + epsilon-range join + DBSCAN) has
 interchangeable implementation strategies behind one contract
-(:class:`~repro.kernels.base.ClusteringKernel`):
+(:class:`~repro.kernels.base.ClusteringKernel`), named in
+:data:`KERNELS`:
 
 * ``"python"`` — the reference object walk (GR-index join, honours every
   ablation switch); the default.
@@ -14,13 +15,6 @@ verification + the canonical border rule), so the choice is purely a
 performance strategy — selectable via ``ICPEConfig(clustering_kernel=...)``
 or the CLI's ``--kernel`` flag, and composable with either execution
 backend.
-
-Since the plugin-registry redesign, :func:`make_kernel` resolves names
-through :func:`repro.registry.default_registry` (kind
-``"clustering_kernel"``), so third-party kernels registered via the
-``repro.plugins`` entry-point group are constructible here without any
-change to this package; :data:`KERNELS` keeps naming the built-in
-strategies.
 """
 
 from __future__ import annotations
@@ -32,7 +26,19 @@ from repro.kernels.base import ClusteringKernel
 from repro.kernels.numpy_kernel import NumpyKernel
 from repro.kernels.python_ref import PythonKernel
 
-KERNELS = ("python", "numpy")
+
+def _numpy_kernel(
+    *, epsilon: float, min_pts: int, metric_name: str = "l1", **_object_path
+) -> NumpyKernel:
+    """The vectorized kernel: it has no object walk (no replication, no
+    local trees, its own epsilon-derived bucket width), so ``cell_width``
+    and the ablation switches do not reach it."""
+    return NumpyKernel(epsilon=epsilon, min_pts=min_pts, metric_name=metric_name)
+
+
+#: The clustering-kernel axis: name -> factory taking
+#: :func:`make_kernel`'s keyword parameters.
+KERNELS = {"python": PythonKernel, "numpy": _numpy_kernel}
 
 #: Ablation-switch defaults, read from their canonical declaration
 #: (:class:`~repro.join.range_join.RangeJoinConfig`) so the "is this a
@@ -66,35 +72,31 @@ def make_kernel(
 ) -> ClusteringKernel:
     """Build the named kernel from the clustering-phase parameters.
 
-    Resolution goes through the plugin registry (kind
-    ``"clustering_kernel"``), so the name may be a built-in or any
-    third-party kernel registered via the ``repro.plugins`` entry-point
-    group.  The reference kernel consumes every parameter; vectorized
-    kernels have no object path (no replication, no local trees, their
-    own bucket width), so combining them with a non-default ablation
+    The reference kernel consumes every parameter; the vectorized kernel
+    has no object path, so combining it with a non-default ablation
     switch is rejected rather than silently ignored — an ablation sweep
     must run the reference kernel to measure anything.  ``cell_width``
     cannot be rejected the same way (every caller passes it), but it
-    likewise has no effect on vectorized kernels: they derive their
+    likewise has no effect on the vectorized kernel: it derives its
     bucket width from epsilon (see ``NumpyKernel.bucket_width``), so
-    grid-width sweeps (Fig. 11) only measure kernels whose registered
-    capabilities include ``supports_ablation``.
+    grid-width sweeps (Fig. 11) only measure the ``"python"`` kernel.
 
     Raises:
-        ValueError: for an unknown kernel name, or a kernel whose
-            registered capabilities lack ``supports_ablation`` combined
-            with non-default ablation switches.
+        ValueError: for an unknown kernel name, or the ``"numpy"``
+            kernel combined with non-default ablation switches.
     """
-    from repro.registry import default_registry
-
-    spec = default_registry().get("clustering_kernel", name)
+    factory = KERNELS.get(name)
+    if factory is None:
+        raise ValueError(
+            f"unknown clustering kernel {name!r}; choose from {list(KERNELS)}"
+        )
     ablation = dict(
         lemma1=lemma1,
         lemma2=lemma2,
         local_index=local_index,
         rtree_fanout=rtree_fanout,
     )
-    if not spec.capabilities.supports_ablation:
+    if name == "numpy":
         non_default = [
             f"{switch}={value!r}"
             for switch, value in ablation.items()
@@ -102,12 +104,11 @@ def make_kernel(
         ]
         if non_default:
             raise ValueError(
-                "ablation switches only affect kernels whose registered "
-                f"capabilities include supports_ablation; the {name!r} "
-                f"kernel would ignore {', '.join(non_default)} — run "
-                "ablations with clustering_kernel='python'"
+                "ablation switches only affect the object path; the "
+                f"'numpy' kernel would ignore {', '.join(non_default)} — "
+                "run ablations with clustering_kernel='python'"
             )
-    return spec.create(
+    return factory(
         epsilon=epsilon,
         min_pts=min_pts,
         cell_width=cell_width,

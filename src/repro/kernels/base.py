@@ -45,7 +45,7 @@ class ClusteringKernel(ABC):
     """One snapshot-clustering strategy (points -> pairs -> clusters).
 
     Attributes:
-        name: registry name of the strategy (``"python"``, ``"numpy"``).
+        name: the strategy's name (``"python"``, ``"numpy"``).
         epsilon: the join / DBSCAN distance threshold.
         min_pts: the DBSCAN density threshold.
         last_join_stats: work counters of the most recent snapshot

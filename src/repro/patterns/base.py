@@ -1,4 +1,4 @@
-"""The pattern-family contract: session components behind a registry axis.
+"""The pattern-family contract: session components behind a strategy axis.
 
 A :class:`PatternFamily` is a *master-side* component the session hosts
 next to the convoy tracker: after each snapshot is fully processed it
@@ -86,7 +86,7 @@ class StrictFamily(PatternFamily):
     """The default family: the paper's semantics, no extra events.
 
     Exists so the ``pattern_family`` axis is total — selecting
-    ``"strict"`` constructs a real (inert) plugin — while the session
+    ``"strict"`` constructs a real (inert) family — while the session
     skips hosting it entirely for zero per-snapshot overhead.
     """
 

@@ -3,7 +3,7 @@
 :class:`Session` is the public front door of the framework.  It owns
 the "last time" synchronisation operator and the ICPE pipeline (built
 from an :class:`~repro.core.config.ICPEConfig`, so the backend and
-every registered plugin axis — clustering kernel, enumeration kernel,
+every strategy axis — clustering kernel, enumeration kernel,
 enumerator, shed policy, pattern family — are selectable), optionally a live
 :class:`~repro.core.live.ConvoyTracker` and a
 :class:`~repro.patterns.PatternFamily` (evolving-group detection or
@@ -35,7 +35,6 @@ from repro.model.batch import (
 )
 from repro.model.pattern import CoMovementPattern
 from repro.model.records import StreamRecord
-from repro.registry import default_registry
 from repro.session.events import (
     ConvoyDelta,
     PatternEvent,
@@ -57,7 +56,7 @@ from repro.observability import (
     SessionTelemetry,
     resolve_options,
 )
-from repro.shedding import ShedPolicy, SLOController
+from repro.shedding import SHED_POLICIES, ShedPolicy, SLOController
 from repro.shedding.controller import DEFAULT_WINDOW as _SLO_WINDOW
 from repro.streaming.metrics import LatencyThroughputMeter
 from repro.streaming.sync import TimeSyncOperator
@@ -79,9 +78,9 @@ class SessionResult:
         throughput_tps: cost-model snapshots per second.
         events: emitted-event counts per event kind.
         backend: execution backend name (``serial`` / ``process``).
-        clustering_kernel: clustering-kernel plugin name.
-        enumeration_kernel: enumeration-kernel plugin name.
-        enumerator: enumerator plugin name.
+        clustering_kernel: clustering-kernel name.
+        enumeration_kernel: enumeration-kernel name.
+        enumerator: enumerator name.
         state_memory: per-component memory accounting — one entry per
             live component (pipeline stages, sync operator, collector,
             meter, convoy tracker) mapping its retained-object counters,
@@ -189,24 +188,23 @@ class Session:
         # The default "strict" family is the paper's exact semantics and
         # needs no extra machinery at all — the session hosts a family
         # component only for the relaxed/predictive axes.
-        self._patterns = (
-            default_registry().create(
-                "pattern_family",
-                config.pattern_family,
+        self._patterns = None
+        if config.pattern_family != "strict":
+            # Imported here: the families import this package's events.
+            from repro.patterns import PATTERN_FAMILIES
+
+            self._patterns = PATTERN_FAMILIES[config.pattern_family](
                 config.constraints,
                 theta=config.evolving_theta,
                 min_probability=config.prediction_min_probability,
             )
-            if config.pattern_family != "strict"
-            else None
-        )
         self._sinks: list[PatternSink] = []
         self._event_counts: dict[str, int] = {}
         self._records_ingested = 0
         self._records_shed = 0
         self._records_protected = 0
-        self._shed_policy: ShedPolicy = default_registry().create(
-            "shed_policy", config.shed_policy, config.shed_seed
+        self._shed_policy: ShedPolicy = SHED_POLICIES[config.shed_policy](
+            config.shed_seed
         )
         self._controller = SLOController(
             target_p99_ms=config.target_p99_ms,
@@ -315,7 +313,7 @@ class Session:
         self._records_ingested += 1
         events: list[PatternEvent] = []
         for snapshot in self._sync.feed(record):
-            events.extend(self._process(SnapshotBatch.from_snapshot(snapshot)))
+            events.extend(self._process(snapshot))
         emitted = self._emit(events)
         self._maybe_auto_checkpoint()
         return emitted
@@ -400,7 +398,7 @@ class Session:
             return []
         self._check_open()
         events: list[PatternEvent] = []
-        for snapshot in self._sync.flush(columnar=True):
+        for snapshot in self._sync.flush():
             events.extend(self._process(snapshot))
         flush_patterns = self.pipeline.finish()
         flush_time = self._last_time()

@@ -6,8 +6,8 @@ At production ingest rates the pipeline cannot assume compute keeps up
 gracefully:
 
 * :class:`~repro.shedding.policy.ShedPolicy` — the per-batch drop
-  contract, with three built-ins registered on the plugin registry
-  under the ``shed_policy`` kind: ``none`` (default, zero overhead),
+  contract, with three policies named in :data:`SHED_POLICIES`:
+  ``none`` (default, zero overhead),
   ``random`` (uniform Bernoulli drops, the classical baseline) and
   ``pattern_aware`` (consults live enumeration state and only drops
   *cold* records — objects appearing in no open FBA window or unclosed
@@ -29,7 +29,16 @@ from repro.shedding.policy import (
     ShedPolicy,
 )
 
+#: The shed-policy axis: name -> ``factory(seed)``; the seed drives the
+#: policy's drop RNG (the stateless ``none`` policy ignores it).
+SHED_POLICIES = {
+    "none": lambda seed: NoShedPolicy(),
+    "random": RandomShedPolicy,
+    "pattern_aware": PatternAwareShedPolicy,
+}
+
 __all__ = [
+    "SHED_POLICIES",
     "NoShedPolicy",
     "PatternAwareShedPolicy",
     "RandomShedPolicy",

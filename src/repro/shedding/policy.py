@@ -25,7 +25,7 @@ from collections.abc import Sequence
 
 
 class ShedPolicy(ABC):
-    """Per-batch drop-selection contract (plugin kind ``shed_policy``).
+    """Per-batch drop-selection contract (the ``shed_policy`` axis).
 
     Subclasses set :attr:`name` and implement :meth:`select_drops`.
     Policies that consult the enumeration stage's protected set declare

@@ -195,8 +195,8 @@ class ProcessBackend:
     multi-subtask stage, capped at ``workers``; a stage with more
     subtasks than workers gives each worker several.  A stage with one
     subtask runs in the master either way, so with ``workers=1``
-    (``parallel_workers=1``) and the fan-out following the backend,
-    every stage has one subtask and no worker is spawned.
+    (``parallel_workers=1``) and the default fan-out, every stage has
+    one subtask and no worker is spawned.
 
     The pool is spawned here, at construction — spawning interpreters is
     the expensive part, and steady-state ``run_stage`` calls never pay

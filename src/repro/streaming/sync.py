@@ -49,10 +49,10 @@ order.  The array pass reproduces it with one more stable sort of the
 released rows on ``(time, first position)``.  A re-reported ``(oid,
 time)`` keeps the first row's position and the last row's coordinates.
 
-``feed`` returns materialised :class:`~repro.model.snapshot.Snapshot`
-objects (the historical contract), ``feed_batch`` columnar
-:class:`~repro.model.batch.SnapshotBatch` envelopes.  Feeding the same
-records through either, in any batching, yields the identical snapshot
+``feed``, ``feed_batch`` and ``flush`` all return columnar
+:class:`~repro.model.batch.SnapshotBatch` envelopes (``to_snapshot()``
+gives the object form).  Feeding the same records through either
+ingest call, in any batching, yields the identical snapshot
 contents; deferring emission to the batch boundary can only move an
 emission to a later call (released pending records always carry times
 strictly above any snapshot already emittable).  Checkpoints use one
@@ -67,7 +67,6 @@ import numpy as _np
 
 from repro.model.batch import NO_LAST_TIME, RecordBatch, SnapshotBatch
 from repro.model.records import StreamRecord
-from repro.model.snapshot import Snapshot
 
 #: A pending record row: ``(time, seq, oid, x, y, last_time-or-None)``.
 _Row = tuple
@@ -127,7 +126,7 @@ class TimeSyncOperator:
 
     # ------------------------------------------------------------------ ingest
 
-    def feed(self, record: StreamRecord) -> list[Snapshot]:
+    def feed(self, record: StreamRecord) -> list[SnapshotBatch]:
         """Accept one record; return any snapshots that became complete."""
         last = record.last_time
         self._feed_row(
@@ -137,16 +136,15 @@ class TimeSyncOperator:
             float(record.y),
             NO_LAST_TIME if last is None else last,
         )
-        return self._emit_ready(columnar=False)
+        return self._emit_ready()
 
     def feed_batch(self, batch: RecordBatch) -> list[SnapshotBatch]:
         """Accept a whole columnar batch; return completed snapshots.
 
         Every chain the batch touches advances once and the watermark is
         evaluated once at the batch boundary — equivalent to feeding
-        every record through :meth:`feed` in order, except that
-        snapshots are returned in columnar :class:`SnapshotBatch` form
-        and a bounded-delay violation *inside* one batch (a record
+        every record through :meth:`feed` in order, except that a
+        bounded-delay violation *inside* one batch (a record
         arriving after its own batch made its snapshot emittable) is
         absorbed into the still-pending snapshot instead of raising
         mid-batch.
@@ -167,7 +165,7 @@ class TimeSyncOperator:
                 float(batch.ys[0]),
                 int(batch.last_times[0]),
             )
-            return self._emit_ready(columnar=True)
+            return self._emit_ready()
         times = batch.times
         self._check_not_stale(int(times.min()))
         lasts = batch.last_times
@@ -178,17 +176,13 @@ class TimeSyncOperator:
             )
         self._advance(batch.oids, times, batch.xs, batch.ys, lasts)
         self._saw(int(times.max()))
-        return self._emit_ready(columnar=True)
+        return self._emit_ready()
 
-    def flush(self, *, columnar: bool = False) -> list:
+    def flush(self) -> list[SnapshotBatch]:
         """End of stream: release everything and emit remaining snapshots.
 
         Chains blocked on a predecessor that never arrived indicate data
         loss; releasing in time order is the best-effort semantics.
-        Returns :class:`~repro.model.snapshot.Snapshot` objects, or
-        :class:`SnapshotBatch` envelopes with ``columnar=True`` (what
-        ``Session.finish`` asks for, so the tail of a stream takes the
-        same columnar route as the rest of it).
         """
         oids, times, xs, ys, _lasts = self._pool
         if len(oids):
@@ -201,7 +195,7 @@ class TimeSyncOperator:
             )
             self._released[chain[last_of_chain]] = times[last_of_chain]
             self._set_pool(*_empty_pool())
-        return self._emit_through(None, columnar)
+        return self._emit_through(None)
 
     def watermark_lag(self) -> int:
         """Event-time distance between ingest frontier and emission.
@@ -384,7 +378,7 @@ class TimeSyncOperator:
 
     # ------------------------------------------------------------------ emit
 
-    def _emit_ready(self, columnar: bool) -> list:
+    def _emit_ready(self) -> list[SnapshotBatch]:
         if self._max_seen is None:
             return []
         watermark = self._max_seen - self.max_delay - 1
@@ -392,22 +386,21 @@ class TimeSyncOperator:
             watermark = self._blocked_at - 1
         if self.trajectory_ttl is not None:
             self._evict_idle_chains(watermark)
-        return self._emit_through(watermark, columnar)
+        return self._emit_through(watermark)
 
-    def _emit_through(self, watermark: int | None, columnar: bool) -> list:
+    def _emit_through(self, watermark: int | None) -> list[SnapshotBatch]:
         """Emit building snapshots up to ``watermark`` (``None``: all)."""
         ready = sorted(
             t for t in self._building if watermark is None or t <= watermark
         )
-        out: list = []
+        out: list[SnapshotBatch] = []
         for t in ready:
             chunks = self._building.pop(t)
             oids, xs, ys = (
                 _np.concatenate(column) if len(column) > 1 else column[0]
                 for column in zip(*chunks)
             )
-            snapshot = SnapshotBatch(t, oids, xs, ys)
-            out.append(snapshot if columnar else snapshot.to_snapshot())
+            out.append(SnapshotBatch(t, oids, xs, ys))
         if ready:
             self._emitted_up_to = ready[-1]
         return out

@@ -3,6 +3,11 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.enumeration import ENUMERATORS
+from repro.enumeration.kernels import ENUMERATION_KERNELS
+from repro.kernels import KERNELS
+from repro.patterns import PATTERN_FAMILIES
+from repro.shedding import SHED_POLICIES
 
 
 @pytest.fixture()
@@ -66,51 +71,27 @@ class TestStats:
         assert "epsilon at 0.06%" in output
 
 
-class TestPlugins:
-    def test_lists_every_axis(self, capsys):
-        assert main(["plugins"]) == 0
-        output = capsys.readouterr().out
-        kinds = (
-            "clustering_kernel", "enumeration_kernel", "enumerator",
-            "shed_policy", "pattern_family",
-        )
-        for kind in kinds:
-            assert kind in output
-        for name in ("fba", "vba", "baseline", "pattern_aware"):
-            assert name in output
-        assert "backend" not in output
-
-    def test_kind_filter(self, capsys):
-        assert main(["plugins", "--kind", "shed_policy"]) == 0
-        output = capsys.readouterr().out
-        assert "pattern_aware" in output
-        assert "enumeration_kernel" not in output
-
-    def test_backend_is_not_a_plugin_kind(self, capsys):
+class TestStrategyChoices:
+    @pytest.mark.parametrize(
+        "flag, names",
+        [
+            ("--kernel", KERNELS),
+            ("--enum-kernel", ENUMERATION_KERNELS),
+            ("--enumerator", ENUMERATORS),
+            ("--shed-policy", SHED_POLICIES),
+            ("--pattern-family", PATTERN_FAMILIES),
+        ],
+    )
+    def test_help_lists_the_axis_names_in_order(self, flag, names, capsys):
         with pytest.raises(SystemExit):
-            main(["plugins", "--kind", "backend"])
-        assert "invalid choice: 'backend'" in capsys.readouterr().err
+            main(["detect", "--help"])
+        listed = "{" + ",".join(names) + "}"
+        assert f"{flag} {listed}" in capsys.readouterr().out
 
-    def test_capability_markers_shown(self, capsys):
-        main(["plugins", "--kind", "enumeration_kernel"])
-        output = capsys.readouterr().out
-        assert "needs-bitmap" in output
-
-    def test_pattern_family_axis_listed(self, capsys):
-        assert main(["plugins", "--kind", "pattern_family"]) == 0
-        output = capsys.readouterr().out
-        for name in ("strict", "evolving", "predictive"):
-            assert name in output
-        assert "predicts-patterns" in output
-
-    def test_forming_state_marker_on_enumerators(self, capsys):
-        main(["plugins", "--kind", "enumerator"])
-        output = capsys.readouterr().out
-        assert "forming-state" in output
-
-    def test_unknown_kind_rejected(self):
+    def test_no_plugins_command(self, capsys):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["plugins", "--kind", "sink"])
+            main(["plugins"])
+        assert "invalid choice: 'plugins'" in capsys.readouterr().err
 
 
 class TestDetect:

@@ -52,6 +52,47 @@ class TestValidation:
         assert config.backend == "serial"
         assert config.parallel_workers is None
 
+    @pytest.mark.parametrize(
+        "field, axis, choices",
+        [
+            ("clustering_kernel", "clustering kernel", ["python", "numpy"]),
+            ("enumeration_kernel", "enumeration kernel", ["python", "numpy"]),
+            ("enumerator", "enumerator", ["baseline", "fba", "vba"]),
+            ("shed_policy", "shed policy", ["none", "random", "pattern_aware"]),
+            (
+                "pattern_family",
+                "pattern family",
+                ["strict", "evolving", "predictive"],
+            ),
+        ],
+    )
+    def test_unknown_strategy_name_lists_its_axis(self, field, axis, choices):
+        with pytest.raises(ValueError) as excinfo:
+            make(**{field: "nope"})
+        assert str(excinfo.value) == (
+            f"unknown {axis} 'nope'; choose from {choices}"
+        )
+
+    @pytest.mark.parametrize(
+        "overrides, reason",
+        [
+            (
+                dict(enumeration_kernel="numpy", enumerator="baseline"),
+                "no bitmap form",
+            ),
+            (
+                dict(pattern_family="predictive", enumerator="baseline"),
+                "forming-state enumerator",
+            ),
+        ],
+    )
+    def test_invalid_strategy_pair(self, overrides, reason):
+        with pytest.raises(ValueError, match=reason) as excinfo:
+            make(**overrides)
+        assert "\n" not in str(excinfo.value)
+        for enumerator in ("fba", "vba"):
+            make(**{**overrides, "enumerator": enumerator})
+
 
 class TestDerivedConfigs:
     def test_clustering_config_propagates(self):

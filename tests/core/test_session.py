@@ -332,6 +332,32 @@ class TestOpenSession:
         ) as session:
             assert session.config.parallel_workers == 2
 
+    @pytest.mark.parametrize("enumerator", ["baseline", "fba", "vba"])
+    def test_strategies_are_built_by_name(self, enumerator):
+        """Each shed policy and pattern family is built from its name
+        with the config's knobs; ``evolving`` runs with any enumerator,
+        ``predictive`` with the forming-state ones."""
+        from repro.patterns import EvolvingGroupTracker, PredictiveFamily
+
+        config = make_config(enumerator=enumerator)
+        for policy in ("none", "random", "pattern_aware"):
+            with open_session(config, shed_policy=policy) as session:
+                assert session.shed_policy.name == policy
+                assert session.pattern_family is None
+        with open_session(
+            config, pattern_family="evolving", evolving_theta=0.7
+        ) as session:
+            assert isinstance(session.pattern_family, EvolvingGroupTracker)
+            assert session.pattern_family.theta == 0.7
+        if enumerator != "baseline":
+            with open_session(
+                config,
+                pattern_family="predictive",
+                prediction_min_probability=0.4,
+            ) as session:
+                assert isinstance(session.pattern_family, PredictiveFamily)
+                assert session.pattern_family.min_probability == 0.4
+
     def test_invalid_plugin_fails_at_open(self):
         with pytest.raises(ValueError, match="unknown backend"):
             open_session(make_config(), backend="quantum")

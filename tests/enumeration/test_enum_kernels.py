@@ -75,7 +75,7 @@ def run_kernel(kernel_name, enumerator, snaps, constraints, retention=None):
 
 class TestMakeEnumerationKernel:
     def test_registry(self):
-        assert ENUMERATION_KERNELS == ("python", "numpy")
+        assert tuple(ENUMERATION_KERNELS) == ("python", "numpy")
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="unknown enumeration kernel"):

@@ -81,7 +81,7 @@ def test_baseline_with_numpy_enum_kernel_rejected(base_config):
 
 
 def test_unknown_enum_kernel_rejected(base_config):
-    with pytest.raises(ValueError, match="enumeration_kernel"):
+    with pytest.raises(ValueError, match="unknown enumeration kernel 'cuda'"):
         replace(base_config, enumeration_kernel="cuda")
 
 

@@ -8,8 +8,8 @@ stream, the per-stage counters and the rendered Prometheus snapshot
 must be identical to the serial run (busy-time wall-clock aside).
 
 Spans are per physical subtask, and by default each backend picks its
-own fan-out (one subtask on serial, one per worker on process), so the
-parity sessions pin one explicit fan-out on every backend;
+own enumerate fan-out (one subtask on serial, one per worker on
+process), so the parity sessions pin one explicit fan-out on every backend;
 :class:`TestDefaultFanOut` checks what the defaults record.
 """
 
@@ -139,8 +139,8 @@ class TestTraceParity:
 class TestDefaultFanOut:
     def test_one_span_per_physical_subtask(self, tmp_path):
         """Default fan-out: every stage and unit records one span per
-        subtask the backend runs — 1 on serial, one per process worker
-        (the cluster stage always runs one)."""
+        subtask the backend runs — enumerate runs 1 on serial and one
+        per process worker, every other stage runs one."""
         import json
 
         records = cluster_stream(29, n_times=5)
@@ -162,5 +162,5 @@ class TestDefaultFanOut:
                 subtasks.setdefault(unit, set()).add(row["subtask"])
             assert {stage for stage, _, _ in subtasks} == set(STAGES)
             for (stage, time, kind), seen in subtasks.items():
-                expected = 1 if stage == "cluster" else fan_out
+                expected = fan_out if stage == "enumerate" else 1
                 assert seen == set(range(expected)), (backend, stage, time)

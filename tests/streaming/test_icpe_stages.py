@@ -58,9 +58,7 @@ class TestPipelineStages:
             pipeline = ICPEPipeline(
                 replace(config, backend=backend, parallel_workers=workers)
             )
-            assert _shape(pipeline.runtimes)[1] == [
-                fan_out, fan_out, 1, fan_out
-            ]
+            assert _shape(pipeline.runtimes)[1] == [1, 1, 1, fan_out]
             assert pipeline.config.enumerate_parallelism == fan_out
             pipeline.close()
         assert [stage.parallelism for stage in icpe_stages(config)] == [

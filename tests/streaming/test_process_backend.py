@@ -39,6 +39,10 @@ def process_config(**overrides) -> ICPEConfig:
         constraints=CONSTRAINTS,
         backend="process",
         parallel_workers=2,
+        # Every keyed stage on both workers, so the python kernel's
+        # allocate and query subtasks run in the pool.
+        allocate_parallelism=2,
+        query_parallelism=2,
     )
     defaults.update(overrides)
     return ICPEConfig(**defaults)

@@ -29,6 +29,7 @@ class TestInOrderStream:
         for record in records:
             emitted.extend(sync.feed(record))
         emitted.extend(sync.flush())
+        emitted = [s.to_snapshot() for s in emitted]
         assert [s.time for s in emitted] == [1, 2, 3]
         assert sorted(emitted[0].oids()) == [1, 2]
         assert sorted(emitted[1].oids()) == [1]
@@ -89,6 +90,7 @@ class TestOutOfOrder:
         for record in shuffled:
             emitted.extend(sync.feed(record))
         emitted.extend(sync.flush())
+        emitted = [s.to_snapshot() for s in emitted]
         times = [s.time for s in emitted]
         assert times == sorted(times)
         # Ground truth: group records by time.

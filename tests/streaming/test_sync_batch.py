@@ -49,7 +49,7 @@ def point_path(records, max_delay):
     for record in records:
         out.extend(sync.feed(record))
     out.extend(sync.flush())
-    return out
+    return [s.to_snapshot() for s in out]
 
 
 def batch_path(records, max_delay, batch_size):
@@ -59,9 +59,7 @@ def batch_path(records, max_delay, batch_size):
     for batch in RecordBatch.pack(iter(records), batch_size):
         out.extend(sync.feed_batch(batch))
     out.extend(sync.flush())
-    return [
-        s.to_snapshot() if isinstance(s, SnapshotBatch) else s for s in out
-    ]
+    return [s.to_snapshot() for s in out]
 
 
 class TestBatchEquivalence:
@@ -74,11 +72,18 @@ class TestBatchEquivalence:
         assert batch_path(records, 0, len(records)) == point_path(records, 0)
 
     def test_emits_columnar_snapshots(self):
-        records = make_records({1: [1, 2], 2: [1, 2]})
+        """``feed``, ``feed_batch`` and ``flush`` all emit columnar
+        snapshots."""
+        records = make_records({1: [1, 2, 3], 2: [1, 2, 3]})
         sync = TimeSyncOperator(max_delay=0)
-        out = sync.feed_batch(RecordBatch.from_records(records))
-        assert all(isinstance(s, SnapshotBatch) for s in out)
+        out = sync.feed_batch(RecordBatch.from_records(records[:4]))
         assert [s.time for s in out] == [1]
+        fed = sync.feed(records[4])
+        assert [s.time for s in fed] == [2]
+        flushed = sync.flush()
+        assert [s.time for s in flushed] == [3]
+        for s in out + fed + flushed:
+            assert isinstance(s, SnapshotBatch)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -104,14 +109,11 @@ class TestBatchEquivalence:
         out = []
         for record in records[:3]:
             out.extend(sync.feed(record))
-        out.extend(
-            s.to_snapshot()
-            for s in sync.feed_batch(RecordBatch.from_records(records[3:6]))
-        )
+        out.extend(sync.feed_batch(RecordBatch.from_records(records[3:6])))
         for record in records[6:]:
             out.extend(sync.feed(record))
         out.extend(sync.flush())
-        assert out == expected
+        assert [s.to_snapshot() for s in out] == expected
 
 
 class TestBatchContract:

@@ -161,7 +161,7 @@ def run_differential(seed: int, max_delay: int, ttl_slack: int | None) -> int:
         assert observable(array) == observable(walk), (seed, index, kind)
         emitted += len(got[1]) if got[0] == "ok" else 0
     columnar = rng.random() < 0.5
-    assert rows_of(array.flush(columnar=columnar)) == rows_of(
+    assert rows_of(array.flush()) == rows_of(
         walk.flush(columnar=columnar)
     ), seed
     assert observable(array) == observable(walk)
@@ -217,7 +217,7 @@ class TestCallForCallAgreement:
             assert got == rows_of(walk.feed_batch(batch))
             assert observable(array) == observable(walk)
             snapshots += len(got)
-        got = rows_of(array.flush(columnar=True))
+        got = rows_of(array.flush())
         assert got == rows_of(walk.flush(columnar=True))
         assert snapshots + len(got) == 80
 
@@ -250,7 +250,7 @@ class TestOperatorContract:
         monkeypatch.setattr(RecordBatch, "__iter__", unreachable)
         operator = TimeSyncOperator(2)
         got = [rows_of(operator.feed_batch(batch)) for batch in batches]
-        got.append(rows_of(operator.flush(columnar=True)))
+        got.append(rows_of(operator.flush()))
         assert got == want
 
 

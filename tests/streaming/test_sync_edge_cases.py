@@ -15,7 +15,7 @@ class TestDuplicateDelivery:
         duplicate = StreamRecord(1, 2.0, 3.0, time=1, last_time=None)
         sync.feed(record)
         sync.feed(duplicate)
-        [snapshot] = sync.flush()
+        [snapshot] = [s.to_snapshot() for s in sync.flush()]
         assert len(snapshot) == 1
         assert snapshot.locations[1].x == 2.0
 
@@ -23,7 +23,7 @@ class TestDuplicateDelivery:
         sync = TimeSyncOperator(max_delay=1)
         sync.feed(StreamRecord(1, 2.0, 3.0, time=1, last_time=None))
         sync.feed(StreamRecord(1, 9.0, 9.0, time=1, last_time=None))
-        [snapshot] = sync.flush()
+        [snapshot] = [s.to_snapshot() for s in sync.flush()]
         assert snapshot.locations[1].x == 9.0
 
 
@@ -58,6 +58,7 @@ class TestSparseTrajectories:
         for record in records:
             emitted.extend(sync.feed(record))
         emitted.extend(sync.flush())
+        emitted = [s.to_snapshot() for s in emitted]
         assert [(s.time, tuple(sorted(s.oids()))) for s in emitted] == [
             (1, (1,)), (2, (2,)), (3, (1,)), (4, (2,)),
         ]
@@ -65,5 +66,5 @@ class TestSparseTrajectories:
     def test_single_record_stream(self):
         sync = TimeSyncOperator(max_delay=10)
         assert sync.feed(StreamRecord(5, 1, 1, time=7, last_time=None)) == []
-        [snapshot] = sync.flush()
+        [snapshot] = [s.to_snapshot() for s in sync.flush()]
         assert snapshot.time == 7 and 5 in snapshot

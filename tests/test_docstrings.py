@@ -22,10 +22,11 @@ def test_public_api_docstring_coverage():
     assert "docstring coverage ok" in result.stdout
 
 
-def test_checker_scans_registry_and_session():
-    """The coverage walk must include the PR-4 packages (registry +
-    session facade) — exercised through the checker's own collection
-    (``iter_documentable``), not just the directory layout."""
+def test_checker_scans_config_and_session():
+    """The coverage walk must include the config module (strategy
+    checks) and the session facade — exercised through the checker's
+    own collection (``iter_documentable``), not just the directory
+    layout."""
     import ast
 
     sys.path.insert(0, str(REPO_ROOT / "tools"))
@@ -33,7 +34,7 @@ def test_checker_scans_registry_and_session():
         import check_docstrings
 
         collected = set()
-        for relative in ("registry/core.py", "session/session.py"):
+        for relative in ("core/config.py", "session/session.py"):
             path = check_docstrings.SOURCE_ROOT / relative
             assert path.exists(), relative
             tree = ast.parse(path.read_text(), filename=str(path))
@@ -46,5 +47,5 @@ def test_checker_scans_registry_and_session():
             }
     finally:
         sys.path.pop(0)
-    assert "repro.registry.core.PluginRegistry" in collected
+    assert "repro.core.config.check_strategies" in collected
     assert "repro.session.session.Session.feed" in collected

@@ -4,12 +4,13 @@
 entry is a breaking change and must show up as a diff in this file.
 Also verifies the lazy-import machinery — ``__getattr__`` resolution,
 ``__dir__`` listing lazy names *before* first access — that makes the
-heavyweight Session / registry / core API cheap to import.
+heavyweight Session / core API cheap to import.
 """
 
 from __future__ import annotations
 
 import importlib
+import importlib.util
 
 import repro
 
@@ -50,11 +51,6 @@ EXPECTED_EXPORTS = sorted(
         "SessionResult",
         "WatermarkAdvanced",
         "open_session",
-        # lazy registry API
-        "PluginCapabilities",
-        "PluginRegistry",
-        "PluginSpec",
-        "default_registry",
         # lazy shedding API
         "NoShedPolicy",
         "PatternAwareShedPolicy",
@@ -83,7 +79,7 @@ class TestSurfaceLock:
             assert getattr(repro, name) is not None, name
 
     def test_version(self):
-        assert repro.__version__ == "7.0.0"
+        assert repro.__version__ == "8.0.0"
 
 
 class TestLazyMachinery:
@@ -95,18 +91,18 @@ class TestLazyMachinery:
             module.__dict__.pop(name, None)
         assert "Session" not in module.__dict__
         listing = dir(module)
-        for name in ("Session", "open_session", "default_registry",
+        for name in ("Session", "open_session", "SLOController",
                      "ICPEPipeline"):
             assert name in listing
 
     def test_lazy_names_resolve_to_home_modules(self):
         from repro.core.icpe import ICPEPipeline
-        from repro.registry import default_registry
         from repro.session import Session, open_session
+        from repro.shedding import SLOController
 
         assert repro.Session is Session
         assert repro.open_session is open_session
-        assert repro.default_registry is default_registry
+        assert repro.SLOController is SLOController
         assert repro.ICPEPipeline is ICPEPipeline
 
     def test_resolution_is_cached(self):
@@ -130,6 +126,12 @@ class TestLazyMachinery:
         for cls in (repro.RecordBatch, repro.SnapshotBatch):
             for name in ("shm_nbytes", "to_shm", "from_shm"):
                 assert not hasattr(cls, name), (cls, name)
+        # Strategies are selected by name from closed sets since 8.0.0.
+        for name in ("PluginCapabilities", "PluginRegistry", "PluginSpec",
+                     "default_registry"):
+            assert not hasattr(repro, name), name
+            assert name not in dir(repro), name
+        assert importlib.util.find_spec("repro.registry") is None
 
     def test_unknown_attribute_raises(self):
         with_importerror = None
