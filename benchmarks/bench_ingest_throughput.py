@@ -23,6 +23,11 @@ record.  A last measurement quantifies the
 zero-sink dispatch short-circuit: a session with no subscribed sinks
 against the same run with one no-op sink.
 
+Ingest starts one layer earlier, at the CSV file.  On a ``save_csv`` file
+of more than 100,000 rows, ``iter_csv_batches`` (blocks of lines through
+NumPy's C parser) must give the batches of the ``csv``-module reference
+reader (``tests/data/reference_csv.py``) at 2.5x its records/s or more.
+
 Every figure is the best of ``ROUNDS`` interleaved runs: this host slows
 one-sidedly for seconds at a time, and the gates compare ratios.
 
@@ -35,14 +40,19 @@ import pytest
 
 from repro.bench.report import format_table, write_report
 from repro.core.config import ICPEConfig
+from repro.data import iter_csv_batches
 from repro.data.taxi import TaxiConfig, generate_taxi
 from repro.model.batch import SnapshotBatch
 from repro.model.constraints import PatternConstraints
 from repro.session import Session
+from tests.data.reference_csv import reference_csv_batches
 from tests.streaming.reference_sync import _ChainWalkSync
 
 BATCH_SIZE = 2048
 ROUNDS = 3
+#: The CLI's and the end-to-end bench's batch size for CSV ingest.
+CSV_BATCH_SIZE = 1024
+MIN_CSV_PARSE_SPEEDUP = 2.5
 _results: list[dict] = []
 
 
@@ -202,6 +212,80 @@ def test_zero_sink_dispatch_short_circuit(benchmark, ingest_workload):
     assert no_sink_s <= noop_sink_s * 1.25
 
 
+@pytest.fixture(scope="module")
+def ingest_csv(tmp_path_factory):
+    """A ``save_csv`` file of the ingest workload's shape, 104,583 rows."""
+    dataset = generate_taxi(
+        TaxiConfig(
+            n_objects=2400,
+            horizon=50,
+            seed=41,
+            group_fraction=0.25,
+            group_size=(6, 10),
+        )
+    )
+    path = tmp_path_factory.mktemp("ingest") / "taxi.csv"
+    dataset.save_csv(path)
+    return path, len(dataset)
+
+
+def _parse(reader, path):
+    started = time.perf_counter()
+    batches = list(reader(path, CSV_BATCH_SIZE))
+    return time.perf_counter() - started, batches
+
+
+def _same_batches(left, right):
+    return len(left) == len(right) and all(
+        getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        for a, b in zip(left, right)
+        for name in ("oids", "xs", "ys", "times", "last_times")
+    )
+
+
+def test_csv_parse_speedup(benchmark, ingest_csv):
+    """``iter_csv_batches`` vs the ``csv``-module reader on one file."""
+    path, records = ingest_csv
+    assert records >= 100_000
+
+    def run():
+        reference_s = reader_s = float("inf")
+        for _ in range(ROUNDS):
+            elapsed, reference = _parse(reference_csv_batches, path)
+            reference_s = min(reference_s, elapsed)
+            elapsed, batches = _parse(iter_csv_batches, path)
+            reader_s = min(reader_s, elapsed)
+            if not _same_batches(batches, reference):
+                raise AssertionError(
+                    "iter_csv_batches and the reference reader disagree"
+                )
+        return reference_s, reader_s
+
+    reference_s, reader_s = benchmark.pedantic(run, rounds=1, iterations=1)
+    for label, wall in (
+        ("CSV parse, csv-module reference reader", reference_s),
+        ("CSV parse, iter_csv_batches", reader_s),
+    ):
+        _results.append(
+            {
+                "path": label,
+                "records": records,
+                "wall_s": wall,
+                "records_per_s": round(records / wall),
+                "us_per_record": round(wall / records * 1e6, 2),
+                "speedup": reference_s / wall,
+                "patterns": "",
+                "patterns_equal": "batches equal",
+            }
+        )
+    speedup = reference_s / reader_s
+    assert speedup >= MIN_CSV_PARSE_SPEEDUP, (
+        f"iter_csv_batches must parse at >= {MIN_CSV_PARSE_SPEEDUP}x the "
+        f"reference reader's records/s, measured {speedup:.2f}x "
+        f"({reader_s:.3f}s vs {reference_s:.3f}s for {records} rows)"
+    )
+
+
 def test_ingest_speedup_report(benchmark):
     if not _results:
         pytest.skip(
@@ -214,7 +298,9 @@ def test_ingest_speedup_report(benchmark):
             _results,
             title=(
                 "Ingest throughput: per-point Session.feed vs columnar "
-                f"RecordBatch ingestion (batch={BATCH_SIZE}, numpy kernels)"
+                f"RecordBatch ingestion (batch={BATCH_SIZE}, numpy kernels); "
+                "CSV parse into batches of "
+                f"{CSV_BATCH_SIZE} (speedup over the csv-module reader)"
             ),
         )
 

@@ -56,7 +56,7 @@ from repro.model import (
     Trajectory,
 )
 
-__version__ = "8.0.0"
+__version__ = "9.0.0"
 
 #: Names resolved lazily by ``__getattr__`` (heavyweight core / session
 #: machinery), mapped to their home modules.

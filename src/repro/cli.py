@@ -322,11 +322,13 @@ def cmd_detect(args: argparse.Namespace) -> int:
                 "already-ingested records",
                 file=sys.stderr,
             )
-        if args.batch_size > 0 and not skip:
+        if args.batch_size > 0:
             # Columnar ingestion: the CSV workload streams through the
-            # session in RecordBatch chunks of the configured size.
-            for batch in dataset.batches(args.batch_size):
-                session.feed_batch(batch)
+            # session in RecordBatch chunks of the configured size; a
+            # restored run starts them after the ingested prefix.
+            packed = dataset.to_batch()
+            for start in range(skip, len(packed), args.batch_size):
+                session.feed_batch(packed[start : start + args.batch_size])
         else:
             for record in dataset.records[skip:]:
                 session.feed(record)

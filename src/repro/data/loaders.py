@@ -106,10 +106,13 @@ def _porto_fixes(
     ``MISSING_DATA`` and empty polylines are skipped.
     """
     with path.open(newline="") as handle:
-        for row in csv.DictReader(handle):
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        for values in reader:
+            row = dict(zip(header, values))
             if row.get("MISSING_DATA", "False").strip().lower() == "true":
                 continue
-            polyline = json.loads(row["POLYLINE"] or "[]")
+            polyline = json.loads(row.get("POLYLINE") or "[]")
             if not polyline:
                 continue
             oid = int(row["TAXI_ID"])

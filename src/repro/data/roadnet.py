@@ -5,14 +5,19 @@ perturbed grid network (nodes on a jittered lattice, orthogonal edges plus
 random diagonals, a few edges removed) with `networkx`, which yields the
 same qualitative structure: bounded degree, metric edge lengths and
 non-trivial shortest paths.
+
+`networkx` is imported inside the functions that build or walk a
+network, so ``import repro`` does not load it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(slots=True)
@@ -33,6 +38,8 @@ class RoadNetwork:
 
     def shortest_path(self, source, target) -> list:
         """Length-weighted shortest path between two nodes."""
+        import networkx as nx
+
         return nx.shortest_path(self.graph, source, target, weight="length")
 
     def path_points(self, path: list) -> list[tuple[float, float]]:
@@ -66,6 +73,8 @@ def build_road_network(
             the network connected).
         seed: randomness seed.
     """
+    import networkx as nx
+
     if side < 2:
         raise ValueError(f"side must be >= 2, got {side}")
     rng = random.Random(seed)

@@ -10,8 +10,9 @@ record-at-a-time plane:
 
 * :class:`RecordBatch` — a batch of ``(oid, x, y, time, last_time)``
   *columns* (int64 / float64 NumPy arrays) with zero-copy slicing,
-  ``from_records`` / ``to_records`` converters, CSV-row and dataset
-  constructors, and ``pack()`` chunking for auto-batching iterables.
+  ``from_records`` / ``to_records`` converters, and ``pack()`` chunking
+  for auto-batching iterables; :func:`~repro.data.dataset.iter_csv_batches`
+  parses CSV files into batches.
 * :class:`SnapshotBatch` — one complete snapshot in columnar form
   (``(oid, x, y)`` at a single time), the envelope the synchronisation
   operator emits on the batch path and the keyed exchanges route whole
@@ -74,9 +75,9 @@ class RecordBatch:
     in for ``None``), and slicing returns zero-copy views.  Batches are
     treated as immutable by every consumer.
 
-    Build one with :meth:`from_records`, :meth:`from_columns`,
-    :meth:`from_csv_rows` or the ``repro.data`` loaders
-    (:meth:`~repro.data.dataset.TrajectoryDataset.to_batch`).
+    Build one with :meth:`from_records`, :meth:`from_columns` or the
+    ``repro.data`` readers (:func:`~repro.data.dataset.iter_csv_batches`,
+    :meth:`~repro.data.dataset.TrajectoryDataset.to_batch`).
     """
 
     __slots__ = ("oids", "xs", "ys", "times", "last_times")
@@ -140,30 +141,6 @@ class RecordBatch:
         return cls(oids, xs, ys, times, lasts)
 
     @classmethod
-    def from_csv_rows(
-        cls, rows: Iterable[Sequence[str]]
-    ) -> "RecordBatch":
-        """Build from CSV value rows ``(oid, x, y, time, last_time)``.
-
-        The shape :meth:`~repro.data.dataset.TrajectoryDataset.save_csv`
-        writes: ``last_time`` is the empty string (or missing) for a
-        trajectory's first report.
-        """
-        oids: list[int] = []
-        xs: list[float] = []
-        ys: list[float] = []
-        times: list[int] = []
-        lasts: list[int | None] = []
-        for row in rows:
-            oids.append(int(row[0]))
-            xs.append(float(row[1]))
-            ys.append(float(row[2]))
-            times.append(int(row[3]))
-            raw_last = row[4] if len(row) > 4 else ""
-            lasts.append(int(raw_last) if raw_last not in ("", None) else None)
-        return cls.from_columns(oids, xs, ys, times, lasts)
-
-    @classmethod
     def pack(
         cls, records: Iterable[StreamRecord], batch_size: int
     ) -> Iterator["RecordBatch"]:
@@ -187,7 +164,16 @@ class RecordBatch:
 
     def to_records(self) -> list[StreamRecord]:
         """Materialise the batch back into :class:`StreamRecord` objects."""
-        return [self.record_at(i) for i in range(len(self))]
+        return [
+            StreamRecord(oid, x, y, t, None if last == NO_LAST_TIME else last)
+            for oid, x, y, t, last in zip(
+                self.oids.tolist(),
+                self.xs.tolist(),
+                self.ys.tolist(),
+                self.times.tolist(),
+                self.last_times.tolist(),
+            )
+        ]
 
     def record_at(self, index: int) -> StreamRecord:
         """The record at one row index, boxed."""

@@ -359,3 +359,68 @@ class TestDetect:
             assert {"objects", "witnesses", "first_detected_at"} <= set(
                 payload[0]
             )
+
+
+class TestDetectRestore:
+    """``--restore-from`` resumes a run mid-stream with the same output."""
+
+    @pytest.fixture()
+    def longer_csv(self, tmp_path):
+        path = tmp_path / "longer.csv"
+        assert main(
+            [
+                "generate", "--kind", "taxi", "--objects", "150",
+                "--horizon", "30", "--seed", "3", "--out", str(path),
+            ]
+        ) == 0
+        return path
+
+    @staticmethod
+    def _detect(capsys, *args):
+        import json
+
+        capsys.readouterr()
+        code = main(
+            ["detect", "--m", "3", "--k", "5", "--min-pts", "3",
+             "--output", "json", *args]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        lines = [json.loads(line) for line in out.splitlines()]
+        summary = lines.pop()
+        assert summary["kind"] == "summary"
+        return lines, summary
+
+    @pytest.mark.parametrize("batch_size", ["1024", "0"])
+    def test_mid_stream_restore_matches_uninterrupted(
+        self, longer_csv, tmp_path, capsys, batch_size
+    ):
+        from repro.state import Checkpoint, list_checkpoints
+
+        ckpt_dir = tmp_path / "ckpt"
+        full_json = tmp_path / "full.json"
+        resumed_json = tmp_path / "resumed.json"
+        events, summary = self._detect(
+            capsys,
+            "--input", str(longer_csv), "--batch-size", batch_size,
+            "--checkpoint-dir", str(ckpt_dir),
+            "--checkpoint-every-records", "1024",
+            "--json-out", str(full_json),
+        )
+        saved = list_checkpoints(ckpt_dir)
+        assert len(saved) >= 3
+        middle = saved[len(saved) // 2]
+        skip = Checkpoint.load(middle).records_ingested
+        assert 0 < skip < sum(1 for _ in longer_csv.open()) - 1
+
+        tail, resumed = self._detect(
+            capsys,
+            "--input", str(longer_csv), "--batch-size", batch_size,
+            "--restore-from", str(middle),
+            "--json-out", str(resumed_json),
+        )
+        assert tail and tail == events[len(events) - len(tail):]
+        assert any(event["kind"] == "pattern" for event in events)
+        for key in ("patterns", "maximal_patterns", "snapshots"):
+            assert resumed[key] == summary[key]
+        assert resumed_json.read_bytes() == full_json.read_bytes()

@@ -32,17 +32,6 @@ class TestRecordBatchConstruction:
         batch = RecordBatch.from_columns([1], [0.0], [0.0], [5])
         assert batch[0].last_time is None
 
-    def test_from_csv_rows(self):
-        rows = [
-            ["3", "1.0", "2.0", "1", ""],
-            ["3", "1.5", "2.5", "2", "1"],
-        ]
-        batch = RecordBatch.from_csv_rows(rows)
-        assert batch.to_records() == [
-            StreamRecord(oid=3, x=1.0, y=2.0, time=1, last_time=None),
-            StreamRecord(oid=3, x=1.5, y=2.5, time=2, last_time=1),
-        ]
-
     def test_unequal_columns_rejected(self):
         with pytest.raises(ValueError, match="equal lengths"):
             RecordBatch([1], [0.0, 1.0], [0.0], [1], [NO_LAST_TIME])
