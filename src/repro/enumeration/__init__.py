@@ -17,8 +17,10 @@ the CP(M, K, L, G) patterns anchored at ``o``:
 
 :data:`ENUMERATORS` names the three (``baseline`` / ``fba`` / ``vba``)
 for ``ICPEConfig(enumerator=...)`` and the CLI's ``--enumerator``.
-``repro.enumeration.oracle`` provides the exhaustive reference enumerator
-used by the test-suite to prove all three agree.
+``repro.enumeration.oracle`` is an exhaustive enumerator over cluster
+snapshots (``core/live.py`` builds its offline maximal convoys on it);
+the test-suite judges all three against ``tests/cp_oracle.py``, which
+works from raw rows and shares no code with the detector.
 
 ``repro.enumeration.kernels`` makes the *implementation strategy* of a
 whole enumerate subtask selectable: the reference per-anchor state

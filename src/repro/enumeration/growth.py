@@ -5,8 +5,8 @@ combination of the minimum cardinality, keep the ones whose ANDed bit
 string still holds a valid (K, L, G) sequence, and extend each survivor
 by pool entries that come later in the pool (Algorithm 4 lines 9-17,
 Algorithm 5 lines 15-21).  :func:`grow` is that loop, once, for both
-algorithms and — because the batched kernels delegate here as well — for
-both enumeration kernels.
+algorithms and both kernels, except the numpy kernel's VBA growth, which
+runs its own vectorised pass held to :func:`grow` pool for pool.
 
 *Frame alignment.*  Every pool string is expressed in one frame: bit
 ``j`` means time ``start + j``.  FBA's Definition-13 strings share their
@@ -36,7 +36,10 @@ strings of one oid, so emission order decides which witness times reach
 the result.  The order is: seeds in :func:`itertools.combinations` order,
 then frontier order x ascending pool index, level by level.
 ``and_evaluations`` counts every combination whose AND is evaluated
-(same-oid combinations are skipped uncounted).
+(same-oid combinations are skipped uncounted).  The numpy kernel's VBA
+pass (:func:`repro.enumeration.kernels.numpy_kernel.grow_round`)
+reproduces this order and count independently, so ``grow`` is also the
+specification that pass is tested against.
 
 *Window cover.*  Consecutive FBA windows of one anchor overlap in
 ``eta - 1`` snapshots, so a lasting convoy presents the same candidate
@@ -50,7 +53,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import combinations
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
 from repro.enumeration.bitstring import ClosedBitString
 from repro.model.constraints import PatternConstraints
@@ -265,21 +268,30 @@ class WindowCover:
         }
 
 
-def grow_candidate(
+class CandidatePool(NamedTuple):
+    """One VBA growth's inputs: the arguments :func:`grow` takes for a new
+    closed candidate, less the seed size and the extraction hook."""
+
+    fixed: tuple[int, ...]
+    oids: list[int]
+    bits: list[int]
+    offsets: list[int]
+    base_bits: int
+    start: int
+
+
+def candidate_pool(
     anchor: int,
     new: ClosedBitString,
-    candidates: Sequence[ClosedBitString],
-    constraints: PatternConstraints,
-    sequences_fn: SequencesFn,
-) -> tuple[list[CoMovementPattern], int]:
-    """Algorithm 5, lines 15-21: growth of one new closed candidate.
+    candidates: Iterable[ClosedBitString],
+    k: int,
+) -> CandidatePool:
+    """Algorithm 5, line 18: the frame-aligned pool of one new candidate.
 
     The pool is the global candidate list after Lemma 8 (length-corrected:
     the window a string shares with ``new`` must be able to hold K times),
-    ordered by ``(oid, start)`` and shifted into ``new``'s frame; seeds
-    take M - 2 pool strings besides ``new`` and the anchor.
+    ordered by ``(oid, start)`` and shifted into ``new``'s frame.
     """
-    k = constraints.k
     origin, end, oid = new.start, new.end, new.oid
     pool = sorted(
         (
@@ -290,8 +302,7 @@ def grow_candidate(
         ),
         key=lambda s: (s.oid, s.start),
     )
-    offsets = [max(s.start - origin, 0) for s in pool]
-    return grow(
+    return CandidatePool(
         (anchor, oid) if anchor < oid else (oid, anchor),
         [s.oid for s in pool],
         [
@@ -300,9 +311,42 @@ def grow_candidate(
             else s.bits >> (origin - s.start)
             for s in pool
         ],
-        offsets,
+        [max(s.start - origin, 0) for s in pool],
         new.bits,
-        constraints.m - 2,
         origin,
+    )
+
+
+def grow_candidate(
+    anchor: int,
+    new: ClosedBitString,
+    candidates: Sequence[ClosedBitString],
+    constraints: PatternConstraints,
+    sequences_fn: SequencesFn,
+) -> tuple[list[CoMovementPattern], int]:
+    """Algorithm 5, lines 15-21: growth of one new closed candidate.
+
+    Seeds take M - 2 strings of :func:`candidate_pool` besides ``new``
+    and the anchor.
+    """
+    return grow_pool(
+        candidate_pool(anchor, new, candidates, constraints.k),
+        constraints.m - 2,
+        sequences_fn,
+    )
+
+
+def grow_pool(
+    pool: CandidatePool, seed_size: int, sequences_fn: SequencesFn
+) -> tuple[list[CoMovementPattern], int]:
+    """:func:`grow` over one :class:`CandidatePool`."""
+    return grow(
+        pool.fixed,
+        pool.oids,
+        pool.bits,
+        pool.offsets,
+        pool.base_bits,
+        seed_size,
+        pool.start,
         sequences_fn,
     )

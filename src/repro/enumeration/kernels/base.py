@@ -29,12 +29,12 @@ Every kernel must produce the *identical* pattern stream for the same
 record stream: the vectorized layers only build bit strings and screen
 candidates with necessary conditions — the exact validity predicate
 (:func:`~repro.enumeration.bitstring.valid_sequences_of_bits`) and the
-combination growth (:mod:`repro.enumeration.growth`, reached through
-:func:`~repro.enumeration.growth.grow_window` and
-:meth:`~repro.enumeration.vba.VBAEnumerator.enumerate_closed`) are the
-very same code the reference enumerators run, so emitted patterns are
-bit-for-bit identical per anchor, and anchors never collide across
-subtasks (every pattern's smallest object id *is* its anchor).
+FBA growth (:func:`~repro.enumeration.growth.grow_window`) are the very
+same code the reference enumerators run, and the numpy kernel's own VBA
+growth pass is held to :func:`~repro.enumeration.growth.grow` pool for
+pool — so emitted patterns are bit-for-bit identical per anchor, and
+anchors never collide across subtasks (every pattern's smallest object
+id *is* its anchor).
 """
 
 from __future__ import annotations

@@ -33,25 +33,50 @@ anchors hosted by one enumerate subtask into contiguous arrays:
    growth re-derive the same ANDed strings tens of times, and the
    decomposition is a pure function, so memoization is output-invariant.
 
+6. **One growth pass per snapshot (VBA)** — every (anchor, fresh closed
+   string) growth a snapshot releases runs in one level-wise NumPy pass
+   (:func:`grow_round`): all pools side by side, each level one gather,
+   one AND and one sort that finds the distinct sequence lookups.
+   Snapshots with little growth work stay on per-candidate
+   :func:`~repro.enumeration.growth.grow`
+   (:data:`VECTOR_GROWTH_MIN_COMBINATIONS`).
+
 The emitted pattern stream is bit-for-bit identical to the reference
 kernel: the vectorized layers only *build* bit strings and *screen*
-candidates with necessary conditions — the exact validity predicate
-(:func:`~repro.enumeration.bitstring.valid_sequences_of_bits`) and the
-apriori growth engine (:mod:`repro.enumeration.growth` — called here as
-:func:`~repro.enumeration.growth.grow_window` per FBA window, and by the
-:class:`~repro.enumeration.vba.VBAEnumerator` shells' candidate rounds)
-are the same code the reference path runs, in the same per-anchor
-order.  Kernel equivalence therefore says nothing about the engine
-itself; ``tests/enumeration/test_growth_engine.py`` holds it to the
-retained pre-engine loops and to a brute-force oracle instead.
+candidates with necessary conditions, and the exact validity predicate
+(:func:`~repro.enumeration.bitstring.valid_sequences_of_bits`) is the
+same code the reference path runs.  FBA growth is the shared engine too
+(:func:`~repro.enumeration.growth.grow_window` per window).  VBA growth
+is not: :func:`grow_round` is this kernel's own engine, which must give
+pool for pool what :func:`~repro.enumeration.growth.grow` gives — the
+same patterns in the same order, the same ``TimeSequence`` objects, the
+same ``and_evaluations`` — while the python kernel keeps ``grow``.  So
+on VBA, kernel equivalence compares two independent growth engines;
+``tests/enumeration/test_growth_pass.py`` holds the pass to ``grow``
+directly, ``tests/enumeration/test_growth_engine.py`` holds ``grow`` to
+the retained pre-engine loops, and
+``tests/integration/test_definition_oracle.py`` holds whole sessions of
+both kernels to the CP(M, K, L, G) definition.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import chain, groupby
+from math import comb
+from typing import Sequence
+
 import numpy as np
 
 from repro.enumeration.bitstring import ClosedBitString, valid_sequences_of_bits
-from repro.enumeration.growth import WindowCover, grow_window
+from repro.enumeration.growth import (
+    CandidatePool,
+    SequencesFn,
+    WindowCover,
+    candidate_pool,
+    grow_pool,
+    grow_window,
+)
 from repro.enumeration.kernels.base import EnumerationKernel, Partitions
 from repro.enumeration.vba import VBAEnumerator
 from repro.model.batch import PartitionBatch
@@ -62,6 +87,8 @@ from repro.model.pattern import CoMovementPattern
 #: explicit subsets instead of per-trajectory bit strings, so there is
 #: nothing column-shaped to vectorize.
 BITMAP_ENUMERATORS = ("fba", "vba")
+
+_pattern = CoMovementPattern._from_sorted
 
 
 def _isin_sorted(sorted_keys, queries):
@@ -420,6 +447,211 @@ class _FBAWindows:
 # ------------------------------------------------------------------ VBA batch
 
 
+#: Combinations one snapshot's growths AND at their first evaluated level
+#: (the seeds; for M = 2, the pairs with the new string), from which
+#: :func:`grow_round` replaces per-candidate ``grow``.  Below it the
+#: pass's fixed NumPy cost per level (about 40 us) outweighs the Python
+#: loop it saves.  Timed on every snapshot of the ``taxi_dense_vba``
+#: benchmark input (M = 5, 2-core x86 container), the two break even at
+#: 100-130 combinations: 35 -> 0.18 ms per-candidate vs 0.36 ms pass,
+#: 126 -> 0.7 vs 0.7 ms, 330 -> 3.2-3.5 vs 2.0-2.2 ms, 1,122 -> 13 vs 5.4
+#: ms.  ``taxi_wide_disorder``'s rounds (at most a dozen combinations)
+#: stay on the loop.
+VECTOR_GROWTH_MIN_COMBINATIONS = 128
+
+#: Widest new string the pass holds in one int64 word (pool strings are
+#: ANDed with it first, so they are no wider); wider ones go to ``grow``.
+_PASS_WIDTH = 62
+
+
+def _distinct_oid_combinations(oids: Sequence[int], size: int) -> int:
+    """Combinations of ``size`` entries of a pool, no two of one oid.
+
+    ``oids`` is non-decreasing, so equal oids are adjacent: the count is
+    the elementary symmetric polynomial e_size of the oid multiplicities
+    — what ``grow`` counts for its seeds.
+    """
+    if len(set(oids)) == len(oids):
+        return comb(len(oids), size)
+    e = [1] + [0] * size
+    for _oid, run in groupby(oids):
+        multiplicity = sum(1 for _ in run)
+        for j in range(size, 0, -1):
+            e[j] += e[j - 1] * multiplicity
+    return e[size]
+
+
+def grow_round(
+    pools: Sequence[CandidatePool], seed_size: int, sequences_fn: SequencesFn
+) -> list[tuple[list[CoMovementPattern], int]]:
+    """Every growth of one snapshot in one level-wise NumPy pass.
+
+    Returns, per pool, exactly what ``grow`` returns for it (with
+    ``seed_size`` and ``sequences_fn``): the same patterns in the same
+    order, the same ``TimeSequence`` objects from ``sequences_fn``, the
+    same ``and_evaluations``.  All pools advance together, one level per
+    step, over flat arrays:
+
+    * a row (a combination) extends to every pool index from the first
+      index past its last member's oid to its pool's end, as the
+      frontier loop does; all-zero ANDs are dropped (AND-monotone, so no
+      extension of them could emit);
+    * levels below ``seed_size`` only AND; from the seed level on, the
+      distinct ``(bits >> shift, start + shift)`` keys are found with one
+      sort and ``sequences_fn`` is asked once per key; rows holding a
+      valid sequence are emitted and form the next frontier;
+    * ``and_evaluations`` is :func:`_distinct_oid_combinations` for the
+      seeds plus ``end - first`` per frontier row.
+
+    Pool strings are ANDed with the new string up front, so a row fits
+    one int64; a pool whose new string is wider than 62 bits is grown by
+    ``grow`` instead.  Object tuples extend their parent tuple with the
+    pool's own oid objects, so patterns share them as ``grow``'s do.
+    """
+    results: list = [None] * len(pools)
+    narrow = []
+    for index, pool in enumerate(pools):
+        if pool.base_bits.bit_length() > _PASS_WIDTH:
+            results[index] = grow_pool(pool, seed_size, sequences_fn)
+        else:
+            narrow.append(index)
+    if not narrow:
+        return results
+
+    # The pools side by side: entry ``i`` belongs to pool ``owner[i]``.
+    oid_objects: list[int] = []
+    flat_bits: list[int] = []
+    flat_offsets: list[int] = []
+    sizes: list[int] = []
+    for index in narrow:
+        pool = pools[index]
+        base = pool.base_bits
+        oid_objects.extend(pool.oids)
+        flat_bits.extend([bits & base for bits in pool.bits])
+        flat_offsets.extend(pool.offsets)
+        sizes.append(len(pool.oids))
+    groups = len(narrow)
+    entry_bits = np.array(flat_bits, dtype=np.int64)
+    entry_offsets = np.array(flat_offsets, dtype=np.int64)
+    ends = np.cumsum(sizes, dtype=np.int64)
+    begins = ends - np.array(sizes, dtype=np.int64)
+    owner = np.repeat(np.arange(groups, dtype=np.int64), sizes)
+    # First index past each entry's oid in its own pool.
+    entry_keys = (owner << np.int64(32)) | np.array(oid_objects, dtype=np.int64)
+    after = np.searchsorted(entry_keys, entry_keys, side="right")
+    starts = np.array([pools[i].start for i in narrow], dtype=np.int64)
+    emitted: list[list[CoMovementPattern]] = [[] for _ in narrow]
+    evaluations = np.array(
+        [
+            _distinct_oid_combinations(pools[i].oids, seed_size) if seed_size else 0
+            for i in narrow
+        ],
+        dtype=np.int64,
+    )
+
+    # Level 0: one row per pool, the fixed objects alone.
+    row_group = np.arange(groups, dtype=np.int64)
+    row_bits = np.array([pools[i].base_bits for i in narrow], dtype=np.int64)
+    row_first = begins
+    row_offset = np.zeros(groups, dtype=np.int64)
+    objects = [pools[i].fixed for i in narrow]
+    if not seed_size:
+        for group, index in enumerate(narrow):
+            pool = pools[index]
+            witness = sequences_fn(pool.base_bits, pool.start)[0]
+            emitted[group].append(_pattern(pool.fixed, witness))
+
+    level = 0
+    while row_group.size:
+        level += 1
+        # Extend every row by every later pool index of another oid.
+        counts = ends[row_group] - row_first
+        if level > seed_size:
+            evaluations += np.bincount(
+                row_group, weights=counts, minlength=groups
+            ).astype(np.int64)
+        total = int(counts.sum())
+        if not total:
+            break
+        row = np.repeat(np.arange(row_group.size, dtype=np.int64), counts)
+        col = np.arange(total, dtype=np.int64) + np.repeat(
+            row_first - (np.cumsum(counts) - counts), counts
+        )
+        bits = row_bits[row] & entry_bits[col]
+        nonzero = np.flatnonzero(bits)
+        row, col, bits = row[nonzero], col[nonzero], bits[nonzero]
+        shift = np.maximum(row_offset[row], entry_offsets[col])
+        group = row_group[row]
+        if level >= seed_size:
+            # One lookup per distinct (bits >> shift, start + shift).
+            key_bits = bits >> shift
+            key_start = starts[group] + shift
+            order = np.lexsort((key_start, key_bits))
+            key_bits, key_start = key_bits[order], key_start[order]
+            new_key = np.ones(order.size, dtype=bool)
+            new_key[1:] = (key_bits[1:] != key_bits[:-1]) | (
+                key_start[1:] != key_start[:-1]
+            )
+            key_of = np.empty(order.size, dtype=np.int64)
+            key_of[order] = np.cumsum(new_key) - 1
+            witnesses = [
+                found[0] if found else None
+                for found in map(
+                    sequences_fn,
+                    key_bits[new_key].tolist(),
+                    key_start[new_key].tolist(),
+                )
+            ]
+            valid = np.array([w is not None for w in witnesses], dtype=bool)
+            kept = np.flatnonzero(valid[key_of])
+            row, col, bits, shift, group, key_of = (
+                array[kept] for array in (row, col, bits, shift, group, key_of)
+            )
+        objects = _grown_objects(objects, row.tolist(), col.tolist(), oid_objects)
+        if level >= seed_size and group.size:
+            made = list(
+                map(_pattern, objects, [witnesses[w] for w in key_of.tolist()])
+            )
+            # Rows stay grouped by pool, so each pool's share is one slice.
+            cuts = np.flatnonzero(group[1:] != group[:-1]) + 1
+            bounds = [0, *cuts.tolist(), group.size]
+            for g, low, high in zip(group[bounds[:-1]].tolist(), bounds, bounds[1:]):
+                emitted[g].extend(made[low:high])
+        row_group, row_bits, row_offset = group, bits, shift
+        row_first = after[col]
+
+    for group, index in enumerate(narrow):
+        results[index] = (emitted[group], int(evaluations[group]))
+    return results
+
+
+def _grown_objects(
+    parents: list[tuple[int, ...]],
+    rows: list[int],
+    cols: list[int],
+    oid_objects: list[int],
+) -> list[tuple[int, ...]]:
+    """Each ``parents[row]`` with the pool oid ``oid_objects[col]`` added.
+
+    The added oid exceeds every pool oid already in the tuple, so the
+    only member it can precede is the new string's own oid, and only
+    as the tuple's last element; the general insertion covers a fixed
+    anchor larger than the pool (which partitions never produce).
+    """
+    grown = []
+    for row, col in zip(rows, cols):
+        objects = parents[row]
+        oid = oid_objects[col]
+        if oid > objects[-1]:
+            grown.append(objects + (oid,))
+        elif oid > objects[-2]:
+            grown.append(objects[:-1] + (oid, objects[-1]))
+        else:
+            at = bisect_right(objects, oid)
+            grown.append(objects[:at] + (oid,) + objects[at:])
+    return grown
+
+
 class _VBAStrings:
     """Batched Definition-14 variable strings for one subtask's anchors.
 
@@ -427,10 +659,10 @@ class _VBAStrings:
     key, start, length, trailing zeros) plus one uint64 bitmap matrix
     whose word count grows with the longest open string.  Appends,
     Lemma-7 closing and new-string opening are single vectorized passes
-    per time step; each closed-and-valid string feeds the per-anchor
-    candidate round of a plain :class:`VBAEnumerator` shell, whose
-    global candidate list and Lemma-8 combination growth are exactly
-    the reference code path.
+    per time step.  Each anchor's global candidate list, work counter
+    and retention live in a plain :class:`VBAEnumerator` shell; the
+    closed-and-valid strings of a snapshot are grown against those
+    lists by :meth:`_grow_rounds` and then merged into the shells.
     """
 
     def __init__(
@@ -482,28 +714,65 @@ class _VBAStrings:
         self._last_time = time
         self._advance(time, batch.keys, closed)
 
-        emitted: list[CoMovementPattern] = []
-        for anchor in sorted(closed):
-            emitted.extend(
-                self._shell(anchor).enumerate_candidates(
-                    time,
-                    closed[anchor],
-                    earliest_open_start=self._earliest_open_start(
-                        anchor, time
-                    ),
-                )
-            )
+        emitted = self._grow_rounds(
+            [(anchor, closed[anchor]) for anchor in sorted(closed)]
+        )
+        # Retention runs after the round (the shells' own order), on every
+        # anchor the reference would process this snapshot.
         if self.candidate_retention is not None:
-            for anchor in sorted(active - set(closed)):
+            for anchor in sorted(active | set(closed)):
                 shell = self._shells.get(anchor)
                 if shell is not None:
-                    shell.enumerate_candidates(
-                        time,
-                        [],
-                        earliest_open_start=self._earliest_open_start(
-                            anchor, time
-                        ),
+                    shell.evict(time, self._earliest_open_start(anchor, time))
+        return emitted
+
+    def _grow_rounds(
+        self, rounds: list[tuple[int, list[ClosedBitString]]]
+    ) -> list[CoMovementPattern]:
+        """Grow every fresh string of one snapshot's candidate rounds.
+
+        ``rounds`` are ``(anchor, fresh)``, anchors ascending.  Each
+        anchor's fresh strings take ``(oid, start)`` order and each is
+        grown against its shell's candidates plus the strings before it
+        (what :meth:`VBAEnumerator.enumerate_closed` grows, string by
+        string), then the round merges into the shell.  A snapshot whose
+        growths AND fewer than :data:`VECTOR_GROWTH_MIN_COMBINATIONS`
+        combinations at their first level runs ``grow`` per string;
+        a larger one runs :func:`grow_round` once.
+        """
+        c = self.constraints
+        seed_size = c.m - 2
+        pools: list[CandidatePool] = []
+        merges = []
+        for anchor, fresh in rounds:
+            shell = self._shell(anchor)
+            ordered = sorted(fresh, key=lambda s: (s.oid, s.start))
+            for at, new in enumerate(ordered):
+                pools.append(
+                    candidate_pool(
+                        anchor, new, chain(shell.candidates, ordered[:at]), c.k
                     )
+                )
+            merges.append((shell, ordered, len(pools)))
+        if not pools:
+            return []
+        work = sum(
+            _distinct_oid_combinations(pool.oids, max(seed_size, 1))
+            for pool in pools
+        )
+        if work < VECTOR_GROWTH_MIN_COMBINATIONS:
+            grown = [grow_pool(pool, seed_size, self.sequences_fn) for pool in pools]
+        else:
+            grown = grow_round(pools, seed_size, self.sequences_fn)
+        emitted: list[CoMovementPattern] = []
+        done = 0
+        for shell, ordered, upto in merges:
+            evaluations = 0
+            for patterns, ands in grown[done:upto]:
+                emitted.extend(patterns)
+                evaluations += ands
+            shell.merge_round(ordered, evaluations)
+            done = upto
         return emitted
 
     def _earliest_open_start(self, anchor: int, time: int) -> int:
@@ -521,12 +790,12 @@ class _VBAStrings:
         by_anchor: dict[int, list[int]] = {}
         for row in range(self._keys.size):
             by_anchor.setdefault(int(self._keys[row]) >> 32, []).append(row)
-        emitted: list[CoMovementPattern] = []
         survivor = (
             _popcount_rows(self._bits) >= c.k
             if self._keys.size
             else np.empty(0, dtype=bool)
         )
+        rounds = []
         for anchor in sorted(by_anchor):
             closed: list[ClosedBitString] = []
             for row in by_anchor[anchor]:
@@ -544,7 +813,8 @@ class _VBAStrings:
                         bits=value,
                     )
                 )
-            emitted.extend(self._shell(anchor).enumerate_closed(closed))
+            rounds.append((anchor, closed))
+        emitted = self._grow_rounds(rounds)
         self._keys = np.empty(0, dtype=np.int64)
         self._start = np.empty(0, dtype=np.int64)
         self._length = np.empty(0, dtype=np.int64)
@@ -559,7 +829,6 @@ class _VBAStrings:
                 anchor,
                 self.constraints,
                 candidate_retention=self.candidate_retention,
-                sequences_fn=self.sequences_fn,
             )
         return shell
 
@@ -616,8 +885,7 @@ class _VBAStrings:
 
         The uint64 bitmap matrix serialises with its word width so
         multi-word (> 64 time) open strings restore exactly; shells
-        round-trip through :meth:`VBAEnumerator.snapshot_state` and are
-        rebuilt with the kernel's shared memoized sequence extractor.
+        round-trip through :meth:`VBAEnumerator.snapshot_state`.
         """
         return {
             "keys": self._keys.tobytes(),

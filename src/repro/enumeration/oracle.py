@@ -1,19 +1,19 @@
-"""Exhaustive reference enumerator (test oracle).
+"""Exhaustive enumerator over cluster snapshots.
 
 Enumerates *every* subset of objects that ever co-clusters, intersects its
 co-clustering times with the (K, L, G) maximal-valid-sequence
 decomposition, and reports all valid patterns.  Exponential in the largest
-cluster size — usable only on the small streams of the test-suite, which
-is exactly its job: BA, FBA and VBA must all agree with it.
+cluster size, so usable only on small streams; ``core/live.py`` builds its
+offline maximal convoys on it.  The test-suite judges the enumerators
+against ``tests/cp_oracle.py`` instead, which shares no code with them.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.model.constraints import PatternConstraints
-from repro.model.pattern import CoMovementPattern
 from repro.model.snapshot import ClusterSnapshot
 from repro.model.timeseq import TimeSequence, maximal_valid_sequences
 
@@ -54,40 +54,3 @@ def enumerate_all_patterns(
         if sequences:
             results[subset] = sequences
     return results
-
-
-def oracle_object_sets(
-    snapshots: Sequence[ClusterSnapshot], constraints: PatternConstraints
-) -> set[tuple[int, ...]]:
-    """Just the detected object sets, in the collector's tuple form."""
-    return {
-        tuple(sorted(subset))
-        for subset in enumerate_all_patterns(snapshots, constraints)
-    }
-
-
-def patterns_are_sound(
-    emitted: Iterable[CoMovementPattern],
-    snapshots: Sequence[ClusterSnapshot],
-    constraints: PatternConstraints,
-) -> bool:
-    """Soundness check: every emitted pattern's witness really holds.
-
-    The object set must satisfy M; the time sequence must satisfy
-    (K, L, G); and the objects must share a cluster at every witness time.
-    """
-    by_time = {snapshot.time: snapshot for snapshot in snapshots}
-    for pattern in emitted:
-        if not pattern.satisfies(constraints):
-            return False
-        needed = set(pattern.objects)
-        for t in pattern.times:
-            snapshot = by_time.get(t)
-            if snapshot is None:
-                return False
-            if not any(
-                needed <= set(members)
-                for members in snapshot.clusters.values()
-            ):
-                return False
-    return True

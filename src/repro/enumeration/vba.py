@@ -29,6 +29,8 @@ Two documented deviations from the paper's pseudocode (Algorithm 5):
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.enumeration.base import AnchorEnumerator
 from repro.enumeration.bitstring import (
     CLOSED_INVALID,
@@ -55,14 +57,13 @@ class VBAEnumerator(AnchorEnumerator):
         """``candidate_retention``: drop global candidates whose end time is
         more than this many time units in the past *and* that no future
         candidate can combine with (None = keep forever, the paper's
-        semantics; see :meth:`enumerate_candidates` for the
-        output-preservation argument).
+        semantics; see :meth:`evict` for the output-preservation
+        argument).
         ``sequences_fn``: overrides the maximal-valid-sequence extraction
         used during enumeration (``(bits, start) -> sequences``, same
         contract as :func:`valid_sequences_of_bits` bound to the
-        constraints); the batched kernels pass a memoized extractor,
-        which is output-invariant because the decomposition is a pure
-        function of ``(bits, start)``."""
+        constraints); a memoized extractor is output-invariant because
+        the decomposition is a pure function of ``(bits, start)``."""
         super().__init__(anchor, constraints)
         self.candidate_retention = candidate_retention
         if sequences_fn is None:
@@ -114,30 +115,28 @@ class VBAEnumerator(AnchorEnumerator):
     def enumerate_closed(
         self, fresh: list[ClosedBitString]
     ) -> list[CoMovementPattern]:
-        """One candidate round (lines 15-21) without retention pruning.
-
-        Public entry point for the batched enumeration kernels
-        (:mod:`repro.enumeration.kernels`), whose vectorized state machine
-        produces the closed strings itself and uses this enumerator purely
-        as the per-anchor candidate store + combination engine — the exact
-        code path :meth:`on_partition` and :meth:`finish` run, so emitted
-        patterns are bit-for-bit identical.
-        """
+        """One candidate round (lines 15-21) without retention pruning,
+        as :meth:`finish` runs it."""
         return self._process_candidates(fresh)
 
     def enumerate_candidates(
-        self,
-        time: int,
-        fresh: list[ClosedBitString],
-        earliest_open_start: int | None = None,
+        self, time: int, fresh: list[ClosedBitString]
     ) -> list[CoMovementPattern]:
-        """One full per-time candidate round: enumerate, then retention.
+        """One full per-time candidate round: enumerate, then :meth:`evict`.
 
         Equivalent to the tail of :meth:`on_partition` at ``time``:
         enumerate the fresh candidates against the global list, merge
         them, and (when ``candidate_retention`` is set) evict candidates
         whose end time fell behind the horizon — pruning runs *after* the
         round, so the enumeration pool matches the paper's semantics.
+        """
+        emitted = self._process_candidates(fresh)
+        self.evict(time)
+        return emitted
+
+    def evict(self, time: int, earliest_open_start: int | None = None) -> None:
+        """The retention half of a round at ``time`` (a no-op without
+        ``candidate_retention``).
 
         Eviction is *output-preserving*: besides being older than the
         horizon, a candidate is only dropped when no future candidate
@@ -147,26 +146,41 @@ class VBAEnumerator(AnchorEnumerator):
         overlap that start by K times is provably dead — the retention
         knob bounds memory without ever dropping a confirmable pattern.
 
-        ``earliest_open_start`` lets a batched kernel that keeps open
-        strings outside this object (:mod:`repro.enumeration.kernels`)
-        supply that bound; by default it is read from ``self._open``.
+        ``earliest_open_start`` lets the numpy kernel, which keeps open
+        strings outside this object, supply that bound; by default it is
+        read from ``self._open``.
         """
-        emitted = self._process_candidates(fresh)
-        if self.candidate_retention is not None:
-            horizon = time - self.candidate_retention
-            if earliest_open_start is None:
-                earliest_open_start = min(
-                    (s.start for s in self._open.values()), default=time + 1
-                )
-            cutoff = min(
-                horizon, earliest_open_start + self.constraints.k - 1
+        if self.candidate_retention is None:
+            return
+        horizon = time - self.candidate_retention
+        if earliest_open_start is None:
+            earliest_open_start = min(
+                (s.start for s in self._open.values()), default=time + 1
             )
-            before = len(self._candidates)
-            self._candidates = [
-                c for c in self._candidates if c.end >= cutoff
-            ]
-            self.candidates_evicted += before - len(self._candidates)
-        return emitted
+        cutoff = min(horizon, earliest_open_start + self.constraints.k - 1)
+        before = len(self._candidates)
+        self._candidates = [c for c in self._candidates if c.end >= cutoff]
+        self.candidates_evicted += before - len(self._candidates)
+
+    @property
+    def candidates(self) -> Sequence[ClosedBitString]:
+        """The global candidate list C in merge order (read-only)."""
+        return self._candidates
+
+    def merge_round(
+        self, fresh: Sequence[ClosedBitString], and_evaluations: int
+    ) -> None:
+        """Adopt a round grown outside this object.
+
+        ``fresh`` is the round in ``(oid, start)`` order, each string
+        grown against :attr:`candidates` plus the strings before it —
+        what :meth:`enumerate_closed` would have grown; it joins C and
+        its AND count joins the work counter.  The numpy kernel's
+        vectorised pass grows a whole snapshot's rounds at once and
+        merges them here.
+        """
+        self._candidates.extend(fresh)
+        self.and_evaluations += and_evaluations
 
     def is_idle(self) -> bool:
         """No open strings: zero-appends (even across a gap) are no-ops.

@@ -1,18 +1,17 @@
-"""Full-system integration: records -> sync -> ICPE -> patterns == oracle."""
+"""Full-system integration: records -> sync -> ICPE -> patterns == the
+definition oracle (``tests/cp_oracle.py``), computed from the raw rows."""
 
 import random
 
 import pytest
 
-from repro.cluster.rjc import ClusteringConfig, RJCClusterer
 from repro.core.config import ICPEConfig
 from repro.data.brinkhoff import BrinkhoffConfig, generate_brinkhoff
-from repro.enumeration.oracle import oracle_object_sets, patterns_are_sound
 from repro.model.constraints import PatternConstraints
 from repro.model.records import StreamRecord
-from repro.model.snapshot import Snapshot
 from repro.session import open_session
 from repro.streaming.shuffle import bounded_shuffle
+from tests.cp_oracle import dbscan_clusters, pattern_object_sets, witness_holds
 
 CONSTRAINTS = PatternConstraints(m=3, k=4, l=2, g=2)
 
@@ -41,22 +40,6 @@ def implanted_stream(seed=0, n_groups=3, group_size=4, horizon=12):
     return records
 
 
-def reference_patterns(records, config):
-    """Oracle result: cluster each snapshot with RJC, enumerate exhaustively."""
-    snapshots: dict[int, Snapshot] = {}
-    for r in records:
-        snapshots.setdefault(r.time, Snapshot(r.time)).add_record(r)
-    clusterer = RJCClusterer(
-        ClusteringConfig(
-            epsilon=config.epsilon,
-            min_pts=config.min_pts,
-            cell_width=config.cell_width,
-        )
-    )
-    cluster_snaps = [clusterer.cluster(snapshots[t]) for t in sorted(snapshots)]
-    return cluster_snaps, oracle_object_sets(cluster_snaps, config.constraints)
-
-
 @pytest.mark.parametrize("enumerator", ["baseline", "fba", "vba"])
 def test_pipeline_matches_oracle(enumerator):
     records = implanted_stream()
@@ -69,9 +52,17 @@ def test_pipeline_matches_oracle(enumerator):
     )
     with open_session(config) as session:
         session.feed_many(records)
-    cluster_snaps, expected = reference_patterns(records, config)
-    assert {p.objects for p in session.patterns} == expected
-    assert patterns_are_sound(session.patterns, cluster_snaps, CONSTRAINTS)
+    clusters = dbscan_clusters(
+        [(r.oid, r.x, r.y, r.time) for r in records], config.epsilon, config.min_pts
+    )
+    c = CONSTRAINTS
+    assert {p.objects for p in session.patterns} == pattern_object_sets(
+        clusters, c.m, c.k, c.l, c.g
+    )
+    for pattern in session.patterns:
+        assert witness_holds(
+            pattern.objects, pattern.times, clusters, c.m, c.k, c.l, c.g
+        )
 
 
 def test_out_of_order_delivery_equivalent():
